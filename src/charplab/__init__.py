@@ -34,7 +34,7 @@ from .perturb import (PerturbationPlan, PerturbationReport, PerturbationRow,
 from .poly import Monomial, Polynomial, Ring, parse_poly
 from .report import ReportDocument
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CharplabError", "CongruenceReport", "ConvergenceDiagnostic",

@@ -18,7 +18,8 @@ Widths are chosen per computation.  When degrees outgrow the current width
 the whole computation is restarted with wider fields (KeyOverflow is the
 internal signal); only the configured degree limit turns that into an error.
 Keys are arbitrary-precision ints; when the layout fits in 62 bits the
-divisor search over basis leading terms is done on an int64 numpy array.
+divisor search over a large basis's leading terms is done on an int64 numpy
+array.
 
 Polynomials here are bare dicts {key: coefficient code}; conversion from and
 to the public Polynomial type happens at the boundary.
@@ -73,8 +74,8 @@ class KeyOverflow(Exception):
 class PackSpec:
     """Key layout for one (variable count, order, width) combination."""
 
-    __slots__ = ("n", "order", "w", "C", "fields", "shifts", "zero_key",
-                 "g_all", "g_dir", "g_comp", "nbits")
+    __slots__ = ("n", "order", "w", "C", "fields", "shifts", "deg_shifts",
+                 "zero_key", "g_all", "g_dir", "g_comp", "nbits")
 
     def __init__(self, n: int, order: MonomialOrder, w: int):
         if order.kind == "block" and not 0 < order.block < n:
@@ -110,6 +111,10 @@ class PackSpec:
         nf = len(fields)
         self.nbits = nf * (w + 1)
         self.shifts = [(nf - 1 - j) * (w + 1) for j in range(nf)]
+        # the non-complement fields sum to the total degree: one degree
+        # field for grevlex, one field per block, one per variable for lex
+        self.deg_shifts = tuple(sh for (kind, _), sh in zip(fields, self.shifts)
+                                if kind != "comp")
         zero = 0
         g_all = g_dir = g_comp = 0
         for (kind, _), sh in zip(fields, self.shifts):
@@ -158,11 +163,15 @@ class PackSpec:
         return tuple(exps)
 
     def key_degree(self, key: int) -> int:
+        shifts = self.deg_shifts
         C = self.C
+        if len(shifts) == 1:
+            return (key >> shifts[0]) & C
+        if len(shifts) == 2:
+            return ((key >> shifts[0]) & C) + ((key >> shifts[1]) & C)
         total = 0
-        for (kind, _), sh in zip(self.fields, self.shifts):
-            if kind != "comp":
-                total += (key >> sh) & C
+        for sh in shifts:
+            total += (key >> sh) & C
         return total
 
     def divides(self, a: int, t: int) -> bool:
@@ -178,6 +187,15 @@ class PackSpec:
 
 def _np_ready(spec: PackSpec) -> bool:
     return spec.nbits <= 62
+
+
+# Bases up to this size are searched for divisors by a plain loop over the
+# leading keys; larger ones whose layout fits in 62 bits by one numpy pass.
+# On a 2-core x86-64 host with Python 3.11 the numpy pass costs a fixed 4-7
+# microseconds, as much as a full scan of about 48 keys; the reducer scan,
+# which stops at the first hit, costs less still.  With no numpy pass at
+# all, splitting chains (bases of 100+ elements) ran 40% slower.
+SCAN_MAX_BASIS = 48
 
 
 class GPoly:
@@ -215,10 +233,15 @@ def _to_poly(d: dict[int, int], spec: PackSpec, ring: Ring) -> Polynomial:
 
 
 class BasisContext:
-    """A fixed basis prepared for repeated normal-form reduction."""
+    """A fixed basis prepared for repeated normal-form reduction.
 
-    __slots__ = ("ring", "order", "field", "spec", "elems", "_lt_list",
-                 "_lt_arr", "_lt_arr_guarded", "min_lt_deg")
+    Divisor searches run on the leading keys in direct form (complement
+    fields flipped back to exponents, `key ^ spec.zero_key`), where a | t
+    is a single guarded subtraction: no field of a exceeds that of t.
+    """
+
+    __slots__ = ("ring", "order", "field", "spec", "elems", "_lt_direct",
+                 "_lt_arr", "min_lt_deg")
 
     def __init__(self, ring: Ring, order: MonomialOrder, spec: PackSpec,
                  elems: list[GPoly]):
@@ -227,31 +250,25 @@ class BasisContext:
         self.field = ring.field
         self.spec = spec
         self.elems = elems
-        self._lt_list = [g.lt_key for g in elems]
+        self._lt_direct = [g.lt_key ^ spec.zero_key for g in elems]
         self._lt_arr = None
-        self._lt_arr_guarded = None
-        if elems and _np_ready(spec):
-            self._lt_arr = np.array(self._lt_list, dtype=np.int64)
-            self._lt_arr_guarded = self._lt_arr | spec.g_all
-        self.min_lt_deg = (min(spec.key_degree(k) for k in self._lt_list)
+        if len(elems) > SCAN_MAX_BASIS and _np_ready(spec):
+            self._lt_arr = np.array(self._lt_direct, dtype=np.int64)
+        self.min_lt_deg = (min(spec.key_degree(g.lt_key) for g in elems)
                            if elems else None)
 
     def find_reducer(self, key: int, key_deg: int) -> int | None:
+        """Lowest basis index whose leading term divides `key`."""
         if self.min_lt_deg is None or key_deg < self.min_lt_deg:
             return None
-        spec = self.spec
+        g = self.spec.g_all
+        guarded = (key ^ self.spec.zero_key) | g
         if self._lt_arr is not None:
-            hits = ((((key | spec.g_all) - self._lt_arr) & spec.g_dir)
-                    == spec.g_dir)
-            if spec.g_comp:
-                hits &= (((self._lt_arr_guarded - key) & spec.g_comp)
-                         == spec.g_comp)
-            idx = np.argmax(hits)
-            if hits[idx]:
-                return int(idx)
-            return None
-        for i, lt in enumerate(self._lt_list):
-            if spec.divides(lt, key):
+            hits = ((guarded - self._lt_arr) & g) == g
+            idx = int(hits.argmax())
+            return idx if hits[idx] else None
+        for i, lt in enumerate(self._lt_direct):
+            if (guarded - lt) & g == g:
                 return i
         return None
 
@@ -259,46 +276,46 @@ class BasisContext:
         """All basis indices whose leading term divides `key`."""
         if self.min_lt_deg is None:
             return []
-        spec = self.spec
+        g = self.spec.g_all
+        guarded = (key ^ self.spec.zero_key) | g
         if self._lt_arr is not None:
-            hits = ((((key | spec.g_all) - self._lt_arr) & spec.g_dir)
-                    == spec.g_dir)
-            if spec.g_comp:
-                hits &= (((self._lt_arr_guarded - key) & spec.g_comp)
-                         == spec.g_comp)
-            return [int(i) for i in np.nonzero(hits)[0]]
-        return [i for i, lt in enumerate(self._lt_list)
-                if spec.divides(lt, key)]
+            return np.flatnonzero(((guarded - self._lt_arr) & g) == g).tolist()
+        return [i for i, lt in enumerate(self._lt_direct)
+                if (guarded - lt) & g == g]
 
     def reduce_dict(self, work: dict[int, int]) -> dict[int, int]:
         """Full normal form of a working dict; consumes its argument."""
         spec, field = self.spec, self.field
         C = spec.C
+        key_degree, find_reducer = spec.key_degree, self.find_reducer
+        mul, sub = field.mul, field.sub
+        heappop, heappush = heapq.heappop, heapq.heappush
+        elems = self.elems
         remainder: dict[int, int] = {}
         heap = [-k for k in work]
         heapq.heapify(heap)
         while heap:
-            k = -heapq.heappop(heap)
+            k = -heappop(heap)
             c = work.pop(k, 0)
             if not c:
                 continue
-            kdeg = spec.key_degree(k)
-            gi = self.find_reducer(k, kdeg)
+            kdeg = key_degree(k)
+            gi = find_reducer(k, kdeg)
             if gi is None:
                 remainder[k] = c
                 continue
-            g = self.elems[gi]
-            mult_deg = kdeg - spec.key_degree(g.lt_key)
+            g = elems[gi]
+            mult_deg = kdeg - key_degree(g.lt_key)
             if g.maxdeg + mult_deg > C:
                 raise KeyOverflow(g.maxdeg + mult_deg)
             delta = k - g.lt_key
             gkeys, gcoeffs = g.keys, g.coeffs
             for t in range(1, len(gkeys)):
                 nk = gkeys[t] + delta
-                nv = field.sub(work.get(nk, 0), field.mul(c, gcoeffs[t]))
+                nv = sub(work.get(nk, 0), mul(c, gcoeffs[t]))
                 if nv:
                     if nk not in work:
-                        heapq.heappush(heap, -nk)
+                        heappush(heap, -nk)
                     work[nk] = nv
                 else:
                     work.pop(nk, None)

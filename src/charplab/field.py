@@ -5,7 +5,10 @@ code are the coordinates with respect to the power basis 1, g, ..., g^(m-1),
 where g is the class of the generator modulo an explicit irreducible modulus.
 For m = 1 the code is the residue itself.  Multiplication and inversion go
 through discrete log/antilog tables built once per field (q is capped at
-2^16, so the tables stay small); addition is digitwise mod p.
+2^16, so the tables stay small); addition is digitwise mod p.  The tables
+are plain lists: indexing one with a Python int is several times cheaper
+than a numpy scalar lookup, and field operations are called one code at a
+time.
 
 The module deliberately has no notion of "symbolic" elements: every value is
 a concrete code and every operation is a total function on codes, which keeps
@@ -16,8 +19,6 @@ from __future__ import annotations
 
 import functools
 from typing import Iterable
-
-import numpy as np
 
 from .errors import InputError
 
@@ -107,7 +108,7 @@ class Field:
 
     __slots__ = (
         "p", "m", "q", "modulus", "generator_code",
-        "_exp", "_log", "_inv", "_neg", "_frob_vec",
+        "_exp", "_log", "_inv", "_neg",
     )
 
     def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None):
@@ -183,8 +184,8 @@ class Field:
                     break
             if gen is None:
                 raise InputError("modulus is reducible: no multiplicative generator")
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
+        exp = [0] * (2 * (q - 1))
+        log = [0] * q
         acc = 1
         for k in range(q - 1):
             exp[k] = acc
@@ -196,17 +197,12 @@ class Field:
         self.generator_code = gen
         self._exp = exp
         self._log = log
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
-        self._inv = inv
+        self._inv = [0] + [exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)]
         if p == 2:
-            neg = np.arange(q, dtype=np.int64)
+            self._neg = list(range(q))
         else:
-            neg = np.zeros(q, dtype=np.int64)
-            for c in range(q):
-                neg[c] = self.add(0, self._scale_digits(c, p - 1))
-        self._neg = neg
-        self._frob_vec = None
+            self._neg = [self.add(0, self._scale_digits(c, p - 1))
+                         for c in range(q)]
 
     def _scale_digits(self, a: int, s: int) -> int:
         p, m = self.p, self.m
@@ -237,7 +233,7 @@ class Field:
         return out
 
     def neg(self, a: int) -> int:
-        return int(self._neg[a])
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -245,27 +241,27 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise InputError("division by zero in the coefficient field")
-        return int(self._inv[a])
+        return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise InputError("division by zero in the coefficient field")
         if a == 0:
             return 0
-        return int(self._exp[(self._log[a] - self._log[b]) % (self.q - 1)])
+        # log differences lie in (-(q-1), q-1); exp repeats over 2(q-1)
+        return self._exp[self._log[a] - self._log[b] + self.q - 1]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
             if n < 0:
                 raise InputError("division by zero in the coefficient field")
             return 0 if n else 1
-        e = (int(self._log[a]) * n) % (self.q - 1)
-        return int(self._exp[e])
+        return self._exp[(self._log[a] * n) % (self.q - 1)]
 
     def frobenius(self, a: int, e: int = 1) -> int:
         """e-fold Frobenius a |-> a^(p^e) on codes."""
@@ -288,27 +284,6 @@ class Field:
         if len(cs) != self.m:
             raise InputError(f"expected {self.m} coordinates, got {len(cs)}")
         return sum((c % self.p) * self.p**i for i, c in enumerate(cs))
-
-    # -- vector code arithmetic (int64 ndarrays, used by the engine) -----
-
-    def add_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        p, m = self.p, self.m
-        if m == 1:
-            return (a + b) % p
-        if p == 2:
-            return a ^ b
-        out = np.zeros_like(a)
-        for i in range(m):
-            pi = p**i
-            out += (((a // pi) + (b // pi)) % p) * pi
-        return out
-
-    def neg_vec(self, a: np.ndarray) -> np.ndarray:
-        return self._neg[a]
-
-    def mul_scalar_vec(self, c: int, a: np.ndarray) -> np.ndarray:
-        """c * a for a scalar c != 0 and an array of nonzero codes."""
-        return self._exp[self._log[c] + self._log[a]]
 
     # -- misc --------------------------------------------------------------
 

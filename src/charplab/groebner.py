@@ -16,6 +16,7 @@ standard representations after multiplication by the tag variable).
 
 from __future__ import annotations
 
+import heapq
 import threading
 
 from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
@@ -188,6 +189,11 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     return eliminate(inner, 1)
 
 
+def _grevlex_max_first(exps: tuple[int, ...]) -> tuple[int, ...]:
+    """Heap key: the smallest key is the grevlex-largest monomial."""
+    return tuple(-v for v in GREVLEX.key(exps))
+
+
 def divide_exact(h: Polynomial, f: Polynomial) -> Polynomial:
     """Quotient h/f when the division is exact (grevlex leading terms)."""
     if f.is_zero():
@@ -197,22 +203,30 @@ def divide_exact(h: Polynomial, f: Polynomial) -> Polynomial:
     flt, flc = f.leading_term(GREVLEX)
     finv = field.inv(flc.code)
     fexp = flt.exponents
+    ftail = [(fe, fc) for fe, fc in f.terms.items() if fe != fexp]
     quot: dict = {}
     rest = dict(h.terms)
-    while rest:
-        exps = max(rest, key=GREVLEX.key)
-        c = rest.pop(exps)
+    # one descending pass: every term a step adds lies below the term it
+    # cancels, so the heap top is the largest remaining term once entries
+    # for terms that cancelled to zero are skipped
+    heap = [(_grevlex_max_first(e), e) for e in rest]
+    heapq.heapify(heap)
+    while heap:
+        exps = heapq.heappop(heap)[1]
+        c = rest.pop(exps, 0)
+        if not c:
+            continue
         mult = tuple(a - b for a, b in zip(exps, fexp))
         if any(e < 0 for e in mult):
             raise InternalError("inexact polynomial division")
         qc = field.mul(c, finv)
         quot[mult] = qc
-        for fe, fc in f.terms.items():
-            if fe == fexp:
-                continue
+        for fe, fc in ftail:
             te = tuple(a + b for a, b in zip(fe, mult))
             nv = field.sub(rest.get(te, 0), field.mul(qc, fc))
             if nv:
+                if te not in rest:
+                    heapq.heappush(heap, (_grevlex_max_first(te), te))
                 rest[te] = nv
             else:
                 rest.pop(te, None)
@@ -471,6 +485,14 @@ def m_power_in(I: IdealHandle) -> int:
     st = staircase_of(gb)
     if not st.zero_dimensional():
         raise InputError("ideal is not zero-dimensional")
+    floor = max(st.max_degree() + 1, 1)
+    # homogeneous shortcut: the degree-N graded piece of the quotient is
+    # spanned by the degree-N standard monomials, so every degree-N
+    # monomial is a member exactly when none of them is standard.  Skipping
+    # the "primary to the origin" probe below hides no error: a homogeneous
+    # zero-dimensional ideal cuts out a finite cone, which is the origin
+    if all(len({sum(k) for k in g.terms}) == 1 for g in gb.elements):
+        return floor
     ring = I.ring
     n = ring.n
     length = st.count()
@@ -520,14 +542,7 @@ def m_power_in(I: IdealHandle) -> int:
                 stack.append((left - e, prefix + (e,)))
         return True
 
-    lo = st.max_degree() + 1
-    if lo < 1:
-        lo = 1
-    # homogeneous shortcut: the degree-N graded piece of the quotient is
-    # spanned by the degree-N standard monomials, so every degree-N
-    # monomial is a member exactly when none of them is standard
-    if all(len({sum(k) for k in g.terms}) == 1 for g in gb.elements):
-        return lo
+    lo = floor
     hi = sum(b - 1 for b in pure_bounds) + 1
     # all_in is monotone: a degree-(N+1) monomial is a variable times a
     # degree-N monomial

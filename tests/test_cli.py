@@ -2,6 +2,7 @@
 deterministic byte-identical reports in both encodings, flag overrides,
 and the suite runner."""
 
+import hashlib
 import json
 import os
 
@@ -10,6 +11,10 @@ import pytest
 import charplab.cli as cli
 
 SUITE = os.path.join(os.path.dirname(__file__), os.pardir, "paper-suite")
+# sha256 of every `run-suite paper-suite --out-dir` artifact, in
+# `sha256sum` format; regenerate only for an intended change of output
+DIGESTS = os.path.join(os.path.dirname(__file__), "data",
+                       "suite_artifacts.sha256")
 
 
 def run(capsys, *argv):
@@ -205,6 +210,17 @@ def test_run_suite_writes_byte_identical_artifacts(capsys, tmp_path,
     assert first == second
     assert "06-length-quadric-13.csv" in first
     assert first["06-length-quadric-13.csv"] == b"value\n13\n"
+
+
+def test_run_suite_artifacts_match_the_recorded_digests(capsys, tmp_path):
+    code, _, _ = run(capsys, "run-suite", SUITE, "--out-dir", str(tmp_path))
+    assert code == 0
+    with open(DIGESTS, encoding="utf-8") as fh:
+        want = dict(reversed(line.split()) for line in fh if line.strip())
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir()}
+    assert len(want) == 80
+    assert got == want
 
 
 def test_run_suite_reports_expectation_mismatches(capsys, tmp_path):

@@ -10,8 +10,8 @@ import random
 import pytest
 
 from charplab import (
-    GREVLEX, LEX, Field, IdealHandle, InputError, LimitError, Limits,
-    Polynomial, Ring, colength, colon, eliminate, frobenius_power,
+    GREVLEX, LEX, Field, GroebnerBasis, IdealHandle, InputError, LimitError,
+    Limits, Polynomial, Ring, colength, colon, eliminate, frobenius_power,
     groebner_basis, ideal_equal, intersect, is_squarefree_hypersurface,
     krull_dim, m_power_in, normal_form, parse_poly, staircase_of,
     subalgebra_presentation,
@@ -322,6 +322,25 @@ def test_m_power_in_boundary_property():
                for m in monomials_up_to(2, N) if sum(m) == N)
     assert any(not gb.normal_form(R.monomial(m)).is_zero()
                for m in monomials_up_to(2, N - 1) if sum(m) == N - 1)
+
+
+@pytest.mark.parametrize("q", [5, 25])
+def test_m_power_in_reads_homogeneous_ideals_off_the_staircase(q,
+                                                               monkeypatch):
+    # a homogeneous zero-dimensional ideal is m-primary, so the answer is
+    # one past the top staircase degree with no normal form computed
+    R = ring(5, "x", "y", "t")
+    I = ideal(R, "x^2 + y^2 + t^2", f"x^{q}", f"y^{q}", f"t^{q}")
+    I.basis()
+    calls = []
+    original = GroebnerBasis.normal_form
+
+    def counted(self, f):
+        calls.append(f)
+        return original(self, f)
+    monkeypatch.setattr(GroebnerBasis, "normal_form", counted)
+    assert m_power_in(I) == (3 * q + 1) // 2 - 1
+    assert calls == []
 
 
 def test_m_power_in_rejects_components_off_the_origin():
