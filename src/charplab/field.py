@@ -236,7 +236,16 @@ class Field:
         return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        p, m = self.p, self.m
+        if m == 1:
+            return (a - b) % p
+        if p == 2:
+            return a ^ b
+        out = 0
+        for i in range(m):
+            pi = p**i
+            out += (((a // pi) - (b // pi)) % p) * pi
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

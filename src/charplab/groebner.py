@@ -20,7 +20,7 @@ import heapq
 import threading
 
 from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
-                     groebner, make_context, widen_context)
+                     groebner, make_context, power_scan, widen_context)
 from .errors import InputError, InternalError
 from .orders import GREVLEX, MonomialOrder, block_order
 from .poly import Polynomial, Ring
@@ -38,20 +38,26 @@ class GroebnerBasis:
         self.elements = tuple(elements)
         self._ctx: BasisContext | None = None
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        """Fully reduced remainder of f; zero iff f lies in the ideal."""
+    def with_context(self, work, extra: tuple = (), degree: int = 0):
+        """work(ctx) on the reduction context, whose fields are first made
+        to hold `degree`; a KeyOverflow widens the context and runs work
+        again.  `extra` (polynomials to be reduced) only influences the
+        width of a context built here."""
+        if self._ctx is None:
+            self._ctx = make_context(list(self.elements), self.ring,
+                                     self.order, extra=list(extra))
+        if self._ctx.spec.C < degree:
+            self._ctx = widen_context(self._ctx, degree, list(self.elements))
         while True:
-            if self._ctx is None:
-                self._ctx = make_context(list(self.elements), self.ring,
-                                         self.order, extra=[f])
             try:
-                return self._ctx.normal_form(f)
+                return work(self._ctx)
             except KeyOverflow as o:
                 self._ctx = widen_context(self._ctx, o.needed_degree,
                                           list(self.elements))
 
-    def reduces_to_zero(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        """Fully reduced remainder of f; zero iff f lies in the ideal."""
+        return self.with_context(lambda ctx: ctx.normal_form(f), (f,))
 
     def contains_one(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.elements)
@@ -105,12 +111,6 @@ class IdealHandle:
     def seed_cache(self, gb: GroebnerBasis) -> None:
         with self._lock:
             self._cache.setdefault(gb.order, gb)
-
-    def plus(self, other: "IdealHandle") -> "IdealHandle":
-        if other.ring != self.ring:
-            raise InputError("ideals live in different rings")
-        return IdealHandle(self.ring, self.generators + other.generators,
-                           self.limits)
 
     def with_polys(self, polys) -> "IdealHandle":
         return IdealHandle(self.ring, self.generators + tuple(polys),
@@ -329,16 +329,6 @@ class Staircase:
                 return False
         return True
 
-    def pure_power_bounds(self) -> list[int | None]:
-        out: list[int | None] = [None] * self.n
-        for c in self.corners:
-            support = [i for i, e in enumerate(c) if e]
-            if len(support) == 1:
-                out[support[0]] = c[support[0]]
-            elif len(support) == 0:
-                out = [0] * self.n
-        return out
-
     # counting: recursion over the last variable, slicing at the distinct
     # last-coordinate values of the corners; memoized on corner sets
 
@@ -489,70 +479,29 @@ def m_power_in(I: IdealHandle) -> int:
     # homogeneous shortcut: the degree-N graded piece of the quotient is
     # spanned by the degree-N standard monomials, so every degree-N
     # monomial is a member exactly when none of them is standard.  Skipping
-    # the "primary to the origin" probe below hides no error: a homogeneous
-    # zero-dimensional ideal cuts out a finite cone, which is the origin
+    # the "primary to the origin" check of the scan below hides no error: a
+    # homogeneous zero-dimensional ideal cuts out a finite cone, which is
+    # the origin
     if all(len({sum(k) for k in g.terms}) == 1 for g in gb.elements):
         return floor
-    ring = I.ring
-    n = ring.n
+    # inhomogeneous ideals: one upward scan of the layers m^N mod I (see
+    # engine.power_scan).  It needs no enumeration of all degree-N
+    # monomials: a monomial whose normal form is zero has only zero
+    # multiples, so each layer is built from the nonzero entries of the one
+    # below, and it stops at the first empty layer, which exists because a
+    # primary ideal of colength L contains m^L.  Its keys reach one degree
+    # past the top of the staircase (the border monomials x_i s)
+    top = st.max_degree()
     length = st.count()
-
-    # per-variable nilpotency bounds certify termination; a pure power that
-    # never lands in the ideal within the colength bound means the ideal has
-    # components away from the origin
-    monomial_members: list[tuple[int, ...]] = []
-    pure_bounds = []
-    for i in range(n):
-        def member(b: int) -> bool:
-            return gb.normal_form(ring.monomial(
-                tuple(b if j == i else 0 for j in range(n)))).is_zero()
-        # in an artinian local quotient of length L the maximal ideal
-        # satisfies m^L = 0, so x_i^L must land in a primary ideal
-        lo, hi = 1, length
-        if not member(length):
-            raise InputError(
-                "no bounded power of a variable lies in the ideal: the "
-                "ideal is zero-dimensional but not primary to the origin")
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if member(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        pure_bounds.append(lo)
-        monomial_members.append(tuple(lo if j == i else 0 for j in range(n)))
-    for g in gb.elements:
-        if len(g.terms) == 1:
-            monomial_members.append(next(iter(g.terms)))
-
-    def all_in(N: int) -> bool:
-        # every degree-N monomial; skip those under a known monomial member
-        stack = [(N, ())]
-        while stack:
-            left, prefix = stack.pop()
-            if len(prefix) == n - 1:
-                cand = prefix + (left,)
-                if any(all(a >= b for a, b in zip(cand, mem))
-                       for mem in monomial_members):
-                    continue
-                if not gb.normal_form(ring.monomial(cand)).is_zero():
-                    return False
-                continue
-            for e in range(left + 1):
-                stack.append((left - e, prefix + (e,)))
-        return True
-
-    lo = floor
-    hi = sum(b - 1 for b in pure_bounds) + 1
-    # all_in is monotone: a degree-(N+1) monomial is a variable times a
-    # degree-N monomial
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if all_in(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    N = gb.with_context(lambda ctx: power_scan(ctx, length), degree=top + 1)
+    if N is None:
+        raise InputError(
+            "no bounded power of a variable lies in the ideal: the "
+            "ideal is zero-dimensional but not primary to the origin")
+    if N <= top:
+        raise InternalError("a standard monomial lies above the m-power "
+                            "inclusion degree")
+    return N
 
 
 def subalgebra_presentation(gens: list[Polynomial],

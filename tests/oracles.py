@@ -176,6 +176,42 @@ def _dense_membership_ext(f: Polynomial, gens: list[Polynomial], degree: int) ->
     return span.contains(vec(f))
 
 
+def _box_span(ring: Ring, gens: list[Polynomial], bounds: tuple[int, ...]):
+    """Span, over the coefficient field, of the images of the ideal (gens)
+    in S/(x_1^b_1, ..., x_n^b_n), whose basis is the box of exponent tuples
+    e with e_i < b_i.  Multiplier monomials outside the box project to
+    zero, so the box multiples of gens span the image.  Returns the span
+    and a function that maps a {exponents: code} dict inside the box to a
+    vector."""
+    width = 1
+    strides = []
+    for b in bounds:
+        strides.append(width)
+        width *= b
+    prime = ring.field.m == 1
+    span = (ModpSpan(ring.field.p, width) if prime
+            else FieldSpan(ring.field, width))
+
+    def vector(terms: dict) -> object:
+        v = np.zeros(width, dtype=np.int64) if prime else [0] * width
+        for exps, code in terms.items():
+            v[sum(e * s for e, s in zip(exps, strides))] = code
+        return v
+
+    for g in gens:
+        if g.is_zero():
+            continue
+        for m in itertools.product(*(range(b) for b in bounds)):
+            shifted = {}
+            for exps, code in g.terms.items():
+                e = tuple(a + b for a, b in zip(exps, m))
+                if all(x < b for x, b in zip(e, bounds)):
+                    shifted[e] = code
+            if shifted:
+                span.add(vector(shifted))
+    return span, vector
+
+
 def dense_colength_box(gens: list[Polynomial], q: int) -> int:
     """dim of S/(gens + (x_1^q, ..., x_n^q)) by projection onto the box of
     monomials with all exponents < q.  Multiplier monomials outside the box
@@ -183,45 +219,24 @@ def dense_colength_box(gens: list[Polynomial], q: int) -> int:
     ring = gens[0].ring if gens else None
     if ring is None:
         raise ValueError("need at least one generator (possibly zero)")
-    n = ring.n
-    width = q**n
-    strides = [q**i for i in range(n)]
+    span, _ = _box_span(ring, gens, (q,) * ring.n)
+    return q**ring.n - span.rank
 
-    def project_vector_modp(g: Polynomial, mult: tuple[int, ...]) -> np.ndarray | None:
-        v = np.zeros(width, dtype=np.int64)
-        hit = False
-        for exps, code in g.terms.items():
-            shifted = tuple(a + b for a, b in zip(exps, mult))
-            if all(e < q for e in shifted):
-                v[sum(e * s for e, s in zip(shifted, strides))] = code
-                hit = True
-        return v if hit else None
 
-    if ring.field.m == 1:
-        span = ModpSpan(ring.field.p, width)
-        for g in gens:
-            if g.is_zero():
-                continue
-            for m in box_monomials(n, q):
-                v = project_vector_modp(g, m)
-                if v is not None:
-                    span.add(v)
-        return width - span.rank
-    span = FieldSpan(ring.field, width)
-    for g in gens:
-        if g.is_zero():
-            continue
-        for m in box_monomials(n, q):
-            v = [0] * width
-            hit = False
-            for exps, code in g.terms.items():
-                shifted = tuple(a + b for a, b in zip(exps, m))
-                if all(e < q for e in shifted):
-                    v[sum(e * s for e, s in zip(shifted, strides))] = code
-                    hit = True
-            if hit:
-                span.add(v)
-    return width - span.rank
+def box_monomial_member(ring: Ring, gens: list[Polynomial],
+                        bounds: tuple[int, ...]):
+    """Exact monomial membership in (gens) + (x_1^b_1, ..., x_n^b_n), as a
+    function of the exponent tuple.  Monomials outside the box are members;
+    one inside is a member exactly when its basis vector lies in the span
+    of the projected box multiples of gens.  Unlike dense_membership, a
+    False answer is conclusive."""
+    span, vector = _box_span(ring, gens, bounds)
+
+    def member(exps: tuple[int, ...]) -> bool:
+        if any(e >= b for e, b in zip(exps, bounds)):
+            return True
+        return span.contains(vector({exps: 1}))
+    return member
 
 
 def splitting_number_dense(f: Polynomial, e: int) -> int:

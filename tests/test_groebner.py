@@ -8,6 +8,8 @@ the fixed examples pin down hand-checkable values.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charplab import (
     GREVLEX, LEX, Field, GroebnerBasis, IdealHandle, InputError, LimitError,
@@ -16,9 +18,10 @@ from charplab import (
     krull_dim, m_power_in, normal_form, parse_poly, staircase_of,
     subalgebra_presentation,
 )
+from charplab.engine import KeyOverflow, make_context, power_scan
 from charplab.groebner import Staircase, colon_by_basis
-from oracles import box_monomials, dense_colength_box, dense_membership, \
-    monomials_up_to
+from oracles import box_monomial_member, box_monomials, dense_colength_box, \
+    dense_membership, monomials_up_to
 
 
 def ring(p, *names, m=1):
@@ -309,11 +312,19 @@ def test_m_power_in_examples():
     R2 = ring(2, "x", "y")
     assert m_power_in(ideal(R2, "x^2", "y^2")) == 3
     assert m_power_in(ideal(R, "x", "y")) == 1
+    # y = x^2: colength 3, and x^3 is the first power of x inside
+    assert m_power_in(ideal(R, "y - x^2", "x^3")) == 3
+    # y^41 = y * y^40 lies in the ideal, so it is (x^40, y^40); the answer
+    # 79 is past 63, the largest degree the narrowest (6-bit) keys hold
+    assert m_power_in(ideal(R, "x^40 + y^41", "y^40")) == 79
+    # inhomogeneous: x^41 = x(x^40 + y^50) - y^49 (xy) is in, x^40 is not,
+    # and y^50 = -x^40 is not, so the last power to land is y^51
+    assert m_power_in(ideal(R, "x^40 + y^50", "x*y")) == 51
 
 
 def test_m_power_in_boundary_property():
     # every monomial of degree N is a member, some monomial of degree N-1
-    # is not; exercised on an inhomogeneous ideal to hit the search path
+    # is not; exercised on an inhomogeneous ideal to hit the layer scan
     R = ring(5, "x", "y")
     I = ideal(R, "x^2 + y^3", "y^4")
     N = m_power_in(I)
@@ -349,6 +360,77 @@ def test_m_power_in_rejects_components_off_the_origin():
     I = ideal(R, "x^2 - x", "y")
     with pytest.raises(InputError):
         m_power_in(I)
+    # t in {0, 1}, and y^2 = y*t: the points (0,0,0), (0,0,1) and (0,1,1)
+    R3 = ring(3, "x", "y", "t")
+    with pytest.raises(InputError, match="not primary to the origin"):
+        m_power_in(ideal(R3, "x^3", "y^2 - y*t", "t^2 - t"))
+
+
+def test_m_power_in_follows_cancelling_coefficients():
+    # x^2 = 3xy + 2y^2 - y^3 and x^2 y = x y^2 give x^3 = 5 x y^2 + ... = 0
+    # over F5 by a cancellation between two standard monomials' multiples;
+    # y^3 stays outside, so the answer is 4, not 5
+    R = ring(5, "x", "y")
+    polys = [parse_poly("x^2 - 3*x*y - 2*y^2 + y^3", R),
+             parse_poly("x^2*y - x*y^2", R)]
+    pure = [parse_poly("x^6", R), parse_poly("y^6", R)]
+    assert m_power_in(IdealHandle(R, polys + pure)) == 4
+    member = box_monomial_member(R, polys, (6, 6))
+    assert member((3, 0)) and not member((0, 3))
+
+
+def test_power_scan_overflow_widens_the_context_and_retries(monkeypatch):
+    R = ring(5, "x", "y")
+    I = ideal(R, "x^5 + x*y^3", "y^6")
+    assert m_power_in(I) == 11
+    assert colength(I) == 30
+    # 3-bit keys hold the basis (degree 6) but not the border monomials
+    # of the staircase, which reach degree 10
+    monkeypatch.setattr("charplab.engine._initial_width",
+                        lambda polys, floor=0: 3)
+    elements = list(I.basis().elements)
+    with pytest.raises(KeyOverflow):
+        power_scan(make_context(elements, R, GREVLEX), 30)
+    gb = GroebnerBasis(R, GREVLEX, elements)
+    assert gb.with_context(lambda ctx: power_scan(ctx, 30)) == 11
+
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
+
+
+@st.composite
+def primary_ideals(draw):
+    """(ring, pure-power bounds, extra polynomials): the ideal generated by
+    x_i^(b_i) and 1-2 random polynomials with no constant term."""
+    p, m = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 3))
+    R = ring(p, *("x", "y", "t")[:n], m=m)
+    bounds = tuple(draw(st.lists(st.integers(2, 6 if n == 2 else 4),
+                                 min_size=n, max_size=n)))
+    # terms of degree 2-4 inside the box, at least two degrees per
+    # polynomial: lower degrees or terms on the pure powers mostly leave a
+    # homogeneous basis, which the scan never sees
+    exps = st.tuples(*[st.integers(0, b - 1) for b in bounds]).filter(
+        lambda e: 2 <= sum(e) <= 4)
+    terms = st.dictionaries(exps, st.integers(1, R.field.q - 1), min_size=2,
+                            max_size=4).filter(
+        lambda t: len({sum(e) for e in t}) > 1)
+    polys = [Polynomial(R, draw(terms))
+             for _ in range(draw(st.integers(1, 2)))]
+    return R, bounds, polys
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(primary_ideals())
+def test_m_power_in_matches_the_box_oracle(case):
+    R, bounds, polys = case
+    pure = [R.monomial(tuple(b if j == i else 0 for j in range(R.n)))
+            for i, b in enumerate(bounds)]
+    N = m_power_in(IdealHandle(R, pure + polys))
+    member = box_monomial_member(R, polys, bounds)
+    assert all(member(m) for m in monomials_up_to(R.n, N) if sum(m) == N)
+    assert not all(member(m) for m in monomials_up_to(R.n, N - 1)
+                   if sum(m) == N - 1)
 
 
 # -- subalgebra presentations ------------------------------------------------------
