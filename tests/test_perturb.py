@@ -10,11 +10,13 @@ from fractions import Fraction
 import pytest
 
 from charplab import (
-    Field, IdealHandle, InputError, Limits, PerturbationPlan, Polynomial,
-    QuotientPresentation, Ring, ideal_equal, m_power_in, parse_poly,
+    Field, IdealHandle, InputError, LimitError, Limits, PerturbationPlan,
+    Polynomial, QuotientPresentation, Ring, ideal_equal, m_power_in,
+    parse_poly,
     run_experiment, sample_epsilons, stability_threshold,
     FiniteExtensionPresentation,
 )
+from charplab import perturb
 from charplab.errors import InternalError
 from charplab.perturb import SplitMix64, stream_for_sample, _draw_epsilon
 from oracles import splitmix64_reference
@@ -403,6 +405,85 @@ def test_per_sample_failures_are_recorded_and_the_run_continues():
     assert rep.failures == tuple(
         f"sample {i}: basis size exceeds the limit 6" for i in (1, 2, 3))
     assert rep.verdicts == {"hk-continuity": "fail"}
+
+
+H, Q = Fraction(1, 2), Fraction(1, 4)
+
+
+# mode, max_basis, targets, N, degree cap, e_range, failing samples,
+# base value per error-row level, verdicts; every plan draws 4 samples
+# with seed 0 in F2[x, y, t]
+ERROR_PATH_CASES = [
+    ("hk-continuity", 7, ("x*y",), 2, 5, (1, 2), (1, 2, 3),
+     {1: Fraction(3, 2), 2: Fraction(7, 4)}, {"hk-continuity": "fail"}),
+    ("fsig-continuity", 7, ("x*y",), 2, 5, (1, 2), (2, 3),
+     {1: H, 2: Q}, {"fsig-continuity": "fail"}),
+    ("splitting-constancy", 7, ("x*y",), 4, 5, (1, 2), (3,),
+     {1: 2, 2: 4}, {"splitting-constancy": "fail",
+                    "perturbed-ideal-equality": "pass"}),
+    ("splitting-monotonicity", 7, ("x*y",), 2, 5, (1, 2), (2, 3),
+     {1: 2, 2: 4}, {"splitting-monotonicity": "fail"}),
+    ("sop-stability", 4, ("x*y", "t^2"), 2, 4, (1,), (3,),
+     {0: True}, {"parameter-stability": "fail"}),
+    ("open-question-probe", 7, ("x*y",), 2, 5, (1, 2), (1, 2, 3),
+     {1: H, 2: Q}, {"open-question-probe": "observed"}),
+]
+
+
+@pytest.mark.parametrize("mode,max_basis,targets,N,cap,e_range,bad,base,"
+                         "verdicts", ERROR_PATH_CASES,
+                         ids=[c[0] for c in ERROR_PATH_CASES])
+def test_every_mode_records_sample_errors_and_grades_them(
+        mode, max_basis, targets, N, cap, e_range, bad, base, verdicts):
+    R = presentation(2, ("x", "y", "t"), limits=Limits(max_basis=max_basis))
+    plan = PerturbationPlan(R, tuple(parse_poly(t, R.ring) for t in targets),
+                            N, cap, 4, 0, e_range, mode,
+                            tolerance=Fraction(2) if "continuity" in mode
+                            else None)
+    rep = run_experiment(plan)
+    firsts = [e.text() for e in sample_epsilons(plan)]
+    assert [r.sample for r in rep.rows] == \
+        [i for i in range(4) for _ in base]
+    errors = [r for r in rep.rows if r.verdict.startswith("error")]
+    assert [(r.sample, r.e, r.base, r.perturbed, r.delta, r.verdict)
+            for r in errors] == \
+        [(i, e, b, None, None, "error:limit") for i in bad
+         for e, b in base.items()]
+    assert all(r.epsilon.split("; ")[0] == firsts[r.sample] for r in errors)
+    assert len({r.epsilon for r in rep.rows if r.sample == bad[0]}) == 1
+    assert rep.failures == tuple(
+        f"sample {i}: basis size exceeds the limit {max_basis}" for i in bad)
+    assert rep.verdicts == verdicts
+    if mode == "open-question-probe":
+        assert [o["sample"] for o in rep.observations] == \
+            [i for i in range(4) if i not in bad]
+
+
+def test_dis_congruence_records_sample_errors_and_grades_them(monkeypatch):
+    real = perturb.disc_congruence_check
+    calls = []
+
+    def flaky(ext, eps, n_target):
+        calls.append(eps)
+        if len(calls) == 2:
+            raise LimitError("simulated cap")
+        return real(ext, eps, n_target)
+
+    monkeypatch.setattr(perturb, "disc_congruence_check", flaky)
+    R = presentation(3, ("x", "y"))
+    base = Ring(Field(5), ("u",))
+    ring = Ring(base.field, ("u", "z"))
+    ext = FiniteExtensionPresentation(base, "z", parse_poly("z^2 - u", ring))
+    plan = PerturbationPlan(R, (), 3, 3, 3, 13, (1,), "dis-congruence",
+                            extension=ext, n_target=1)
+    rep = run_experiment(plan)
+    got = [(r.sample, r.epsilon, r.e, r.base, r.perturbed, r.delta,
+            r.verdict) for r in rep.rows]
+    assert got == [(0, "4*u^3*z + 3*u^3", 0, 1, 3, 2, "pass"),
+                   (1, "3*u^3*z + 4*u^3", 0, 1, None, None, "error:limit"),
+                   (2, "4*u^3*z + 4*u^3", 0, 1, 3, 2, "pass")]
+    assert rep.failures == ("sample 1: simulated cap",)
+    assert rep.verdicts == {"discriminant-congruence": "fail"}
 
 
 # -- parameter stability -----------------------------------------------------------
