@@ -6,7 +6,7 @@ the report to stdout or --out.  Errors leave a single machine-parsable
 line on stderr, `error: <kind>: <message>`, and the exit code groups the
 failure: 1 for bad input, 2 for a resource limit, 3 for an internal
 defect.  Reports are deterministic: rerunning a job reproduces the output
-byte for byte, whatever CHARPLAB_THREADS says.
+byte for byte.
 """
 
 from __future__ import annotations

@@ -417,6 +417,11 @@ def _initial_width(polys: list[Polynomial], floor: int = 0) -> int:
     return need.bit_length()
 
 
+def _wider(w: int, needed_degree: int) -> int:
+    """The next key width after a KeyOverflow asking for needed_degree."""
+    return max(w + 2, (2 * needed_degree + 4).bit_length())
+
+
 def make_context(gb: list[Polynomial], ring: Ring, order: MonomialOrder,
                  extra: list[Polynomial] | None = None,
                  width_floor: int = 0) -> BasisContext:
@@ -430,28 +435,13 @@ def make_context(gb: list[Polynomial], ring: Ring, order: MonomialOrder,
                      for g in gb if not g.is_zero()]
             return BasisContext(ring, order, spec, elems)
         except KeyOverflow as o:
-            w = max(w + 2, (2 * o.needed_degree + 4).bit_length())
+            w = _wider(w, o.needed_degree)
 
 
 def widen_context(ctx: BasisContext, hint: int, gb: list[Polynomial]) -> BasisContext:
     """Rebuild a context after a KeyOverflow with degree `hint`."""
-    w = max(ctx.spec.w + 2, (2 * hint + 4).bit_length())
-    return make_context(gb, ctx.ring, ctx.order, width_floor=w)
-
-
-def normal_form(f: Polynomial, gb: list[Polynomial], order: MonomialOrder) -> Polynomial:
-    """One-shot normal form; widens and retries on overflow."""
-    ring = f.ring
-    w = _initial_width(list(gb) + [f])
-    while True:
-        spec = PackSpec(ring.n, order, w)
-        try:
-            elems = [_freeze(_to_dict(g, spec), spec, ring.field)
-                     for g in gb if not g.is_zero()]
-            ctx = BasisContext(ring, order, spec, elems)
-            return ctx.normal_form(f)
-        except KeyOverflow as o:
-            w = max(w + 2, (2 * o.needed_degree + 4).bit_length())
+    return make_context(gb, ctx.ring, ctx.order,
+                        width_floor=_wider(ctx.spec.w, hint))
 
 
 class _Buchberger:
@@ -588,6 +578,8 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
     `gb_prefix` marks an initial segment already known to be a Groebner
     basis under this order: pairs inside the segment are skipped (their
     S-polynomials have standard representations by assumption).
+    Without an explicit `deadline`, `limits.max_seconds` bounds this one
+    call, restarts on wider keys included.
     """
     nz = [f for f in gens if not f.is_zero()]
     for f in nz:
@@ -595,6 +587,8 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
             raise InputError("generators live in different rings")
     if not nz:
         return []
+    if deadline is None:
+        deadline = limits.deadline()
     w = _initial_width(nz)
     cap_bits = (4 * limits.max_degree + 8).bit_length()
     while True:
@@ -609,6 +603,6 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
                 raise LimitError(
                     f"degree {o.needed_degree} exceeds the limit "
                     f"{limits.max_degree}") from None
-            w = max(w + 2, (2 * o.needed_degree + 4).bit_length())
+            w = _wider(w, o.needed_degree)
             if w > cap_bits:
                 raise LimitError("exponent width exceeds the degree limit") from None

@@ -40,6 +40,7 @@ through the `relation` parameter.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -187,6 +188,8 @@ def parse_job(raw: dict, overrides: dict | None = None) -> Job:
         sec = limits_raw["seconds"]
         if isinstance(sec, bool) or not isinstance(sec, (int, float)):
             _fail("limits.seconds must be a number")
+        if not 0 <= sec <= sys.float_info.max:
+            _fail("limits.seconds must be finite and nonnegative")
         limit_args["max_seconds"] = float(sec)
     if overrides:
         if overrides.get("limit_basis") is not None:

@@ -28,8 +28,6 @@ unperturbed ideals to coincide (not merely their colengths).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -176,28 +174,24 @@ def _draw_epsilon(stream: SplitMix64, ring: Ring, N: int, cap: int,
     return Polynomial(ring, terms)
 
 
+def _sample_draws(plan: PerturbationPlan, index: int):
+    """The perturbations of one sample, drawn lazily from its own stream:
+    one per target, or for dis-congruence a single one whose z-degree stays
+    below the extension degree."""
+    stream = stream_for_sample(plan.seed, index)
+    if plan.mode == "dis-congruence":
+        ring, z_bound, count = plan.extension.ring, plan.extension.n, 1
+    else:
+        ring, z_bound, count = plan.presentation.ring, None, len(plan.targets)
+    for _ in range(count):
+        yield _draw_epsilon(stream, ring, plan.N, plan.degree_cap, z_bound)
+
+
 def sample_epsilons(plan: PerturbationPlan) -> list:
     """The first perturbation of each sample's stream, in sample order.
     Multi-target experiments keep drawing from the same stream, one
     perturbation per target; the first draw is exactly this list."""
-    out = []
-    for i in range(plan.samples):
-        stream = stream_for_sample(plan.seed, i)
-        if plan.mode == "dis-congruence":
-            ext = plan.extension
-            out.append(_draw_epsilon(stream, ext.ring, plan.N,
-                                     plan.degree_cap, z_bound=ext.n))
-        else:
-            out.append(_draw_epsilon(stream, plan.presentation.ring,
-                                     plan.N, plan.degree_cap))
-    return out
-
-
-def _epsilon_tuple(plan: PerturbationPlan, index: int) -> tuple:
-    stream = stream_for_sample(plan.seed, index)
-    return tuple(_draw_epsilon(stream, plan.presentation.ring, plan.N,
-                               plan.degree_cap)
-                 for _ in plan.targets)
+    return [next(_sample_draws(plan, i)) for i in range(plan.samples)]
 
 
 def _bracket_gens(ring: Ring, e: int) -> list:
@@ -247,28 +241,28 @@ class PerturbationReport:
     reproducibility: dict
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CHARPLAB_THREADS", "")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    return max(1, k)
-
-
-def _map_samples(plan: PerturbationPlan, fn) -> list:
-    """Run fn over sample indices, possibly on a thread pool; results are
-    assembled in sample order so scheduling never shows in the output."""
-    indices = list(range(plan.samples))
-    workers = min(_worker_count(), len(indices))
-    if workers <= 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices))
-
-
-def _epsilon_text(eps_tuple) -> str:
-    return "; ".join(e.text() for e in eps_tuple)
+def _run_samples(plan: PerturbationPlan, measure, error_bases) -> tuple:
+    """Every sample in order: measure(i, eps), with eps the sample's
+    perturbations, returns its rows as (e, base, perturbed, delta, verdict)
+    cells plus an outcome.  A CharplabError becomes one error row per
+    (e, base) pair of error_bases, a failure line and the outcome None, and
+    the run goes on.  Returns the rows, failures and outcomes."""
+    rows: list = []
+    failures: list = []
+    outcomes: list = []
+    for i in range(plan.samples):
+        eps = tuple(_sample_draws(plan, i))
+        text = "; ".join(e.text() for e in eps)
+        try:
+            cells, outcome = measure(i, eps)
+        except CharplabError as err:
+            cells = [(e, base, None, None, f"error:{err.kind}")
+                     for e, base in error_bases]
+            failures.append(f"sample {i}: {err}")
+            outcome = None
+        rows.extend(PerturbationRow(i, text, *c) for c in cells)
+        outcomes.append(outcome)
+    return rows, failures, outcomes
 
 
 def _hypothesis_notes(plan: PerturbationPlan) -> list:
@@ -329,66 +323,38 @@ def _run_series_mode(plan: PerturbationPlan):
     """hk-continuity / fsig-continuity: compare normalized values at the
     deepest level against a tolerance tied to the estimator's spread."""
     hk = plan.mode == "hk-continuity"
-    base_pres = _base_presentation(plan)
+    series_of = hk_series if hk else splitting_series
     e_max = plan.e_range[-1]
-    if hk:
-        base_series = hk_series(base_pres, e_max)
-        base_est = ehk_estimate(base_series)
-    else:
-        base_series = splitting_series(base_pres, e_max)
-        base_est = fsig_estimate(base_series)
+    base_series = series_of(_base_presentation(plan), e_max)
+    base_est = (ehk_estimate if hk else fsig_estimate)(base_series)
     base_by_e = {r.e: r.normalized for r in base_series.rows}
     tol = plan.tolerance if plan.tolerance is not None \
         else 4 * base_est.spread
-    notes = _hypothesis_notes(plan)
-    rows: list = []
-    failures: list = []
-    statuses: list = []
 
-    def one(i: int):
-        eps = _epsilon_tuple(plan, i)
-        text = _epsilon_text(eps)
-        out = []
-        try:
-            pres = _perturbed_presentation(plan, eps)
-            series = hk_series(pres, e_max) if hk \
-                else splitting_series(pres, e_max)
-            pert_by_e = {r.e: r.normalized for r in series.rows}
-            status = None
-            for e in plan.e_range:
-                delta = pert_by_e[e] - base_by_e[e]
-                if e == e_max:
-                    ok = abs(delta) <= tol
-                    verdict = "pass" if ok else "fail"
-                    status = ok
-                else:
-                    verdict = "observed"
-                out.append(PerturbationRow(i, text, e, base_by_e[e],
-                                           pert_by_e[e], delta, verdict))
-            return out, None, status
-        except CharplabError as err:
-            out = [PerturbationRow(i, text, e, base_by_e.get(e), None, None,
-                                   f"error:{err.kind}")
-                   for e in plan.e_range]
-            return out, f"sample {i}: {err}", False
+    def measure(i: int, eps: tuple):
+        series = series_of(_perturbed_presentation(plan, eps), e_max)
+        pert_by_e = {r.e: r.normalized for r in series.rows}
+        cells = []
+        for e in plan.e_range:
+            delta = pert_by_e[e] - base_by_e[e]
+            verdict = "observed" if e < e_max else \
+                "pass" if abs(delta) <= tol else "fail"
+            cells.append((e, base_by_e[e], pert_by_e[e], delta, verdict))
+        return cells, verdict == "pass"
 
-    for out, failure, status in _map_samples(plan, one):
-        rows.extend(out)
-        if failure:
-            failures.append(failure)
-        statuses.append(status)
-    verdict = "pass" if all(statuses) else "fail"
-    key = "hk-continuity" if hk else "fsig-continuity"
-    return rows, {key: verdict}, {}, notes, failures, ()
+    rows, failures, outcomes = _run_samples(
+        plan, measure, [(e, base_by_e.get(e)) for e in plan.e_range])
+    verdict = "pass" if all(outcomes) else "fail"
+    return (rows, {plan.mode: verdict}, {}, _hypothesis_notes(plan),
+            failures, ())
 
 
 def _run_splitting_mode(plan: PerturbationPlan):
     """splitting-constancy / splitting-monotonicity on the a_e series."""
     constancy = plan.mode == "splitting-constancy"
     ring = plan.presentation.ring
-    base_pres = _base_presentation(plan)
     e_max = plan.e_range[-1]
-    base_series = splitting_series(base_pres, e_max)
+    base_series = splitting_series(_base_presentation(plan), e_max)
     base_by_e = {r.e: r.a for r in base_series.rows}
     thresholds: dict = {}
     asserted: dict = {}
@@ -404,72 +370,48 @@ def _run_splitting_mode(plan: PerturbationPlan):
             if asserted[e]:
                 base_ideals[e] = plan.presentation.defining.with_polys(
                     list(plan.targets) + _bracket_gens(ring, e))
-    notes: list = []
-    rows: list = []
-    failures: list = []
-    statuses: list = []
 
-    def one(i: int):
-        eps = _epsilon_tuple(plan, i)
-        text = _epsilon_text(eps)
-        out = []
-        try:
-            pres = _perturbed_presentation(plan, eps)
-            series = splitting_series(pres, e_max)
-            pert_by_e = {r.e: r.a for r in series.rows}
-            sample_ok = True
-            equalities = []
-            for e in plan.e_range:
-                b, a = base_by_e[e], pert_by_e[e]
+    def measure(i: int, eps: tuple):
+        pres = _perturbed_presentation(plan, eps)
+        series = splitting_series(pres, e_max)
+        pert_by_e = {r.e: r.a for r in series.rows}
+        sample_ok = all_equal = True
+        cells = []
+        for e in plan.e_range:
+            b, a = base_by_e[e], pert_by_e[e]
+            if constancy and not asserted[e]:
+                verdict = "unasserted"
+            else:
+                ok = a == b if constancy else a <= b
+                verdict = "pass" if ok else "fail"
+                sample_ok = sample_ok and ok
                 if constancy:
-                    if asserted[e]:
-                        ok = a == b
-                        verdict = "pass" if ok else "fail"
-                        sample_ok = sample_ok and ok
-                        pert_ideal = plan.presentation.defining.with_polys(
-                            [f + ee for f, ee in zip(plan.targets, eps)]
-                            + _bracket_gens(ring, e))
-                        equalities.append(
-                            ideal_equal(base_ideals[e], pert_ideal))
-                    else:
-                        verdict = "unasserted"
-                else:
-                    ok = a <= b
-                    verdict = "pass" if ok else "fail"
-                    sample_ok = sample_ok and ok
-                out.append(PerturbationRow(i, text, e, b, a, a - b, verdict))
-            return out, None, sample_ok, equalities
-        except CharplabError as err:
-            out = [PerturbationRow(i, text, e, base_by_e.get(e), None, None,
-                                   f"error:{err.kind}")
-                   for e in plan.e_range]
-            return out, f"sample {i}: {err}", False, []
+                    pert_ideal = pres.defining.with_polys(
+                        _bracket_gens(ring, e))
+                    all_equal = ideal_equal(base_ideals[e], pert_ideal) \
+                        and all_equal
+            cells.append((e, b, a, a - b, verdict))
+        return cells, (sample_ok, all_equal)
 
-    any_asserted = (not constancy) or any(asserted.values())
-    all_equal = True
-    for out, failure, sample_ok, equalities in _map_samples(plan, one):
-        rows.extend(out)
-        if failure:
-            failures.append(failure)
-        statuses.append(sample_ok)
-        all_equal = all_equal and all(equalities)
+    rows, failures, outcomes = _run_samples(
+        plan, measure, [(e, base_by_e.get(e)) for e in plan.e_range])
+    all_ok = all(o is not None and o[0] for o in outcomes)
+    notes: list = []
     verdicts = {}
-    if constancy:
-        if not any_asserted:
-            verdicts["splitting-constancy"] = "indeterminate"
-            notes.append("neighborhood below every certified threshold; "
-                         "equalities recorded but not asserted")
-        else:
-            verdicts["splitting-constancy"] = \
-                "pass" if all(statuses) else "fail"
-            verdicts["perturbed-ideal-equality"] = \
-                "pass" if all_equal else "fail"
-            if not all_equal:
-                notes.append("certified-threshold ideal equality failed; "
-                             "this indicates an internal defect")
+    if not constancy:
+        verdicts["splitting-monotonicity"] = "pass" if all_ok else "fail"
+    elif not any(asserted.values()):
+        verdicts["splitting-constancy"] = "indeterminate"
+        notes.append("neighborhood below every certified threshold; "
+                     "equalities recorded but not asserted")
     else:
-        verdicts["splitting-monotonicity"] = \
-            "pass" if all(statuses) else "fail"
+        all_equal = all(o is None or o[1] for o in outcomes)
+        verdicts["splitting-constancy"] = "pass" if all_ok else "fail"
+        verdicts["perturbed-ideal-equality"] = \
+            "pass" if all_equal else "fail"
+        if not all_equal:
+            notes.append("certified-threshold ideal equality failed; "
+                         "this indicates an internal defect")
     return rows, verdicts, thresholds, notes, failures, ()
 
 
@@ -480,32 +422,15 @@ def _run_sop_mode(plan: PerturbationPlan):
     if not base_ok:
         notes.append("base sequence fails the parameter check; perturbed "
                      "results recorded but the property is vacuous")
-    rows: list = []
-    failures: list = []
-    statuses: list = []
 
-    def one(i: int):
-        eps = _epsilon_tuple(plan, i)
-        text = _epsilon_text(eps)
-        try:
-            ok = parameter_check(
-                plan.presentation,
-                [f + ee for f, ee in zip(plan.targets, eps)])
-            verdict = "pass" if ok else "fail"
-            return ([PerturbationRow(i, text, 0, base_ok, ok, None, verdict)],
-                    None, ok)
-        except CharplabError as err:
-            return ([PerturbationRow(i, text, 0, base_ok, None, None,
-                                     f"error:{err.kind}")],
-                    f"sample {i}: {err}", False)
+    def measure(i: int, eps: tuple):
+        ok = parameter_check(plan.presentation,
+                             [f + ee for f, ee in zip(plan.targets, eps)])
+        return [(0, base_ok, ok, None, "pass" if ok else "fail")], ok
 
-    for out, failure, ok in _map_samples(plan, one):
-        rows.extend(out)
-        if failure:
-            failures.append(failure)
-        statuses.append(ok)
+    rows, failures, outcomes = _run_samples(plan, measure, [(0, base_ok)])
     verdict = "indeterminate" if not base_ok else (
-        "pass" if all(statuses) else "fail")
+        "pass" if all(outcomes) else "fail")
     return rows, {"parameter-stability": verdict}, {}, notes, failures, ()
 
 
@@ -518,55 +443,40 @@ def _run_probe_mode(plan: PerturbationPlan):
     base_split_series = splitting_series(base_pres, e_max)
     base_fsig = fsig_estimate(base_split_series)
     base_by_e = {r.e: r.normalized for r in base_split_series.rows}
-    rows: list = []
-    failures: list = []
-    observations: list = []
+
+    def measure(i: int, eps: tuple):
+        pres = _perturbed_presentation(plan, eps)
+        pert_hk = ehk_estimate(hk_series(pres, e_max))
+        split = splitting_series(pres, e_max)
+        pert_fsig = fsig_estimate(split)
+        pert_by_e = {r.e: r.normalized for r in split.rows}
+        cells = [(e, base_by_e[e], pert_by_e[e], pert_by_e[e] - base_by_e[e],
+                  "observed") for e in plan.e_range]
+        return cells, {
+            "sample": i,
+            "ehk_base": base_hk.value,
+            "ehk_perturbed": pert_hk.value,
+            "ehk_not_increasing": base_hk.value >= pert_hk.value,
+            "fsig_base": base_fsig.value,
+            "fsig_perturbed": pert_fsig.value,
+            "fsig_not_decreasing": base_fsig.value <= pert_fsig.value,
+        }
+
+    rows, failures, outcomes = _run_samples(
+        plan, measure, [(e, base_by_e.get(e)) for e in plan.e_range])
+    observations = [obs for obs in outcomes if obs is not None]
     notes: list = []
-
-    def one(i: int):
-        eps = _epsilon_tuple(plan, i)
-        text = _epsilon_text(eps)
-        try:
-            pres = _perturbed_presentation(plan, eps)
-            pert_hk = ehk_estimate(hk_series(pres, e_max))
-            split = splitting_series(pres, e_max)
-            pert_fsig = fsig_estimate(split)
-            pert_by_e = {r.e: r.normalized for r in split.rows}
-            out = [PerturbationRow(i, text, e, base_by_e[e], pert_by_e[e],
-                                   pert_by_e[e] - base_by_e[e], "observed")
-                   for e in plan.e_range]
-            obs = {
-                "sample": i,
-                "ehk_base": base_hk.value,
-                "ehk_perturbed": pert_hk.value,
-                "ehk_not_increasing": base_hk.value >= pert_hk.value,
-                "fsig_base": base_fsig.value,
-                "fsig_perturbed": pert_fsig.value,
-                "fsig_not_decreasing": base_fsig.value <= pert_fsig.value,
-            }
-            return out, None, obs
-        except CharplabError as err:
-            out = [PerturbationRow(i, text, e, base_by_e.get(e), None, None,
-                                   f"error:{err.kind}")
-                   for e in plan.e_range]
-            return out, f"sample {i}: {err}", None
-
-    for out, failure, obs in _map_samples(plan, one):
-        rows.extend(out)
-        if failure:
-            failures.append(failure)
-        if obs is not None:
-            observations.append(obs)
-            if not obs["ehk_not_increasing"]:
-                notes.append(
-                    f"sample {obs['sample']}: observation contradicting the "
-                    "conjectured inequality (perturbed ehk estimate exceeds "
-                    "the base estimate)")
-            if not obs["fsig_not_decreasing"]:
-                notes.append(
-                    f"sample {obs['sample']}: observation contradicting the "
-                    "conjectured inequality (perturbed fsig estimate "
-                    "below the base estimate)")
+    for obs in observations:
+        if not obs["ehk_not_increasing"]:
+            notes.append(
+                f"sample {obs['sample']}: observation contradicting the "
+                "conjectured inequality (perturbed ehk estimate exceeds "
+                "the base estimate)")
+        if not obs["fsig_not_decreasing"]:
+            notes.append(
+                f"sample {obs['sample']}: observation contradicting the "
+                "conjectured inequality (perturbed fsig estimate "
+                "below the base estimate)")
     return (rows, {"open-question-probe": "observed"}, {}, notes, failures,
             observations)
 
@@ -574,32 +484,14 @@ def _run_probe_mode(plan: PerturbationPlan):
 def _run_dis_mode(plan: PerturbationPlan):
     """dis-congruence: discriminants before and after an m_A^N perturbation
     must agree to order n_target."""
-    ext = plan.extension
-    rows: list = []
-    failures: list = []
-    statuses: list = []
+    def measure(i: int, eps: tuple):
+        rep = disc_congruence_check(plan.extension, eps[0], plan.n_target)
+        order = rep.order
+        delta = None if order is None else order - plan.n_target
+        verdict = "pass" if rep.verdict else "fail"
+        return [(0, plan.n_target, order, delta, verdict)], rep.verdict
 
-    def one(i: int):
-        stream = stream_for_sample(plan.seed, i)
-        eps = _draw_epsilon(stream, ext.ring, plan.N, plan.degree_cap,
-                            z_bound=ext.n)
-        text = eps.text()
-        try:
-            rep = disc_congruence_check(ext, eps, plan.n_target)
-            order = rep.order
-            delta = None if order is None else order - plan.n_target
-            verdict = "pass" if rep.verdict else "fail"
-            return ([PerturbationRow(i, text, 0, plan.n_target, order,
-                                     delta, verdict)], None, rep.verdict)
-        except CharplabError as err:
-            return ([PerturbationRow(i, text, 0, plan.n_target, None, None,
-                                     f"error:{err.kind}")],
-                    f"sample {i}: {err}", False)
-
-    for out, failure, ok in _map_samples(plan, one):
-        rows.extend(out)
-        if failure:
-            failures.append(failure)
-        statuses.append(ok)
-    verdict = "pass" if all(statuses) else "fail"
+    rows, failures, outcomes = _run_samples(plan, measure,
+                                            [(0, plan.n_target)])
+    verdict = "pass" if all(outcomes) else "fail"
     return rows, {"discriminant-congruence": verdict}, {}, [], failures, ()

@@ -173,6 +173,29 @@ def test_exhausted_limits_exit_with_code_two(capsys):
     assert err.startswith("error: limit: ")
 
 
+def test_seconds_limit_bounds_each_basis_computation(capsys, tmp_path):
+    with open(job_path("39-fsig-cone-f5.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["limits"] = {"seconds": 0.0001}
+    code, out, err = run(capsys, "fsig", "--job",
+                         write_job(tmp_path, "tight.json", doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error: limit: ")
+
+
+@pytest.mark.parametrize("seconds", [-5, float("nan"), float("inf"),
+                                     10 ** 400])
+def test_bad_seconds_limits_are_input_errors(capsys, tmp_path, seconds):
+    with open(job_path("39-fsig-cone-f5.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["limits"] = {"seconds": seconds}
+    code, out, err = run(capsys, "fsig", "--job",
+                         write_job(tmp_path, "bad.json", doc))
+    assert code == 1 and out == ""
+    assert err.startswith("error: input: ")
+    assert "limits.seconds" in err
+
+
 def test_unexpected_exceptions_exit_with_code_three(capsys, monkeypatch):
     def boom(job):
         raise ValueError("wires\ncrossed")

@@ -18,7 +18,7 @@ from charplab import (
     krull_dim, m_power_in, normal_form, parse_poly, staircase_of,
     subalgebra_presentation,
 )
-from charplab.engine import KeyOverflow, make_context, power_scan
+from charplab.engine import KeyOverflow, groebner, make_context, power_scan
 from charplab.groebner import Staircase, colon_by_basis
 from oracles import box_monomial_member, box_monomials, dense_colength_box, \
     dense_membership, monomials_up_to
@@ -497,3 +497,18 @@ def test_degree_limit_aborts():
                         parse_poly("y^4", R)], limits=tight)
     with pytest.raises(LimitError):
         I.basis()
+
+
+def test_seconds_limit_bounds_each_basis_computation():
+    R = ring(3, "x", "y", "t")
+    gens = [parse_poly(t, R) for t in ("x*y + t^2", "x^3 + y*t", "y^3 + x*t")]
+    with pytest.raises(LimitError, match="time limit"):
+        groebner(gens, R, GREVLEX, Limits(max_seconds=0))
+    with pytest.raises(LimitError, match="time limit"):
+        IdealHandle(R, gens, limits=Limits(max_seconds=0)).basis()
+    # the budget is per call: a generous one finishes, and an explicit
+    # deadline still wins over the limit
+    assert groebner(gens, R, GREVLEX, Limits(max_seconds=60)) == \
+        groebner(gens, R, GREVLEX)
+    assert groebner(gens, R, GREVLEX, Limits(max_seconds=0),
+                    deadline=float("inf")) == groebner(gens, R, GREVLEX)
