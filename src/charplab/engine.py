@@ -28,6 +28,7 @@ to the public Polynomial type happens at the boundary.
 from __future__ import annotations
 
 import heapq
+import sys
 import time
 
 import numpy as np
@@ -42,7 +43,8 @@ DEFAULT_MAX_DEGREE = 1 << 20
 
 
 class Limits:
-    """Resource caps for basis computations; shared across the package."""
+    """Resource caps for basis computations; shared across the package.
+    `max_seconds` is a wall-clock budget for each basis computation."""
 
     __slots__ = ("max_basis", "max_degree", "max_seconds")
 
@@ -51,6 +53,9 @@ class Limits:
                  max_seconds: float | None = None):
         if max_basis < 1 or max_degree < 1:
             raise InputError("limits must be positive")
+        if max_seconds is not None and \
+                not 0 <= max_seconds <= sys.float_info.max:
+            raise InputError("max_seconds must be finite and nonnegative")
         self.max_basis = max_basis
         self.max_degree = max_degree
         self.max_seconds = max_seconds

@@ -512,3 +512,6 @@ def test_seconds_limit_bounds_each_basis_computation():
         groebner(gens, R, GREVLEX)
     assert groebner(gens, R, GREVLEX, Limits(max_seconds=0),
                     deadline=float("inf")) == groebner(gens, R, GREVLEX)
+    for bad in (-1, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            Limits(max_seconds=bad)
