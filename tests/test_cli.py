@@ -173,12 +173,16 @@ def test_exhausted_limits_exit_with_code_two(capsys):
     assert err.startswith("error: limit: ")
 
 
-def test_seconds_limit_bounds_each_basis_computation(capsys, tmp_path):
+def fsig_job_with_seconds(tmp_path, seconds):
     with open(job_path("39-fsig-cone-f5.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["limits"] = {"seconds": 0.0001}
+    doc["limits"] = {"seconds": seconds}
+    return write_job(tmp_path, "limited.json", doc)
+
+
+def test_seconds_limit_bounds_each_basis_computation(capsys, tmp_path):
     code, out, err = run(capsys, "fsig", "--job",
-                         write_job(tmp_path, "tight.json", doc))
+                         fsig_job_with_seconds(tmp_path, 0.0001))
     assert code == 2 and out == ""
     assert err.startswith("error: limit: ")
 
@@ -186,11 +190,8 @@ def test_seconds_limit_bounds_each_basis_computation(capsys, tmp_path):
 @pytest.mark.parametrize("seconds", [-5, float("nan"), float("inf"),
                                      10 ** 400])
 def test_bad_seconds_limits_are_input_errors(capsys, tmp_path, seconds):
-    with open(job_path("39-fsig-cone-f5.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["limits"] = {"seconds": seconds}
     code, out, err = run(capsys, "fsig", "--job",
-                         write_job(tmp_path, "bad.json", doc))
+                         fsig_job_with_seconds(tmp_path, seconds))
     assert code == 1 and out == ""
     assert err.startswith("error: input: ")
     assert "limits.seconds" in err

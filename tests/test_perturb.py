@@ -407,9 +407,6 @@ def test_per_sample_failures_are_recorded_and_the_run_continues():
     assert rep.verdicts == {"hk-continuity": "fail"}
 
 
-H, Q = Fraction(1, 2), Fraction(1, 4)
-
-
 # mode, max_basis, targets, N, degree cap, e_range, failing samples,
 # base value per error-row level, verdicts; every plan draws 4 samples
 # with seed 0 in F2[x, y, t]
@@ -417,7 +414,7 @@ ERROR_PATH_CASES = [
     ("hk-continuity", 7, ("x*y",), 2, 5, (1, 2), (1, 2, 3),
      {1: Fraction(3, 2), 2: Fraction(7, 4)}, {"hk-continuity": "fail"}),
     ("fsig-continuity", 7, ("x*y",), 2, 5, (1, 2), (2, 3),
-     {1: H, 2: Q}, {"fsig-continuity": "fail"}),
+     {1: Fraction(1, 2), 2: Fraction(1, 4)}, {"fsig-continuity": "fail"}),
     ("splitting-constancy", 7, ("x*y",), 4, 5, (1, 2), (3,),
      {1: 2, 2: 4}, {"splitting-constancy": "fail",
                     "perturbed-ideal-equality": "pass"}),
@@ -426,7 +423,8 @@ ERROR_PATH_CASES = [
     ("sop-stability", 4, ("x*y", "t^2"), 2, 4, (1,), (3,),
      {0: True}, {"parameter-stability": "fail"}),
     ("open-question-probe", 7, ("x*y",), 2, 5, (1, 2), (1, 2, 3),
-     {1: H, 2: Q}, {"open-question-probe": "observed"}),
+     {1: Fraction(1, 2), 2: Fraction(1, 4)},
+     {"open-question-probe": "observed"}),
 ]
 
 
