@@ -11,7 +11,7 @@ from .discriminant import (CongruenceReport, FiniteExtensionPresentation,
                            bareiss_determinant, disc_congruence_check,
                            discriminant, mult_matrix, trace_matrix)
 from .errors import (CharplabError, InputError, InternalError, LimitError,
-                     ParseError)
+                     ParseError, TimeLimitError)
 from .field import GF, Field, FieldElement
 from .groebner import (GroebnerBasis, IdealHandle, Limits, Staircase,
                        colength, colon, eliminate, frobenius_power,
@@ -45,7 +45,8 @@ __all__ = [
     "PerturbationPlan", "PerturbationReport", "PerturbationRow", "Polynomial",
     "QuotientPresentation", "ReportDocument", "Ring", "SplitMix64",
     "Staircase",
-    "SplittingRow", "SplittingSeries", "bareiss_determinant",
+    "SplittingRow", "SplittingSeries", "TimeLimitError",
+    "bareiss_determinant",
     "block_order", "check_expectations", "colength", "colon",
     "convergence_diagnostic",
     "disc_congruence_check", "discriminant", "ehk_estimate", "eliminate",

@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from .errors import InputError, InternalError, LimitError
+from .errors import InputError, InternalError, LimitError, TimeLimitError
 from .field import Field
 from .orders import MonomialOrder
 from .poly import Polynomial, Ring
@@ -58,7 +58,7 @@ class Limits:
             raise InputError("max_seconds must be finite and nonnegative")
         self.max_basis = max_basis
         self.max_degree = max_degree
-        self.max_seconds = max_seconds
+        self.max_seconds = None if max_seconds is None else float(max_seconds)
 
     def deadline(self) -> float | None:
         if self.max_seconds is None:
@@ -523,7 +523,8 @@ class _Buchberger:
             self._push_pairs(j)
         while self.pairs:
             if self.deadline is not None and time.monotonic() > self.deadline:
-                raise LimitError("time limit exceeded in basis computation")
+                raise TimeLimitError(
+                    "time limit exceeded in basis computation")
             _, lcm_k, i, j = heapq.heappop(self.pairs)
             self.pending.discard((i, j))
             if self._chain_skippable(i, j, lcm_k):
@@ -576,15 +577,15 @@ class _Buchberger:
 
 
 def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
-             limits: Limits = DEFAULT_LIMITS, gb_prefix: int = 0,
-             deadline: float | None = None) -> list[Polynomial]:
+             limits: Limits = DEFAULT_LIMITS,
+             gb_prefix: int = 0) -> list[Polynomial]:
     """Reduced Groebner basis of (gens) under `order`.
 
     `gb_prefix` marks an initial segment already known to be a Groebner
     basis under this order: pairs inside the segment are skipped (their
     S-polynomials have standard representations by assumption).
-    Without an explicit `deadline`, `limits.max_seconds` bounds this one
-    call, restarts on wider keys included.
+    `limits.max_seconds` bounds this one call, restarts on wider keys
+    included.
     """
     nz = [f for f in gens if not f.is_zero()]
     for f in nz:
@@ -592,8 +593,7 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
             raise InputError("generators live in different rings")
     if not nz:
         return []
-    if deadline is None:
-        deadline = limits.deadline()
+    deadline = limits.deadline()
     w = _initial_width(nz)
     cap_bits = (4 * limits.max_degree + 8).bit_length()
     while True:

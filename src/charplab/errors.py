@@ -38,6 +38,12 @@ class LimitError(CharplabError):
     kind = "limit"
 
 
+class TimeLimitError(LimitError):
+    """The wall-clock budget of a basis computation ran out.  That depends
+    on the machine, not on the data, so a perturbation run stops on it
+    instead of recording it as a sample outcome."""
+
+
 class InternalError(CharplabError):
     """An internal invariant failed; indicates a bug, not bad input."""
 

@@ -92,14 +92,12 @@ class IdealHandle:
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
         self._lock = threading.Lock()
 
-    def basis(self, order: MonomialOrder = GREVLEX,
-              deadline: float | None = None) -> GroebnerBasis:
+    def basis(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         with self._lock:
             got = self._cache.get(order)
         if got is not None:
             return got
-        elems = groebner(list(self.generators), self.ring, order,
-                         self.limits, deadline=deadline)
+        elems = groebner(list(self.generators), self.ring, order, self.limits)
         gb = GroebnerBasis(self.ring, order, elems)
         for f in self.generators:
             if not gb.normal_form(f).is_zero():
@@ -234,8 +232,7 @@ def divide_exact(h: Polynomial, f: Polynomial) -> Polynomial:
 
 
 def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
-                   limits: Limits = DEFAULT_LIMITS,
-                   deadline: float | None = None) -> list[Polynomial]:
+                   limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
     """Reduced grevlex basis of (I : f), where gb_elements is any grevlex
     Groebner basis of I (not necessarily reduced).  The tag construction
     skips all pairs inside the lifted basis prefix."""
@@ -251,20 +248,20 @@ def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
         return [ring.one]
     if f.is_constant():
         return groebner(list(gb_elements), ring, GREVLEX, limits,
-                        gb_prefix=len(gb_elements), deadline=deadline)
+                        gb_prefix=len(gb_elements))
     ext = ring.extend_front([_tag_name(ring)])
     w = ext.variable(0)
     gens = [w * _lift_front(g, ext) for g in gb_elements]
     gens.append(_lift_front(f, ext) - w * _lift_front(f, ext))
     inner = groebner(gens, ext, block_order(1), limits,
-                     gb_prefix=len(gb_elements), deadline=deadline)
+                     gb_prefix=len(gb_elements))
     kept = [_drop_front(g, ring, 1) for g in inner
             if all(exps[0] == 0 for exps in g.terms)]
     quotients = [divide_exact(g, f) for g in kept]
     # quotients form a Groebner basis already; one interreduction pass
     # restores reducedness (gb_prefix covering everything skips all pairs)
     return groebner(quotients, ring, GREVLEX, limits,
-                    gb_prefix=len(quotients), deadline=deadline)
+                    gb_prefix=len(quotients))
 
 
 def colon(I: IdealHandle, J: IdealHandle) -> IdealHandle:

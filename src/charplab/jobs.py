@@ -40,7 +40,6 @@ through the `relation` parameter.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,15 +187,16 @@ def parse_job(raw: dict, overrides: dict | None = None) -> Job:
         sec = limits_raw["seconds"]
         if isinstance(sec, bool) or not isinstance(sec, (int, float)):
             _fail("limits.seconds must be a number")
-        if not 0 <= sec <= sys.float_info.max:
-            _fail("limits.seconds must be finite and nonnegative")
-        limit_args["max_seconds"] = float(sec)
+        limit_args["max_seconds"] = sec
     if overrides:
         if overrides.get("limit_basis") is not None:
             limit_args["max_basis"] = overrides["limit_basis"]
         if overrides.get("limit_degree") is not None:
             limit_args["max_degree"] = overrides["limit_degree"]
-    limits = Limits(**limit_args)
+    try:
+        limits = Limits(**limit_args)
+    except InputError as err:
+        _fail(f"limits: {err}")
 
     defining = tuple(_str_list(raw.get("defining", []), "defining"))
     sub = tuple(_str_list(raw.get("subalgebra", []), "subalgebra"))

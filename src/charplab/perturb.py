@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .discriminant import FiniteExtensionPresentation, disc_congruence_check
-from .errors import CharplabError, InputError, InternalError
+from .errors import CharplabError, InputError, InternalError, TimeLimitError
 from .groebner import ideal_equal, is_squarefree_hypersurface, m_power_in
 from .invariants import (QuotientPresentation, ehk_estimate, fsig_estimate,
                          hk_series, parameter_check, splitting_series)
@@ -246,7 +246,8 @@ def _run_samples(plan: PerturbationPlan, measure, error_bases) -> tuple:
     perturbations, returns its rows as (e, base, perturbed, delta, verdict)
     cells plus an outcome.  A CharplabError becomes one error row per
     (e, base) pair of error_bases, a failure line and the outcome None, and
-    the run goes on.  Returns the rows, failures and outcomes."""
+    the run goes on; only a TimeLimitError ends the run.  Returns the rows,
+    failures and outcomes."""
     rows: list = []
     failures: list = []
     outcomes: list = []
@@ -255,6 +256,8 @@ def _run_samples(plan: PerturbationPlan, measure, error_bases) -> tuple:
         text = "; ".join(e.text() for e in eps)
         try:
             cells, outcome = measure(i, eps)
+        except TimeLimitError:
+            raise
         except CharplabError as err:
             cells = [(e, base, None, None, f"error:{err.kind}")
                      for e, base in error_bases]

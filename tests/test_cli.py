@@ -9,6 +9,7 @@ import os
 import pytest
 
 import charplab.cli as cli
+from charplab import TimeLimitError, perturb
 
 SUITE = os.path.join(os.path.dirname(__file__), os.pardir, "paper-suite")
 # sha256 of every `run-suite paper-suite --out-dir` artifact, in
@@ -193,8 +194,28 @@ def test_bad_seconds_limits_are_input_errors(capsys, tmp_path, seconds):
     code, out, err = run(capsys, "fsig", "--job",
                          fsig_job_with_seconds(tmp_path, seconds))
     assert code == 1 and out == ""
-    assert err.startswith("error: input: ")
-    assert "limits.seconds" in err
+    assert err.startswith("error: input: bad job: limits: max_seconds ")
+
+
+def test_a_timed_out_perturbation_sample_exits_with_code_two(capsys,
+                                                            monkeypatch):
+    real = perturb.splitting_series
+    calls = []
+
+    def slow_after_base(pres, e_max):
+        calls.append(e_max)
+        if len(calls) == 2:
+            raise TimeLimitError("time limit exceeded in basis computation")
+        return real(pres, e_max)
+
+    monkeypatch.setattr(perturb, "splitting_series", slow_after_base)
+    code, out, err = run(capsys, "perturb", "--job",
+                         job_path("30-perturb-constancy-node.json"))
+    # the base series succeeded; the first sample's timeout ends the job
+    # instead of grading the sample as a failure
+    assert len(calls) == 2
+    assert code == 2 and out == ""
+    assert err == "error: limit: time limit exceeded in basis computation\n"
 
 
 def test_unexpected_exceptions_exit_with_code_three(capsys, monkeypatch):

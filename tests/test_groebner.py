@@ -16,7 +16,7 @@ from charplab import (
     Limits, Polynomial, Ring, colength, colon, eliminate, frobenius_power,
     groebner_basis, ideal_equal, intersect, is_squarefree_hypersurface,
     krull_dim, m_power_in, normal_form, parse_poly, staircase_of,
-    subalgebra_presentation,
+    subalgebra_presentation, TimeLimitError,
 )
 from charplab.engine import KeyOverflow, groebner, make_context, power_scan
 from charplab.groebner import Staircase, colon_by_basis
@@ -502,16 +502,13 @@ def test_degree_limit_aborts():
 def test_seconds_limit_bounds_each_basis_computation():
     R = ring(3, "x", "y", "t")
     gens = [parse_poly(t, R) for t in ("x*y + t^2", "x^3 + y*t", "y^3 + x*t")]
-    with pytest.raises(LimitError, match="time limit"):
+    with pytest.raises(TimeLimitError, match="time limit"):
         groebner(gens, R, GREVLEX, Limits(max_seconds=0))
-    with pytest.raises(LimitError, match="time limit"):
+    with pytest.raises(TimeLimitError, match="time limit"):
         IdealHandle(R, gens, limits=Limits(max_seconds=0)).basis()
-    # the budget is per call: a generous one finishes, and an explicit
-    # deadline still wins over the limit
+    # the budget is per call, so a generous one finishes
     assert groebner(gens, R, GREVLEX, Limits(max_seconds=60)) == \
         groebner(gens, R, GREVLEX)
-    assert groebner(gens, R, GREVLEX, Limits(max_seconds=0),
-                    deadline=float("inf")) == groebner(gens, R, GREVLEX)
     for bad in (-1, float("nan"), float("inf")):
         with pytest.raises(InputError):
             Limits(max_seconds=bad)
