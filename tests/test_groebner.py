@@ -8,7 +8,7 @@ the fixed examples pin down hand-checkable values.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charplab import (
@@ -304,6 +304,55 @@ def test_staircase_against_enumeration():
         for k in range(6):
             assert st.count_degree(k) == sum(1 for m in standard
                                              if sum(m) == k)
+
+
+@st.composite
+def staircase_calls(draw):
+    """(n, top, corners, calls): up to four corners in 1-4 variables,
+    closed off by pure powers or left unbounded, and a drawn sequence of
+    calls on one instance: "count", "max_degree" or a degree k < top for
+    count_degree(k).  Corner exponents stay below top / n - 1, so a finite
+    staircase has no standard monomial of degree top, and an infinite one
+    has x_i^top for a variable x_i without a pure-power corner."""
+    n = draw(st.integers(1, 4))
+    side = 4 if n < 4 else 3
+    top = n * (side + 2)
+    corners = set(draw(st.lists(
+        st.tuples(*[st.integers(0, side) for _ in range(n)]), max_size=4)))
+    if n == 4 or draw(st.booleans()):
+        bounds = draw(st.lists(st.integers(1, side + 1), min_size=n,
+                               max_size=n))
+        corners |= {tuple(b if j == i else 0 for j in range(n))
+                    for i, b in enumerate(bounds)}
+    calls = draw(st.lists(st.one_of(st.sampled_from(["count", "max_degree"]),
+                                    st.integers(-1, top - 1)),
+                          min_size=1, max_size=8))
+    return n, top, corners, calls
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(staircase_calls())
+@example((2, 12, {(0, 0), (1, 2)}, ["count", "max_degree", 0, -1]))
+def test_staircase_calls_in_any_order_match_enumeration(case):
+    n, top, corners, calls = case
+    standard = [m for m in monomials_up_to(n, top)
+                if not any(all(a >= b for a, b in zip(m, c))
+                           for c in corners)]
+    finite = not any(sum(m) == top for m in standard)
+    stair = Staircase(corners, n)
+    for call in calls:
+        if call == "count" and finite:
+            assert stair.count() == len(standard)
+        elif call == "max_degree" and finite:
+            assert stair.max_degree() == max((sum(m) for m in standard),
+                                             default=-1)
+        elif call in ("count", "max_degree"):
+            with pytest.raises(InputError):
+                getattr(stair, call)()
+        else:
+            assert stair.count_degree(call) == sum(1 for m in standard
+                                                   if sum(m) == call)
+    assert stair.count_degree(-1) == 0
 
 
 def test_m_power_in_examples():
