@@ -412,13 +412,17 @@ def power_scan(ctx: BasisContext, length: int) -> int | None:
     return degree
 
 
-def _initial_width(polys: list[Polynomial], floor: int = 0) -> int:
+def _initial_width(polys: list[Polynomial]) -> int:
+    """A key width w whose field capacity C = 2^w - 1 is at least
+    2 * maxdeg + 4 for the largest total degree among the polys.  Every
+    term of them then packs: make_context freezes its basis without a
+    KeyOverflow, and its width_floor only widens further."""
     maxdeg = 1
     for f in polys:
         d = f.total_degree()
         if d > maxdeg:
             maxdeg = d
-    need = max(2 * maxdeg + 4, 32, floor)
+    need = max(2 * maxdeg + 4, 32)
     return need.bit_length()
 
 
@@ -433,14 +437,10 @@ def make_context(gb: list[Polynomial], ring: Ring, order: MonomialOrder,
     """Prepare a known Groebner basis for repeated reduction.  `extra`
     only influences the width choice (polynomials that will be reduced)."""
     w = max(_initial_width(list(gb) + list(extra or [])), width_floor)
-    while True:
-        spec = PackSpec(ring.n, order, w)
-        try:
-            elems = [_freeze(_to_dict(g, spec), spec, ring.field)
-                     for g in gb if not g.is_zero()]
-            return BasisContext(ring, order, spec, elems)
-        except KeyOverflow as o:
-            w = _wider(w, o.needed_degree)
+    spec = PackSpec(ring.n, order, w)
+    elems = [_freeze(_to_dict(g, spec), spec, ring.field)
+             for g in gb if not g.is_zero()]
+    return BasisContext(ring, order, spec, elems)
 
 
 def widen_context(ctx: BasisContext, hint: int, gb: list[Polynomial]) -> BasisContext:

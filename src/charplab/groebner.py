@@ -305,14 +305,15 @@ def _minimalize(corners) -> frozenset:
 class Staircase:
     """The complement of a monomial ideal given by its minimal corners."""
 
-    __slots__ = ("corners", "n", "_memo_count", "_memo_deg", "_memo_max")
+    __slots__ = ("corners", "n", "_memo")
 
     def __init__(self, corners, n: int):
         self.n = n
         self.corners = _minimalize(corners)
-        self._memo_count: dict = {}
-        self._memo_deg: dict = {}
-        self._memo_max: dict = {}
+        # slices and the counts folded from them, keyed (kind, n, corners)
+        # plus the degree for "degree": the empty corner set recurs at
+        # every n with a different count
+        self._memo: dict = {}
 
     def is_trivial(self) -> bool:
         """True when the ideal is the unit ideal (no standard monomials)."""
@@ -326,8 +327,26 @@ class Staircase:
                 return False
         return True
 
-    # counting: recursion over the last variable, slicing at the distinct
-    # last-coordinate values of the corners; memoized on corner sets
+    def _slices(self, corners: frozenset, n: int) -> list:
+        """The runs lo <= x_n < hi of one slice, as (lo, hi, rest): rest is
+        the staircase of the slice in the first n - 1 variables, and hi is
+        None on the last, unbounded run.  Runs cut at the distinct last
+        coordinates of the corners and stop at the first empty slice."""
+        key = ("slices", n, corners)
+        got = self._memo.get(key)
+        if got is None:
+            bounds = sorted({0} | {c[-1] for c in corners})
+            got = []
+            for lo, hi in zip(bounds, bounds[1:] + [None]):
+                rest = _minimalize(c[:-1] for c in corners if c[-1] <= lo)
+                if any(sum(c) == 0 for c in rest):
+                    break
+                got.append((lo, hi, rest))
+            self._memo[key] = got
+        return got
+
+    # counts are folds over the slices down to n = 0, where the staircase
+    # is the single monomial 1
 
     def count(self) -> int:
         if self.is_trivial():
@@ -337,59 +356,38 @@ class Staircase:
         return self._count(self.corners, self.n)
 
     def _count(self, corners: frozenset, n: int) -> int:
-        if any(sum(c) == 0 for c in corners):
-            return 0
-        if n == 1:
-            return min(c[0] for c in corners)
-        got = self._memo_count.get(corners)
-        if got is not None:
-            return got
-        bounds = sorted({0} | {c[-1] for c in corners})
-        total = 0
-        for idx, lo in enumerate(bounds):
-            active = _minimalize(c[:-1] for c in corners if c[-1] <= lo)
-            if any(sum(c) == 0 for c in active):
-                break
-            if idx + 1 < len(bounds):
-                width = bounds[idx + 1] - lo
-            else:
-                raise InternalError("unbounded staircase slice")
-            total += width * self._count(active, n - 1)
-        self._memo_count[corners] = total
-        return total
+        if n == 0:
+            return 1
+        key = ("count", n, corners)
+        got = self._memo.get(key)
+        if got is None:
+            got = 0
+            for lo, hi, rest in self._slices(corners, n):
+                if hi is None:
+                    raise InternalError("unbounded staircase slice")
+                got += (hi - lo) * self._count(rest, n - 1)
+            self._memo[key] = got
+        return got
 
     def count_degree(self, k: int) -> int:
         """Standard monomials of total degree exactly k (any dimension)."""
-        if self.is_trivial():
+        if k < 0 or self.is_trivial():
             return 0
         return self._count_degree(self.corners, self.n, k)
 
     def _count_degree(self, corners: frozenset, n: int, k: int) -> int:
-        if k < 0:
-            return 0
-        if any(sum(c) == 0 for c in corners):
-            return 0
-        if n == 1:
-            if not corners:
-                return 1
-            return 1 if k < min(c[0] for c in corners) else 0
-        key = (corners, k)
-        got = self._memo_deg.get(key)
-        if got is not None:
-            return got
-        bounds = sorted({0} | {c[-1] for c in corners})
-        total = 0
-        for idx, lo in enumerate(bounds):
-            if lo > k:
-                break
-            active = _minimalize(c[:-1] for c in corners if c[-1] <= lo)
-            if any(sum(c) == 0 for c in active):
-                break
-            hi = bounds[idx + 1] if idx + 1 < len(bounds) else k + 1
-            for e in range(lo, min(hi, k + 1)):
-                total += self._count_degree(active, n - 1, k - e)
-        self._memo_deg[key] = total
-        return total
+        if n == 0:
+            return int(k == 0)
+        key = ("degree", n, corners, k)
+        got = self._memo.get(key)
+        if got is None:
+            got = 0
+            for lo, hi, rest in self._slices(corners, n):
+                end = k + 1 if hi is None else min(hi, k + 1)
+                for e in range(lo, end):
+                    got += self._count_degree(rest, n - 1, k - e)
+            self._memo[key] = got
+        return got
 
     def max_degree(self) -> int:
         """Largest total degree of a standard monomial; -1 when empty."""
@@ -400,26 +398,18 @@ class Staircase:
         return self._max_degree(self.corners, self.n)
 
     def _max_degree(self, corners: frozenset, n: int) -> int:
-        if any(sum(c) == 0 for c in corners):
-            return -1
-        if n == 1:
-            return min(c[0] for c in corners) - 1
-        got = self._memo_max.get(corners)
-        if got is not None:
-            return got
-        bounds = sorted({0} | {c[-1] for c in corners})
-        best = -1
-        for idx, lo in enumerate(bounds):
-            active = _minimalize(c[:-1] for c in corners if c[-1] <= lo)
-            if any(sum(c) == 0 for c in active):
-                break
-            if idx + 1 >= len(bounds):
-                raise InternalError("unbounded staircase slice")
-            sub = self._max_degree(active, n - 1)
-            if sub >= 0:
-                best = max(best, bounds[idx + 1] - 1 + sub)
-        self._memo_max[corners] = best
-        return best
+        if n == 0:
+            return 0
+        key = ("max", n, corners)
+        got = self._memo.get(key)
+        if got is None:
+            got = -1
+            for lo, hi, rest in self._slices(corners, n):
+                if hi is None:
+                    raise InternalError("unbounded staircase slice")
+                got = max(got, hi - 1 + self._max_degree(rest, n - 1))
+            self._memo[key] = got
+        return got
 
 
 def staircase_of(gb: GroebnerBasis) -> Staircase:
@@ -453,26 +443,27 @@ def _dim_or_unit(I: IdealHandle) -> int:
     return best
 
 
-def colength(I: IdealHandle) -> int:
-    """Vector-space dimension of the quotient by I, by staircase count."""
+def _zero_dim_staircase(I: IdealHandle) -> tuple[GroebnerBasis, Staircase]:
+    """The grevlex basis of I and its staircase, which must be finite and
+    nonempty."""
     gb = I.basis(GREVLEX)
     if gb.contains_one():
         raise InputError("ideal is not contained in the maximal ideal")
     st = staircase_of(gb)
     if not st.zero_dimensional():
         raise InputError("ideal is not zero-dimensional")
-    return st.count()
+    return gb, st
+
+
+def colength(I: IdealHandle) -> int:
+    """Vector-space dimension of the quotient by I, by staircase count."""
+    return _zero_dim_staircase(I)[1].count()
 
 
 def m_power_in(I: IdealHandle) -> int:
     """Minimal N with every monomial of total degree N inside I."""
-    gb = I.basis(GREVLEX)
-    if gb.contains_one():
-        raise InputError("ideal is not contained in the maximal ideal")
-    st = staircase_of(gb)
-    if not st.zero_dimensional():
-        raise InputError("ideal is not zero-dimensional")
-    floor = max(st.max_degree() + 1, 1)
+    gb, st = _zero_dim_staircase(I)
+    top = st.max_degree()
     # homogeneous shortcut: the degree-N graded piece of the quotient is
     # spanned by the degree-N standard monomials, so every degree-N
     # monomial is a member exactly when none of them is standard.  Skipping
@@ -480,7 +471,7 @@ def m_power_in(I: IdealHandle) -> int:
     # homogeneous zero-dimensional ideal cuts out a finite cone, which is
     # the origin
     if all(len({sum(k) for k in g.terms}) == 1 for g in gb.elements):
-        return floor
+        return top + 1
     # inhomogeneous ideals: one upward scan of the layers m^N mod I (see
     # engine.power_scan).  It needs no enumeration of all degree-N
     # monomials: a monomial whose normal form is zero has only zero
@@ -488,7 +479,6 @@ def m_power_in(I: IdealHandle) -> int:
     # below, and it stops at the first empty layer, which exists because a
     # primary ideal of colength L contains m^L.  Its keys reach one degree
     # past the top of the staircase (the border monomials x_i s)
-    top = st.max_degree()
     length = st.count()
     N = gb.with_context(lambda ctx: power_scan(ctx, length), degree=top + 1)
     if N is None:

@@ -114,13 +114,12 @@ class ConvergenceDiagnostic:
     constant: Fraction
 
 
-def _bracket_variables(ring: Ring, e: int) -> list[Polynomial]:
+def _bracket_gens(ring: Ring, e: int) -> list[Polynomial]:
+    """The generators x_i^(p^e) of the e-th bracket power of the maximal
+    ideal."""
     q = ring.field.p ** e
-    out = []
-    for i in range(ring.n):
-        out.append(ring.monomial(tuple(q if j == i else 0
-                                       for j in range(ring.n))))
-    return out
+    return [ring.monomial(tuple(q if j == i else 0 for j in range(ring.n)))
+            for i in range(ring.n)]
 
 
 def _zero_dim_count(R: QuotientPresentation,
@@ -144,7 +143,7 @@ def hk_length(R: QuotientPresentation, e: int) -> int:
     """Colength of J + the e-th bracket power of the maximal ideal."""
     if not isinstance(e, int) or e < 1:
         raise InputError("Frobenius level e must be a positive integer")
-    return _zero_dim_count(R, _bracket_variables(R.ring, e))
+    return _zero_dim_count(R, _bracket_gens(R.ring, e))
 
 
 def hk_series(R: QuotientPresentation, e_max: int) -> HKSeries:
@@ -226,9 +225,7 @@ def _principal_splitting_chain(R: QuotientPresentation,
     ring = R.ring
     p = ring.field.p
     g = R.defining.generators[0]
-    current = [ring.monomial(tuple(p if j == i else 0
-                                   for j in range(ring.n)))
-               for i in range(ring.n)]
+    current = _bracket_gens(ring, 1)
     mult = g ** (p - 1)
     out = []
     for _ in range(e_max):
@@ -251,7 +248,7 @@ def _colon_splitting_count(R: QuotientPresentation, e: int) -> int:
     box = q ** ring.n
     Jq = frobenius_power(R.defining, e)
     quotient = colon(Jq, R.defining)
-    gens = list(quotient.generators) + _bracket_variables(ring, e)
+    gens = list(quotient.generators) + _bracket_gens(ring, e)
     elems = groebner(gens, ring, GREVLEX, R.limits)
     gb = GroebnerBasis(ring, GREVLEX, elems)
     if gb.contains_one():

@@ -94,13 +94,12 @@ def _check_keys(obj: dict, allowed: set, where: str):
         _fail(f"unknown {where} key(s): {', '.join(extra)}")
 
 
-def _int_field(obj: dict, key: str, where: str, minimum: int | None = None):
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{where}.{key} must be an integer")
-    if minimum is not None and v < minimum:
-        _fail(f"{where}.{key} must be >= {minimum}")
-    return v
+def _as_int(value, what: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(f"{what} must be an integer")
+    if minimum is not None and value < minimum:
+        _fail(f"{what} must be >= {minimum}")
+    return value
 
 
 def _str_list(obj, where: str) -> list:
@@ -145,8 +144,8 @@ def parse_job(raw: dict, overrides: dict | None = None) -> Job:
     _check_keys(fld, _FIELD_KEYS, "field")
     if "p" not in fld:
         _fail("field.p is required")
-    p = _int_field(fld, "p", "field", 2)
-    m = _int_field(fld, "m", "field", 1) if "m" in fld else 1
+    p = _as_int(fld["p"], "field.p", 2)
+    m = _as_int(fld["m"], "field.m", 1) if "m" in fld else 1
     modulus = None
     if "modulus" in fld:
         mod = fld["modulus"]
@@ -179,10 +178,11 @@ def parse_job(raw: dict, overrides: dict | None = None) -> Job:
     _check_keys(limits_raw, _LIMIT_KEYS, "limits")
     limit_args = {}
     if "basis" in limits_raw:
-        limit_args["max_basis"] = _int_field(limits_raw, "basis", "limits", 1)
+        limit_args["max_basis"] = _as_int(limits_raw["basis"],
+                                          "limits.basis", 1)
     if "degree" in limits_raw:
-        limit_args["max_degree"] = _int_field(limits_raw, "degree",
-                                              "limits", 1)
+        limit_args["max_degree"] = _as_int(limits_raw["degree"],
+                                           "limits.degree", 1)
     if "seconds" in limits_raw:
         sec = limits_raw["seconds"]
         if isinstance(sec, bool) or not isinstance(sec, (int, float)):
@@ -225,14 +225,6 @@ def _need(params: dict, key: str, task: str):
     if key not in params:
         _fail(f"task '{task}' requires params.{key}")
     return params[key]
-
-
-def _as_int(value, what: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{what} must be an integer")
-    if minimum is not None and value < minimum:
-        _fail(f"{what} must be >= {minimum}")
-    return value
 
 
 def _inputs_echo(job: Job) -> dict:

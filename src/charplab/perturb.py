@@ -34,8 +34,9 @@ from fractions import Fraction
 from .discriminant import FiniteExtensionPresentation, disc_congruence_check
 from .errors import CharplabError, InputError, InternalError, TimeLimitError
 from .groebner import ideal_equal, is_squarefree_hypersurface, m_power_in
-from .invariants import (QuotientPresentation, ehk_estimate, fsig_estimate,
-                         hk_series, parameter_check, splitting_series)
+from .invariants import (QuotientPresentation, _bracket_gens, ehk_estimate,
+                         fsig_estimate, hk_series, parameter_check,
+                         splitting_series)
 from .poly import Polynomial, Ring
 
 MASK64 = (1 << 64) - 1
@@ -192,12 +193,6 @@ def sample_epsilons(plan: PerturbationPlan) -> list:
     Multi-target experiments keep drawing from the same stream, one
     perturbation per target; the first draw is exactly this list."""
     return [next(_sample_draws(plan, i)) for i in range(plan.samples)]
-
-
-def _bracket_gens(ring: Ring, e: int) -> list:
-    q = ring.field.p ** e
-    return [ring.monomial(tuple(q if j == i else 0 for j in range(ring.n)))
-            for i in range(ring.n)]
 
 
 def stability_threshold(R: QuotientPresentation, fs, e: int) -> int:

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from charplab import (
     GREVLEX, LEX, Field, GroebnerBasis, IdealHandle, InputError, LimitError,
-    Limits, Polynomial, Ring, colength, colon, eliminate, frobenius_power,
-    groebner_basis, ideal_equal, intersect, is_squarefree_hypersurface,
-    krull_dim, m_power_in, normal_form, parse_poly, staircase_of,
-    subalgebra_presentation, TimeLimitError,
+    Limits, Polynomial, Ring, block_order, colength, colon, eliminate,
+    frobenius_power, groebner_basis, ideal_equal, intersect,
+    is_squarefree_hypersurface, krull_dim, m_power_in, normal_form,
+    parse_poly, staircase_of, subalgebra_presentation, TimeLimitError,
 )
+from charplab import engine
 from charplab.engine import KeyOverflow, groebner, make_context, power_scan
 from charplab.groebner import Staircase, colon_by_basis
 from oracles import box_monomial_member, box_monomials, dense_colength_box, \
@@ -319,7 +320,7 @@ def staircase_calls(draw):
     top = n * (side + 2)
     corners = set(draw(st.lists(
         st.tuples(*[st.integers(0, side) for _ in range(n)]), max_size=4)))
-    if n == 4 or draw(st.booleans()):
+    if draw(st.booleans()):
         bounds = draw(st.lists(st.integers(1, side + 1), min_size=n,
                                max_size=n))
         corners |= {tuple(b if j == i else 0 for j in range(n))
@@ -442,6 +443,31 @@ def test_power_scan_overflow_widens_the_context_and_retries(monkeypatch):
         power_scan(make_context(elements, R, GREVLEX), 30)
     gb = GroebnerBasis(R, GREVLEX, elements)
     assert gb.with_context(lambda ctx: power_scan(ctx, 30)) == 11
+
+
+@pytest.mark.parametrize("order", [GREVLEX, block_order(1)],
+                         ids=["grevlex", "block1"])
+def test_groebner_restarts_on_wider_keys(order, monkeypatch):
+    R = ring(5, "x", "y", "t")
+    gens = [parse_poly(t, R)
+            for t in ("x^3*y + t^4", "y^5 - x*t^2", "x^2*t^3 + y")]
+    expected = groebner(gens, R, order)
+    with pytest.raises(LimitError):
+        groebner(gens, R, order, Limits(max_degree=3))
+    # 3-bit keys hold degree 7 at most: the first S-polynomial overflows,
+    # and the run restarts once, on 5-bit keys
+    monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
+    steps = []
+    wider = engine._wider
+
+    def spy(w, needed):
+        steps.append((w, wider(w, needed)))
+        return steps[-1][1]
+    monkeypatch.setattr("charplab.engine._wider", spy)
+    assert groebner(gens, R, order) == expected
+    assert steps == [(3, 5)]
+    with pytest.raises(LimitError):
+        groebner(gens, R, order, Limits(max_degree=3))
 
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]

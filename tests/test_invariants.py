@@ -160,6 +160,15 @@ def test_hs_multiplicity_hypersurfaces():
     assert hs_multiplicity(present(R2, "x*z")) == 2
 
 
+def test_hs_multiplicity_in_four_variables():
+    # every leading term holds t, so the slices of the staircase reach the
+    # empty corner set in both three and two variables
+    R = ring(5, "x", "y", "z", "t")
+    assert hs_multiplicity(present(R, "y*t^2")) == 3
+    assert hs_multiplicity(present(R, "x*y*z*t")) == 4
+    assert hs_multiplicity(present(R, "x^2*t + y^2*t")) == 3
+
+
 def test_hs_multiplicity_inhomogeneous_route():
     # non-homogeneous defining ideal forces the literal colength route
     R = ring(5, "x", "y")
