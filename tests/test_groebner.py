@@ -312,7 +312,7 @@ def staircase_calls(draw):
     """(n, top, corners, calls): up to four corners in 1-4 variables,
     closed off by pure powers or left unbounded, and a drawn sequence of
     calls on one instance: "count", "max_degree" or a degree k < top for
-    count_degree(k).  Corner exponents stay below top / n - 1, so a finite
+    count_degree(k).  Corner exponents are at most top / n - 1, so a finite
     staircase has no standard monomial of degree top, and an infinite one
     has x_i^top for a variable x_i without a pure-power corner."""
     n = draw(st.integers(1, 4))
