@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charplab import (
     Field, HKRow, HKSeries, IdealHandle, InputError, Polynomial,
@@ -301,6 +303,37 @@ def test_fpt_membership_bound():
     s = nu_series(f, 4)
     for r in s.rows:
         assert r.upper <= Fraction(1, 4) + Fraction(1, r.q)
+
+
+NU_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
+
+
+@st.composite
+def nu_cases(draw):
+    """(f, e_max): f with no constant term and 1-4 terms of degree 1-3 in
+    1-3 variables over GF(2), GF(3), GF(4), GF(5), GF(7) or GF(9), and
+    e_max with q n <= 200 at q = p^e_max."""
+    p, m = draw(st.sampled_from(NU_FIELDS))
+    n = draw(st.integers(1, 3))
+    R = ring(p, *("x", "y", "t")[:n], m=m)
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(n)]).filter(
+        lambda e: 1 <= sum(e) <= 3)
+    terms = draw(st.dictionaries(exps, st.integers(1, R.field.q - 1),
+                                 min_size=1, max_size=4))
+    top = max(e for e in range(1, 9) if p ** e * n <= 200)
+    return Polynomial(R, terms), draw(st.integers(1, top))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(nu_cases())
+def test_nu_series_matches_direct_expansion(case):
+    f, e_max = case
+    s = nu_series(f, e_max)
+    assert [r.e for r in s.rows] == list(range(1, e_max + 1))
+    for r in s.rows:
+        assert r.nu == nu_direct(f, r.e)
+        assert (r.lower, r.upper) == (Fraction(r.nu, r.q),
+                                      Fraction(r.nu + 1, r.q))
 
 
 def test_nu_validation():
