@@ -301,6 +301,44 @@ def block_greater(a: tuple[int, ...], b: tuple[int, ...], k: int) -> bool:
     return grevlex_greater(ta, tb)
 
 
+def naive_remainder(f: Polynomial, basis: list[Polynomial], greater) -> Polynomial:
+    """Remainder of f on full division by basis, with leading terms taken
+    under the literal order greater(a, b): each step cancels the largest
+    remaining term by the first basis element whose leading monomial
+    divides it, or moves that term to the remainder."""
+    field = f.ring.field
+
+    def lead(terms: dict) -> tuple[int, ...]:
+        top = None
+        for exps in terms:
+            if top is None or greater(exps, top):
+                top = exps
+        return top
+
+    leads = [(lead(g.terms), g) for g in basis]
+    work = dict(f.terms)
+    rem = {}
+    while work:
+        m = lead(work)
+        c = work[m]
+        for lm, g in leads:
+            if all(a >= b for a, b in zip(m, lm)):
+                scale = field.div(c, g.terms[lm])
+                shift = tuple(a - b for a, b in zip(m, lm))
+                for exps, code in g.terms.items():
+                    e = tuple(a + b for a, b in zip(exps, shift))
+                    v = field.sub(work.get(e, 0), field.mul(scale, code))
+                    if v:
+                        work[e] = v
+                    else:
+                        work.pop(e, None)
+                break
+        else:
+            rem[m] = c
+            del work[m]
+    return Polynomial(f.ring, rem)
+
+
 # -- nu values by direct expansion ---------------------------------------------
 
 def nu_direct(f: Polynomial, e: int) -> int:

@@ -21,8 +21,9 @@ from charplab import (
 from charplab import engine
 from charplab.engine import KeyOverflow, groebner, make_context, power_scan
 from charplab.groebner import Staircase, colon_by_basis
-from oracles import box_monomial_member, box_monomials, dense_colength_box, \
-    dense_membership, monomials_up_to
+from oracles import block_greater, box_monomial_member, box_monomials, \
+    dense_colength_box, dense_membership, grevlex_greater, lex_greater, \
+    monomials_up_to, naive_remainder
 
 
 def ring(p, *names, m=1):
@@ -506,6 +507,71 @@ def test_m_power_in_matches_the_box_oracle(case):
     assert all(member(m) for m in monomials_up_to(R.n, N) if sum(m) == N)
     assert not all(member(m) for m in monomials_up_to(R.n, N - 1)
                    if sum(m) == N - 1)
+
+
+PIN_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
+PIN_ORDERS = [(GREVLEX, grevlex_greater), (LEX, lex_greater),
+              (block_order(1), lambda a, b: block_greater(a, b, 1))]
+
+
+@st.composite
+def random_ideals(draw):
+    """(ring, order, literal order, generators, prefix length, bounds):
+    1-3 generators with no constant term and degree at most 3 in 1-3
+    variables, and pure powers
+    x_i^(b_i) appended when bounds is not None, which makes the ideal
+    zero-dimensional.  A positive prefix length asks for a call that
+    passes the reduced basis of the first generators as gb_prefix."""
+    p, m = draw(st.sampled_from(PIN_FIELDS))
+    order, greater = draw(st.sampled_from(PIN_ORDERS))
+    n = draw(st.integers(2 if order.kind == "block" else 1, 3))
+    R = ring(p, *("x", "y", "t")[:n], m=m)
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(n)]).filter(
+        lambda e: 1 <= sum(e) <= 3)
+    terms = st.dictionaries(exps, st.integers(1, R.field.q - 1), min_size=1,
+                            max_size=3)
+    gens = [Polynomial(R, draw(terms)) for _ in range(draw(st.integers(1, 3)))]
+    bounds = draw(st.one_of(st.none(), st.lists(
+        st.integers(2, 4), min_size=n, max_size=n).map(tuple)))
+    if bounds is not None:
+        gens += [R.monomial(tuple(b if j == i else 0 for j in range(n)))
+                 for i, b in enumerate(bounds)]
+    prefix = draw(st.integers(0, len(gens) - 1))
+    return R, order, greater, gens, prefix, bounds
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(random_ideals())
+def test_groebner_matches_the_oracles_on_random_ideals(case):
+    R, order, greater, gens, prefix, bounds = case
+    if prefix:
+        head = groebner(gens[:prefix], R, order)
+        elems = groebner(head + gens[prefix:], R, order,
+                         gb_prefix=len(head))
+        assert elems == groebner(gens, R, order)
+    else:
+        elems = groebner(gens, R, order)
+    tops = []
+    for g in elems:
+        top = next(e for e in g.terms
+                   if all(e == o or greater(e, o) for o in g.terms))
+        assert g.terms[top] == 1
+        tops.append(top)
+    # reduced: no term of an element is divisible by another leading term
+    for i, g in enumerate(elems):
+        for j, lm in enumerate(tops):
+            if i != j:
+                assert not any(all(a >= b for a, b in zip(e, lm))
+                               for e in g.terms)
+    for f in gens:
+        assert naive_remainder(f, elems, greater).is_zero()
+    top_degree = max(f.total_degree() for f in gens)
+    for g in elems:
+        assert any(dense_membership(g, gens, D)
+                   for D in range(max(top_degree, g.total_degree()), 13))
+    if bounds is not None:
+        count = staircase_of(GroebnerBasis(R, order, elems)).count()
+        assert count == dense_colength_box(gens, max(bounds))
 
 
 # -- subalgebra presentations ------------------------------------------------------
