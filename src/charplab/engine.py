@@ -416,7 +416,7 @@ def _initial_width(polys: list[Polynomial]) -> int:
     """A key width w whose field capacity C = 2^w - 1 is at least
     2 * maxdeg + 4 for the largest total degree among the polys.  Every
     term of them then packs: make_context freezes its basis without a
-    KeyOverflow, and its width_floor only widens further."""
+    KeyOverflow, and its degree only widens further."""
     maxdeg = 1
     for f in polys:
         d = f.total_degree()
@@ -432,21 +432,16 @@ def _wider(w: int, needed_degree: int) -> int:
 
 
 def make_context(gb: list[Polynomial], ring: Ring, order: MonomialOrder,
-                 extra: list[Polynomial] | None = None,
-                 width_floor: int = 0) -> BasisContext:
-    """Prepare a known Groebner basis for repeated reduction.  `extra`
-    only influences the width choice (polynomials that will be reduced)."""
-    w = max(_initial_width(list(gb) + list(extra or [])), width_floor)
+                 degree: int = 0) -> BasisContext:
+    """Prepare a known Groebner basis for repeated reduction, on keys
+    whose fields hold at least `degree`."""
+    w = _initial_width(gb)
+    if (1 << w) - 1 < degree:
+        w = _wider(w, degree)
     spec = PackSpec(ring.n, order, w)
     elems = [_freeze(_to_dict(g, spec), spec, ring.field)
              for g in gb if not g.is_zero()]
     return BasisContext(ring, order, spec, elems)
-
-
-def widen_context(ctx: BasisContext, hint: int, gb: list[Polynomial]) -> BasisContext:
-    """Rebuild a context after a KeyOverflow with degree `hint`."""
-    return make_context(gb, ctx.ring, ctx.order,
-                        width_floor=_wider(ctx.spec.w, hint))
 
 
 class _Buchberger:

@@ -17,10 +17,9 @@ standard representations after multiplication by the tag variable).
 from __future__ import annotations
 
 import heapq
-import threading
 
 from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
-                     groebner, make_context, power_scan, widen_context)
+                     groebner, make_context, power_scan)
 from .errors import InputError, InternalError
 from .orders import GREVLEX, MonomialOrder, block_order
 from .poly import Polynomial, Ring
@@ -38,26 +37,23 @@ class GroebnerBasis:
         self.elements = tuple(elements)
         self._ctx: BasisContext | None = None
 
-    def with_context(self, work, extra: tuple = (), degree: int = 0):
-        """work(ctx) on the reduction context, whose fields are first made
-        to hold `degree`; a KeyOverflow widens the context and runs work
-        again.  `extra` (polynomials to be reduced) only influences the
-        width of a context built here."""
-        if self._ctx is None:
-            self._ctx = make_context(list(self.elements), self.ring,
-                                     self.order, extra=list(extra))
-        if self._ctx.spec.C < degree:
-            self._ctx = widen_context(self._ctx, degree, list(self.elements))
+    def with_context(self, work, degree: int = 0):
+        """work(ctx) on the reduction context, which is first built, or
+        rebuilt, to hold `degree`; a KeyOverflow rebuilds it for the degree
+        asked for and runs work again."""
         while True:
+            if self._ctx is None or self._ctx.spec.C < degree:
+                self._ctx = make_context(list(self.elements), self.ring,
+                                         self.order, degree)
             try:
                 return work(self._ctx)
             except KeyOverflow as o:
-                self._ctx = widen_context(self._ctx, o.needed_degree,
-                                          list(self.elements))
+                degree = o.needed_degree
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Fully reduced remainder of f; zero iff f lies in the ideal."""
-        return self.with_context(lambda ctx: ctx.normal_form(f), (f,))
+        return self.with_context(lambda ctx: ctx.normal_form(f),
+                                 f.total_degree())
 
     def contains_one(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.elements)
@@ -75,7 +71,7 @@ class GroebnerBasis:
 class IdealHandle:
     """Generators plus a lazily filled per-order basis cache."""
 
-    __slots__ = ("ring", "generators", "limits", "_cache", "_lock")
+    __slots__ = ("ring", "generators", "limits", "_cache")
 
     def __init__(self, ring: Ring, generators, limits: Limits = DEFAULT_LIMITS):
         gens = []
@@ -90,11 +86,9 @@ class IdealHandle:
         self.generators = tuple(gens)
         self.limits = limits
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
-        self._lock = threading.Lock()
 
     def basis(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-        with self._lock:
-            got = self._cache.get(order)
+        got = self._cache.get(order)
         if got is not None:
             return got
         elems = groebner(list(self.generators), self.ring, order, self.limits)
@@ -103,12 +97,10 @@ class IdealHandle:
             if not gb.normal_form(f).is_zero():
                 raise InternalError("a generator fails to reduce to zero "
                                     "against its own basis")
-        with self._lock:
-            return self._cache.setdefault(order, gb)
+        return self._cache.setdefault(order, gb)
 
     def seed_cache(self, gb: GroebnerBasis) -> None:
-        with self._lock:
-            self._cache.setdefault(gb.order, gb)
+        self._cache.setdefault(gb.order, gb)
 
     def with_polys(self, polys) -> "IdealHandle":
         return IdealHandle(self.ring, self.generators + tuple(polys),

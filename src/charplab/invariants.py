@@ -125,18 +125,13 @@ def _bracket_gens(ring: Ring, e: int) -> list[Polynomial]:
 def _zero_dim_count(R: QuotientPresentation,
                     extra: list[Polynomial]) -> int:
     """Colength of J + (extra); the cached basis of J is reused as a
-    known-Groebner prefix so its internal pairs are skipped."""
+    known-Groebner prefix so its internal pairs are skipped.  Callers pass
+    an m-primary `extra` (the x_i^q, or every monomial of one degree), and
+    J lies in m, so the ideal is proper and zero-dimensional."""
     base = R.defining.basis(GREVLEX)
-    gens = list(base.elements) + extra
-    elems = groebner(gens, R.ring, GREVLEX, R.limits,
+    elems = groebner(list(base.elements) + extra, R.ring, GREVLEX, R.limits,
                      gb_prefix=len(base.elements))
-    gb = GroebnerBasis(R.ring, GREVLEX, elems)
-    if gb.contains_one():
-        raise InputError("ideal is the unit ideal; no length to report")
-    st = staircase_of(gb)
-    if not st.zero_dimensional():
-        raise InputError("ideal is not zero-dimensional")
-    return st.count()
+    return staircase_of(GroebnerBasis(R.ring, GREVLEX, elems)).count()
 
 
 def hk_length(R: QuotientPresentation, e: int) -> int:
@@ -244,47 +239,40 @@ def _principal_splitting_chain(R: QuotientPresentation,
 def _colon_splitting_count(R: QuotientPresentation, e: int) -> int:
     """a_e by the literal colon formula for arbitrary J."""
     ring = R.ring
-    q = ring.field.p ** e
-    box = q ** ring.n
-    Jq = frobenius_power(R.defining, e)
-    quotient = colon(Jq, R.defining)
+    quotient = colon(frobenius_power(R.defining, e), R.defining)
     gens = list(quotient.generators) + _bracket_gens(ring, e)
     elems = groebner(gens, ring, GREVLEX, R.limits)
-    gb = GroebnerBasis(ring, GREVLEX, elems)
-    if gb.contains_one():
-        return box
-    st = staircase_of(gb)
-    if not st.zero_dimensional():
-        raise InternalError("splitting colon failed to be zero-dimensional")
-    return box - st.count()
+    return ring.field.p ** (e * ring.n) - _count_or_zero(elems, ring)
+
+
+def _splitting_values(R: QuotientPresentation, first: int,
+                      last: int) -> list:
+    """a_first, ..., a_last: the box count p^(e n) when J = 0, the chain
+    for a principal J (run from e = 1 whatever first is), and the colon
+    formula level by level otherwise."""
+    ring = R.ring
+    levels = range(first, last + 1)
+    if not R.defining.generators:
+        return [ring.field.p ** (e * ring.n) for e in levels]
+    if len(R.defining.generators) == 1:
+        return _principal_splitting_chain(R, last)[first - 1:]
+    return [_colon_splitting_count(R, e) for e in levels]
 
 
 def splitting_number(R: QuotientPresentation, e: int) -> int:
     """Rank of the largest free summand of the e-th Frobenius pushforward."""
     if not isinstance(e, int) or e < 1:
         raise InputError("Frobenius level e must be a positive integer")
-    ring = R.ring
-    if not R.defining.generators:
-        return ring.field.p ** (e * ring.n)
-    if len(R.defining.generators) == 1:
-        return _principal_splitting_chain(R, e)[-1]
-    return _colon_splitting_count(R, e)
+    return _splitting_values(R, e, e)[0]
 
 
 def splitting_series(R: QuotientPresentation, e_max: int) -> SplittingSeries:
     if not isinstance(e_max, int) or e_max < 1:
         raise InputError("series needs e_max >= 1")
-    ring = R.ring
-    p = ring.field.p
+    p = R.ring.field.p
     d = R.dim
-    if not R.defining.generators:
-        values = [p ** (e * ring.n) for e in range(1, e_max + 1)]
-    elif len(R.defining.generators) == 1:
-        values = _principal_splitting_chain(R, e_max)
-    else:
-        values = [_colon_splitting_count(R, e) for e in range(1, e_max + 1)]
     rows = []
-    for e, a in enumerate(values, start=1):
+    for e, a in enumerate(_splitting_values(R, 1, e_max), start=1):
         q = p ** e
         if not 0 <= a <= q ** d:
             raise InternalError("splitting number out of range")
@@ -309,37 +297,30 @@ def _ordinary_power_monomials(ring: Ring, s: int) -> list[Polynomial]:
 
 def hs_multiplicity(R: QuotientPresentation) -> int:
     """Normalized leading coefficient of s -> colength(J + m^s), read off
-    as the stabilized d-th finite difference (window of three)."""
+    as the stabilized d-th finite difference (window of three).
+
+    Raises LimitError when the differences have not stabilized by s = 60.
+    The cap is fixed; no Limits field controls it."""
     d = R.dim
     homogeneous = all(
         len({sum(e) for e in g.terms}) == 1 for g in R.defining.generators)
-    counts_by_degree = None
-    if homogeneous:
-        st = staircase_of(R.defining.basis(GREVLEX))
-        counts_by_degree = st
+    st = staircase_of(R.defining.basis(GREVLEX)) if homogeneous else None
     lengths: list[int] = []
-    running = 0
-
-    def length_at(s: int) -> int:
-        nonlocal running
-        if counts_by_degree is not None:
+    for s in range(1, 61):
+        if st is not None:
             # for homogeneous J the standard monomials of degree < s are a
             # basis of the quotient by J + m^s
-            running += counts_by_degree.count_degree(s - 1)
-            return running
-        return _zero_dim_count(R, _ordinary_power_monomials(R.ring, s))
-
-    s = 0
-    while True:
-        s += 1
-        if s > 60:
-            raise LimitError("Hilbert function failed to stabilize by s = 60")
-        lengths.append(length_at(s))
+            lengths.append((lengths[-1] if lengths else 0)
+                           + st.count_degree(s - 1))
+        else:
+            lengths.append(
+                _zero_dim_count(R, _ordinary_power_monomials(R.ring, s)))
         diffs = lengths
         for _ in range(d):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
             return diffs[-1]
+    raise LimitError("Hilbert function failed to stabilize by s = 60")
 
 
 # -- nu invariants and the splitting-threshold interval ------------------------
@@ -366,27 +347,21 @@ def nu_series(f: Polynomial, e_max: int) -> NuSeries:
     prev = None
     for e in range(1, e_max + 1):
         q = p ** e
-        cap = ring.n * (q - 1) + 1   # f^cap lies in m^q, hence in m^[q]
-        lo = p * prev if prev is not None else 0
-        step = 1
-        hi = None
-        while hi is None:
-            cand = min(lo + step, cap)
-            if _outside_box(f, cand, q):
-                lo = cand
-                step *= 2
-            else:
-                hi = cand
+        # bisect with f^lo outside m^[q] and f^hi inside it: at e = 1,
+        # f^(n(q-1)+1) lies in m^(n(q-1)+1), inside m^[q]; after that the
+        # p-th power map gives p nu_(e-1) <= nu_e <= p nu_(e-1) + p - 1
+        # (Mustata-Takagi-Watanabe)
+        if prev is None:
+            lo, hi = 0, ring.n * (q - 1) + 1
+        else:
+            lo, hi = p * prev, p * prev + p
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if _outside_box(f, mid, q):
                 lo = mid
             else:
                 hi = mid
-        nu = lo
-        if prev is not None and nu < p * prev:
-            raise InternalError("nu growth invariant violated")
-        prev = nu
+        nu = prev = lo
         rows.append(NuRow(e, q, nu, Fraction(nu, q), Fraction(nu + 1, q)))
     return NuSeries(p, tuple(rows))
 
