@@ -518,10 +518,10 @@ PIN_ORDERS = [(GREVLEX, grevlex_greater), (LEX, lex_greater),
 def random_ideals(draw):
     """(ring, order, literal order, generators, prefix length, bounds):
     1-3 generators with no constant term and degree at most 3 in 1-3
-    variables, and pure powers
-    x_i^(b_i) appended when bounds is not None, which makes the ideal
-    zero-dimensional.  A positive prefix length asks for a call that
-    passes the reduced basis of the first generators as gb_prefix."""
+    variables, and pure powers x_i^(b_i) appended when bounds is not
+    None, which makes the ideal zero-dimensional.  A positive prefix
+    length asks for a call that passes the reduced basis of the first
+    generators as gb_prefix."""
     p, m = draw(st.sampled_from(PIN_FIELDS))
     order, greater = draw(st.sampled_from(PIN_ORDERS))
     n = draw(st.integers(2 if order.kind == "block" else 1, 3))
