@@ -52,15 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    return {
-        "order": args.order,
-        "e_max": args.emax,
-        "N": args.neighborhood,
-        "samples": args.samples,
-        "seed": args.seed,
-        "limit_basis": args.limit_basis,
-        "limit_degree": args.limit_degree,
-    }
+    """The flags that were given, in job-file terms."""
+    given = {"params": {"order": args.order, "e_max": args.emax,
+                        "N": args.neighborhood, "samples": args.samples,
+                        "seed": args.seed},
+             "limits": {"basis": args.limit_basis,
+                        "degree": args.limit_degree}}
+    return {section: {k: v for k, v in flags.items() if v is not None}
+            for section, flags in given.items()}
 
 
 def _run_task(args: argparse.Namespace) -> int:

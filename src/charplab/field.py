@@ -112,12 +112,16 @@ class Field:
     )
 
     def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None):
+        # the bounds come first: trial division of a huge p, or p**m for a
+        # huge m, would run for minutes before the size check
+        if isinstance(p, int) and p > MAX_Q:
+            raise InputError(f"characteristic {p} exceeds the supported bound {MAX_Q}")
         if not isinstance(p, int) or not _is_prime(p):
             raise InputError(f"characteristic must be a prime, got {p!r}")
-        if p > MAX_Q:
-            raise InputError(f"characteristic {p} exceeds the supported bound {MAX_Q}")
         if not isinstance(m, int) or m < 1:
             raise InputError(f"extension degree must be a positive integer, got {m!r}")
+        if m > 16:  # p**m >= 2**17
+            raise InputError(f"field size {p}^{m} exceeds the supported bound {MAX_Q}")
         q = p**m
         if q > MAX_Q:
             raise InputError(f"field size {q} exceeds the supported bound {MAX_Q}")

@@ -5,7 +5,7 @@ task, and task parameters.  Validation is deliberately unforgiving:
 unknown keys at any level are errors, as are missing required fields, so
 a typo never silently changes what was computed.
 
-Tasks and their parameters:
+Tasks and the parameters each accepts (`?` marks an optional one):
   gb       reduced basis of the defining ideal      {order}
   length   colength of the defining ideal           {}
   dim      Krull dimension of the quotient          {}
@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .discriminant import (FiniteExtensionPresentation, disc_congruence_check,
                            discriminant)
@@ -57,29 +58,12 @@ from .perturb import PerturbationPlan, run_experiment
 from .poly import Ring, parse_poly
 from .report import ReportDocument
 
-TASKS = ("gb", "length", "dim", "hk", "fsig", "fpt", "mult", "disc",
-         "present", "perturb")
-
 _TOP_KEYS = {"field", "variables", "defining", "task", "params", "limits",
              "subalgebra", "expect"}
 _FIELD_KEYS = {"p", "m", "modulus"}
-_LIMIT_KEYS = {"basis", "degree", "seconds"}
-_PARAM_KEYS = {
-    "gb": {"order"},
-    "length": set(),
-    "dim": set(),
-    "hk": {"e_max"},
-    "fsig": {"e_max"},
-    "fpt": {"target", "e_max"},
-    "mult": {"generator_names"},
-    "disc": {"extension_variable", "epsilon", "n_target"},
-    "present": {"generator_names"},
-    "perturb": {"mode", "targets", "N", "degree_cap", "samples", "seed",
-                "e_range", "tolerance", "relation", "extension_variable",
-                "n_target"},
-}
 
 _ORDERS = {"grevlex": GREVLEX, "lex": LEX}
+_REQUIRED = object()
 
 
 def _fail(msg: str):
@@ -94,18 +78,70 @@ def _check_keys(obj: dict, allowed: set, where: str):
         _fail(f"unknown {where} key(s): {', '.join(extra)}")
 
 
+# -- value checks: each takes (value, what) and returns the value or fails ----
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_int(value, what: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         _fail(f"{what} must be an integer")
     if minimum is not None and value < minimum:
         _fail(f"{what} must be >= {minimum}")
     return value
 
 
-def _str_list(obj, where: str) -> list:
-    if not isinstance(obj, list) or any(not isinstance(s, str) for s in obj):
-        _fail(f"{where} must be a list of strings")
-    return list(obj)
+def _as_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        _fail(f"{what} must be a string")
+    return value
+
+
+def _str_list(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(s, str)
+                                              for s in value):
+        _fail(f"{what} must be a list of strings")
+    return list(value)
+
+
+def _int_list(value, what: str) -> list:
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        _fail(f"{what} must be a list of integers")
+    return list(value)
+
+
+def _fraction_param(value, what: str) -> Fraction:
+    if isinstance(value, bool):
+        _fail(f"{what} must be a number or [num, den]")
+    if isinstance(value, int):
+        return Fraction(value)
+    if (isinstance(value, list) and len(value) == 2
+            and all(map(_is_int, value))):
+        if value[1] == 0:
+            _fail(f"{what} has a zero denominator")
+        return Fraction(value[0], value[1])
+    _fail(f"{what} must be an integer or a [num, den] pair")
+
+
+def _order_name(value, what: str) -> str:
+    # type first: an unhashable value cannot be looked up in _ORDERS
+    if not isinstance(value, str) or value not in _ORDERS:
+        _fail(f"unknown order '{value}'; expected grevlex or lex")
+    return value
+
+
+def _as_number(value, what: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(f"{what} must be a number")
+    return value
+
+
+# limits key -> check, in checking order; each feeds Limits(max_<key>=...)
+_LIMITS = {"basis": partial(_as_int, minimum=1),
+           "degree": partial(_as_int, minimum=1),
+           "seconds": _as_number}
 
 
 @dataclass(frozen=True)
@@ -124,17 +160,34 @@ def load_job_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as err:
-        raise InputError(f"cannot read job file {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"job file {path} is not valid JSON: {err}",
                          position=err.pos) from err
+    except (OSError, ValueError, RecursionError) as err:
+        # ValueError: not UTF-8, or an integer past the digit limit;
+        # RecursionError: nested too deep for the decoder
+        raise InputError(f"cannot read job file {path}: {err}") from err
     if not isinstance(raw, dict):
         _fail("top level must be a JSON object")
     return raw
 
 
+def _section(raw: dict, key: str, overrides: dict, allowed: set) -> dict:
+    """The job's `key` object with the overrides of that section laid over
+    it, so both are checked by the same rules."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        _fail(f"{key} must be a JSON object")
+    section = {**section, **overrides.get(key, {})}
+    _check_keys(section, allowed, key)
+    return section
+
+
 def parse_job(raw: dict, overrides: dict | None = None) -> Job:
+    """Validate a job document.  `overrides` holds values in job-file terms,
+    `{"params": {...}, "limits": {...}}`, that replace the file's values."""
+    overrides = overrides or {}
+    _check_keys(overrides, {"params", "limits"}, "overrides")
     _check_keys(raw, _TOP_KEYS, "top-level")
     for key in ("field", "variables", "task"):
         if key not in raw:
@@ -148,12 +201,7 @@ def parse_job(raw: dict, overrides: dict | None = None) -> Job:
     m = _as_int(fld["m"], "field.m", 1) if "m" in fld else 1
     modulus = None
     if "modulus" in fld:
-        mod = fld["modulus"]
-        if (not isinstance(mod, list)
-                or any(isinstance(c, bool) or not isinstance(c, int)
-                       for c in mod)):
-            _fail("field.modulus must be a list of integers")
-        modulus = tuple(mod)
+        modulus = tuple(_int_list(fld["modulus"], "field.modulus"))
     field = Field(p, m, modulus=modulus)
 
     variables = _str_list(raw["variables"], "variables")
@@ -162,37 +210,11 @@ def parse_job(raw: dict, overrides: dict | None = None) -> Job:
     task = raw["task"]
     if task not in TASKS:
         _fail(f"unknown task '{task}'; expected one of {', '.join(TASKS)}")
+    params = _section(raw, "params", overrides, _TASKS[task][1])
 
-    params = dict(raw.get("params", {}))
-    if not isinstance(params, dict):
-        _fail("params must be a JSON object")
-    if overrides:
-        for key, value in overrides.items():
-            # limit overrides feed the Limits block below, not the params
-            if value is not None and key not in ("limit_basis",
-                                                 "limit_degree"):
-                params[key] = value
-    _check_keys(params, _PARAM_KEYS[task], "params")
-
-    limits_raw = raw.get("limits", {})
-    _check_keys(limits_raw, _LIMIT_KEYS, "limits")
-    limit_args = {}
-    if "basis" in limits_raw:
-        limit_args["max_basis"] = _as_int(limits_raw["basis"],
-                                          "limits.basis", 1)
-    if "degree" in limits_raw:
-        limit_args["max_degree"] = _as_int(limits_raw["degree"],
-                                           "limits.degree", 1)
-    if "seconds" in limits_raw:
-        sec = limits_raw["seconds"]
-        if isinstance(sec, bool) or not isinstance(sec, (int, float)):
-            _fail("limits.seconds must be a number")
-        limit_args["max_seconds"] = sec
-    if overrides:
-        if overrides.get("limit_basis") is not None:
-            limit_args["max_basis"] = overrides["limit_basis"]
-        if overrides.get("limit_degree") is not None:
-            limit_args["max_degree"] = overrides["limit_degree"]
+    limits_raw = _section(raw, "limits", overrides, set(_LIMITS))
+    limit_args = {f"max_{key}": check(limits_raw[key], f"limits.{key}")
+                  for key, check in _LIMITS.items() if key in limits_raw}
     try:
         limits = Limits(**limit_args)
     except InputError as err:
@@ -210,21 +232,19 @@ def parse_job(raw: dict, overrides: dict | None = None) -> Job:
     return Job(raw, ring, defining, task, params, limits, sub, expect)
 
 
+def _param(job: Job, key: str, check, default=_REQUIRED):
+    """params.<key> passed through `check`, or `default` when it is absent.
+    When the default is None, a JSON null also counts as absent."""
+    value = job.params.get(key)
+    if key in job.params and (value is not None or default is not None):
+        return check(value, f"params.{key}")
+    if default is _REQUIRED:
+        _fail(f"task '{job.task}' requires params.{key}")
+    return default
+
+
 def _parse_all(texts, ring: Ring) -> list:
     return [parse_poly(t, ring) for t in texts]
-
-
-def _order_from_params(params: dict):
-    name = params.get("order", "grevlex")
-    if name not in _ORDERS:
-        _fail(f"unknown order '{name}'; expected grevlex or lex")
-    return name, _ORDERS[name]
-
-
-def _need(params: dict, key: str, task: str):
-    if key not in params:
-        _fail(f"task '{task}' requires params.{key}")
-    return params[key]
 
 
 def _inputs_echo(job: Job) -> dict:
@@ -233,7 +253,8 @@ def _inputs_echo(job: Job) -> dict:
         "variables": list(job.ring.variables),
         "defining": list(job.defining_texts),
         "task": job.task,
-        "params": {k: v for k, v in sorted(job.params.items())},
+        # the whole section, as given; the report sorts its keys
+        "params": job.params,
     }
     if job.subalgebra_texts:
         echo["subalgebra"] = list(job.subalgebra_texts)
@@ -241,8 +262,7 @@ def _inputs_echo(job: Job) -> dict:
 
 
 def run_job(job: Job) -> ReportDocument:
-    handler = _HANDLERS[job.task]
-    payload = handler(job)
+    payload = _TASKS[job.task][0](job)
     return ReportDocument(job.task, payload, _inputs_echo(job))
 
 
@@ -253,7 +273,8 @@ def _defining_handle(job: Job, ring=None) -> IdealHandle:
 
 
 def _run_gb(job: Job):
-    name, order = _order_from_params(job.params)
+    name = _param(job, "order", _order_name, "grevlex")
+    order = _ORDERS[name]
     basis = _defining_handle(job).basis(order)
     return {"order": name,
             "polynomials": [g.text(order) for g in basis.elements]}
@@ -268,22 +289,22 @@ def _run_dim(job: Job):
 
 
 def _run_hk(job: Job):
-    e_max = _as_int(_need(job.params, "e_max", "hk"), "params.e_max", 2)
+    e_max = _param(job, "e_max", partial(_as_int, minimum=2))
     R = QuotientPresentation(job.ring, _defining_handle(job))
     series = hk_series(R, e_max)
     return {"series": series, "estimate": ehk_estimate(series)}
 
 
 def _run_fsig(job: Job):
-    e_max = _as_int(_need(job.params, "e_max", "fsig"), "params.e_max", 2)
+    e_max = _param(job, "e_max", partial(_as_int, minimum=2))
     R = QuotientPresentation(job.ring, _defining_handle(job))
     series = splitting_series(R, e_max)
     return {"series": series, "estimate": fsig_estimate(series)}
 
 
 def _run_fpt(job: Job):
-    e_max = _as_int(_need(job.params, "e_max", "fpt"), "params.e_max", 1)
-    target = parse_poly(_need(job.params, "target", "fpt"), job.ring)
+    e_max = _param(job, "e_max", partial(_as_int, minimum=1))
+    target = parse_poly(_param(job, "target", _as_str), job.ring)
     series = nu_series(target, e_max)
     lower, upper = fpt_estimate(series)
     return {"series": series, "lower": lower, "upper": upper}
@@ -292,9 +313,7 @@ def _run_fpt(job: Job):
 def _presented(job: Job):
     """Subalgebra route: return (presentation ring, relations handle)."""
     gens = _parse_all(job.subalgebra_texts, job.ring)
-    names = job.params.get("generator_names")
-    if names is not None:
-        names = _str_list(names, "params.generator_names")
+    names = _param(job, "generator_names", _str_list, None)
     relations = subalgebra_presentation(gens, names=names, limits=job.limits)
     return relations.ring, relations
 
@@ -320,9 +339,7 @@ def _run_present(job: Job):
 
 def _extension_from(job: Job, relation_text: str) -> \
         FiniteExtensionPresentation:
-    zname = job.params.get("extension_variable", "z")
-    if not isinstance(zname, str):
-        _fail("params.extension_variable must be a string")
+    zname = _param(job, "extension_variable", _as_str, "z")
     ext_ring = Ring(job.ring.field, job.ring.variables + (zname,))
     relation = parse_poly(relation_text, ext_ring)
     return FiniteExtensionPresentation(job.ring, zname, relation)
@@ -332,76 +349,54 @@ def _run_disc(job: Job):
     if len(job.defining_texts) != 1:
         _fail("task 'disc' needs exactly one defining relation")
     P = _extension_from(job, job.defining_texts[0])
-    eps_text = job.params.get("epsilon")
+    eps_text = _param(job, "epsilon", _as_str, None)
     if eps_text is None:
         return {"value": discriminant(P)}
-    if not isinstance(eps_text, str):
-        _fail("params.epsilon must be a string")
     eps = parse_poly(eps_text, P.ring)
-    n_target = _as_int(_need(job.params, "n_target", "disc"),
-                       "params.n_target", 1)
+    n_target = _param(job, "n_target", partial(_as_int, minimum=1))
     return disc_congruence_check(P, eps, n_target)
 
 
-def _fraction_param(value, what: str) -> Fraction:
-    if isinstance(value, bool):
-        _fail(f"{what} must be a number or [num, den]")
-    if isinstance(value, int):
-        return Fraction(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool)
-                    for v in value)):
-        if value[1] == 0:
-            _fail(f"{what} has a zero denominator")
-        return Fraction(value[0], value[1])
-    _fail(f"{what} must be an integer or a [num, den] pair")
-
-
 def _run_perturb(job: Job):
-    params = job.params
-    mode = _need(params, "mode", "perturb")
-    N = _as_int(_need(params, "N", "perturb"), "params.N", 1)
-    degree_cap = _as_int(params.get("degree_cap", N), "params.degree_cap", N)
-    samples = _as_int(params.get("samples", 4), "params.samples", 1)
-    seed = _as_int(params.get("seed", 0), "params.seed", 0)
-    e_range = params.get("e_range", [1, 2])
-    if (not isinstance(e_range, list)
-            or any(isinstance(e, bool) or not isinstance(e, int)
-                   for e in e_range)):
-        _fail("params.e_range must be a list of integers")
-    tolerance = params.get("tolerance")
-    if tolerance is not None:
-        tolerance = _fraction_param(tolerance, "params.tolerance")
+    # PerturbationPlan checks the mode
+    mode = _param(job, "mode", lambda value, what: value)
+    N = _param(job, "N", partial(_as_int, minimum=1))
+    degree_cap = _param(job, "degree_cap", partial(_as_int, minimum=N), N)
+    samples = _param(job, "samples", partial(_as_int, minimum=1), 4)
+    seed = _param(job, "seed", partial(_as_int, minimum=0), 0)
+    e_range = _param(job, "e_range", _int_list, [1, 2])
+    tolerance = _param(job, "tolerance", _fraction_param, None)
     presentation = QuotientPresentation(job.ring, _defining_handle(job))
-    targets = tuple(_parse_all(
-        _str_list(params.get("targets", []), "params.targets"), job.ring))
+    targets = tuple(_parse_all(_param(job, "targets", _str_list, []),
+                               job.ring))
     extension = None
     n_target = None
     if mode == "dis-congruence":
-        relation = _need(params, "relation", "perturb")
-        if not isinstance(relation, str):
-            _fail("params.relation must be a string")
-        extension = _extension_from(job, relation)
-        n_target = _as_int(_need(params, "n_target", "perturb"),
-                           "params.n_target", 1)
+        extension = _extension_from(job, _param(job, "relation", _as_str))
+        n_target = _param(job, "n_target", partial(_as_int, minimum=1))
     plan = PerturbationPlan(presentation, targets, N, degree_cap, samples,
                             seed, tuple(e_range), mode, tolerance=tolerance,
                             extension=extension, n_target=n_target)
     return run_experiment(plan)
 
 
-_HANDLERS = {
-    "gb": _run_gb,
-    "length": _run_length,
-    "dim": _run_dim,
-    "hk": _run_hk,
-    "fsig": _run_fsig,
-    "fpt": _run_fpt,
-    "mult": _run_mult,
-    "disc": _run_disc,
-    "present": _run_present,
-    "perturb": _run_perturb,
+# task -> (handler, accepted params); the order is the CLI's subcommand order
+_TASKS = {
+    "gb": (_run_gb, {"order"}),
+    "length": (_run_length, set()),
+    "dim": (_run_dim, set()),
+    "hk": (_run_hk, {"e_max"}),
+    "fsig": (_run_fsig, {"e_max"}),
+    "fpt": (_run_fpt, {"target", "e_max"}),
+    "mult": (_run_mult, {"generator_names"}),
+    "disc": (_run_disc, {"extension_variable", "epsilon", "n_target"}),
+    "present": (_run_present, {"generator_names"}),
+    "perturb": (_run_perturb, {"mode", "targets", "N", "degree_cap",
+                               "samples", "seed", "e_range", "tolerance",
+                               "relation", "extension_variable",
+                               "n_target"}),
 }
+TASKS = tuple(_TASKS)
 
 
 def check_expectations(doc_json: str, expect: dict) -> list:

@@ -1,8 +1,9 @@
 """Result rendering: one structured document, two deterministic encodings.
 
 A ReportDocument pairs a task name with its structured payload and an echo
-of the inputs.  `to_json` emits a stable JSON encoding (sorted keys,
-rationals as {"num", "den"} pairs, no timestamps or machine data);
+of the inputs, plain JSON values as the job file gave them.  `to_json`
+emits a stable JSON encoding (sorted keys, rationals as {"num", "den"}
+pairs, no timestamps or machine data);
 `to_csv` emits an RFC-4180 table with LF line endings and a fixed header
 per task, so reruns of the same job are byte-identical.
 """
@@ -80,7 +81,7 @@ class ReportDocument:
         doc = {
             "artifact_version": ARTIFACT_VERSION,
             "task": self.task,
-            "inputs": _jsonable(self.inputs),
+            "inputs": self.inputs,
             "result": _jsonable(self.payload),
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -123,10 +124,6 @@ def _render_csv(task: str, payload) -> str:
     if isinstance(payload, dict) and "relations" in payload:
         rows = list(enumerate(payload["relations"]))
         return _csv_table(["index", "relation"], rows)
-    if isinstance(payload, dict) and "lower" in payload and "upper" in payload:
-        return _csv_table(
-            ["lower_num", "lower_den", "upper_num", "upper_den"],
-            [_num_den(payload["lower"]) + _num_den(payload["upper"])])
     raise InternalError(
         f"no CSV rendering for task {task!r} payload "
         f"{type(payload).__name__}")

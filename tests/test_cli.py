@@ -2,11 +2,17 @@
 deterministic byte-identical reports in both encodings, flag overrides,
 and the suite runner."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charplab.cli as cli
 from charplab import TimeLimitError, perturb
@@ -136,6 +142,19 @@ def test_seed_override_changes_sampled_epsilons(capsys):
     assert eps(base[1]) != eps(reseeded[1])
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--limit-basis", "0"), "limits.basis must be >= 1"),
+    (("--limit-degree", "0"), "limits.degree must be >= 1"),
+    (("--emax", "1"), "params.e_max must be >= 2"),
+    (("--seed", "-1"), "unknown params key(s): seed"),
+])
+def test_override_flags_are_checked_like_job_values(capsys, flags, message):
+    code, out, err = run(capsys, "hk", "--job",
+                         job_path("14-hk-quadric-f3.json"), *flags)
+    assert code == 1 and out == ""
+    assert err == f"error: input: bad job: {message}\n"
+
+
 # -- failure surfaces ---------------------------------------------------------------
 
 
@@ -158,12 +177,91 @@ def test_unknown_job_key_is_an_input_error(capsys, tmp_path):
 
 def test_malformed_json_and_missing_files_are_input_errors(capsys, tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{", encoding="utf-8")
-    code, _, err = run(capsys, "length", "--job", str(path))
-    assert code == 1 and err.startswith("error: input: ")
+    for content in (b"{",
+                    b"\xff\xfe{",                              # not UTF-8
+                    b'{"field": {"p": ' + b"9" * 5000 + b"}}",  # > int digits
+                    b"[" * 100000 + b"]" * 100000):             # too deep
+        path.write_bytes(content)
+        code, _, err = run(capsys, "length", "--job", str(path))
+        assert code == 1 and err.startswith("error: input: ")
+        assert err.count("\n") == 1
     code, _, err = run(capsys, "length", "--job",
                        str(tmp_path / "absent.json"))
     assert code == 1 and err.startswith("error: input: ")
+
+
+# -- mutated jobs ------------------------------------------------------------------
+
+SHIPPED = sorted(n for n in os.listdir(SUITE) if n.endswith(".json"))
+# Only small JSON values replace a shipped value: no large e_max, N, prime or
+# exponent, so every mutated job stays about as cheap as the job it came from
+# and 500 examples run in seconds.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 5), st.just(0.5),
+    st.sampled_from(["", "x", "z", "lex", "x^2 + y", "x*y + t^2", "z^2 - u"]))
+SMALL_JSON = st.one_of(
+    _SCALARS, st.just([]), st.just({}),
+    st.lists(_SCALARS, min_size=1, max_size=1),
+    st.dictionaries(st.sampled_from(["p", "x", "e_max"]), _SCALARS,
+                    min_size=1, max_size=1))
+ERROR_LINE = re.compile(r"error: (input|limit): [^\n]*\n")
+
+
+def _value_paths(node, prefix=()):
+    """Paths to every value of a job document, `expect` excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        if not (prefix == () and key == "expect"):
+            yield prefix + (key,)
+            yield from _value_paths(child, prefix + (key,))
+
+
+def _shipped(name):
+    with open(job_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+_SHIPPED_DOCS = {name: _shipped(name) for name in SHIPPED}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_jobs_exit_cleanly(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(SHIPPED))
+    doc = copy.deepcopy(_SHIPPED_DOCS[name])
+    path = data.draw(st.sampled_from(list(_value_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(SMALL_JSON)
+    target = tmp_path_factory.mktemp("mutated") / name
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([_SHIPPED_DOCS[name]["task"], "--job", str(target)])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert ERROR_LINE.fullmatch(err.getvalue()), err.getvalue()
+
+
+def test_a_parameter_the_job_does_not_read_is_echoed_as_given(capsys,
+                                                              tmp_path):
+    doc = _shipped("23-disc-quadratic.json")
+    doc["params"] = {"n_target": 0.5}   # read only together with epsilon
+    code, out, err = run(capsys, "disc", "--job",
+                         write_job(tmp_path, "disc.json", doc))
+    assert code == 0 and err == ""
+    assert json.loads(out)["inputs"]["params"] == {"n_target": 0.5}
 
 
 def test_exhausted_limits_exit_with_code_two(capsys):

@@ -137,3 +137,9 @@ def test_bad_construction_rejected():
         Field(2, 2, modulus=(1, 1))      # wrong length
     with pytest.raises(InputError):
         Field(2, 2, modulus=(1, 1, 2))   # 2 = 0: not monic
+    # both are rejected by the size bound before any costly work: trial
+    # division up to sqrt(2^61 - 1), or forming 3^200000000
+    with pytest.raises(InputError, match="exceeds the supported bound"):
+        Field(2305843009213693951)
+    with pytest.raises(InputError, match="exceeds the supported bound"):
+        Field(3, 200000000)
