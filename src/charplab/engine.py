@@ -11,8 +11,9 @@ that plain integer comparison agrees with the active monomial order:
 Every field is w bits wide with one guard bit above it.  Complement fields
 (C - e, C = 2^w - 1) make the grevlex tie-break come out right; they also
 make monomial multiplication affine:  key(ab) = key(a) + key(b) - key(1).
-Divisibility is two guarded subtractions:  a | t  iff  t - a has no borrow
-on the direct fields and a - t has none on the complement fields.
+Divisibility is one guarded subtraction on keys in direct form (complement
+fields flipped back, key ^ zero_key):  a | t  iff  t - a borrows from no
+field.
 
 Widths are chosen per computation.  When degrees outgrow the current width
 the whole computation is restarted with wider fields (KeyOverflow is the
@@ -80,7 +81,7 @@ class PackSpec:
     """Key layout for one (variable count, order, width) combination."""
 
     __slots__ = ("n", "order", "w", "C", "fields", "shifts", "deg_shifts",
-                 "zero_key", "g_all", "g_dir", "g_comp", "nbits")
+                 "zero_key", "g_all", "g_exp", "nbits")
 
     def __init__(self, n: int, order: MonomialOrder, w: int):
         if order.kind == "block" and not 0 < order.block < n:
@@ -120,20 +121,17 @@ class PackSpec:
         # field for grevlex, one field per block, one per variable for lex
         self.deg_shifts = tuple(sh for (kind, _), sh in zip(fields, self.shifts)
                                 if kind != "comp")
-        zero = 0
-        g_all = g_dir = g_comp = 0
+        zero = g_all = g_exp = 0
         for (kind, _), sh in zip(fields, self.shifts):
             guard = 1 << (sh + w)
             g_all |= guard
+            if kind != "deg":
+                g_exp |= guard      # the exponent fields
             if kind == "comp":
                 zero |= self.C << sh
-                g_comp |= guard
-            else:
-                g_dir |= guard
         self.zero_key = zero
         self.g_all = g_all
-        self.g_dir = g_dir
-        self.g_comp = g_comp
+        self.g_exp = g_exp
 
     # -- scalar key operations -------------------------------------------
 
@@ -178,16 +176,6 @@ class PackSpec:
         for sh in shifts:
             total += (key >> sh) & C
         return total
-
-    def divides(self, a: int, t: int) -> bool:
-        g = self.g_all
-        if ((t | g) - a) & self.g_dir != self.g_dir:
-            return False
-        return ((a | g) - t) & self.g_comp == self.g_comp
-
-    def lcm_key(self, ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        exps = tuple(max(x, y) for x, y in zip(ea, eb))
-        return self.pack(exps), exps
 
 
 def _np_ready(spec: PackSpec) -> bool:
@@ -261,6 +249,16 @@ class BasisContext:
             self._lt_arr = np.array(self._lt_direct, dtype=np.int64)
         self.min_lt_deg = (min(spec.key_degree(g.lt_key) for g in elems)
                            if elems else None)
+
+    def append(self, g: GPoly) -> None:
+        """Add one element after the others."""
+        self.elems.append(g)
+        self._lt_direct.append(g.lt_key ^ self.spec.zero_key)
+        if len(self.elems) > SCAN_MAX_BASIS and _np_ready(self.spec):
+            self._lt_arr = np.array(self._lt_direct, dtype=np.int64)
+        d = self.spec.key_degree(g.lt_key)
+        self.min_lt_deg = d if self.min_lt_deg is None else min(
+            d, self.min_lt_deg)
 
     def find_reducer(self, key: int, key_deg: int) -> int | None:
         """Lowest basis index whose leading term divides `key`."""
@@ -445,6 +443,17 @@ def make_context(gb: list[Polynomial], ring: Ring, order: MonomialOrder,
 
 
 class _Buchberger:
+    """Buchberger's algorithm with the pair update of Gebauer and Moller
+    (J. Symb. Comput. 6, 1988).  A new element h is paired with the active
+    set.  Criterion M drops a candidate whose lcm a kept one's strictly
+    divides, F keeps one per lcm (a coprime pair first), and then coprime
+    pairs go.  B drops a queued (i, j) when lt(h) | lcm(i, j) differs from
+    lcm(i, h) and lcm(j, h).  Elements whose leading term lt(h) divides
+    leave the active set, which S-polynomials reduce against.  The first
+    `gb_prefix` generators join it without pairs.  The criteria run on
+    exponent keys (direct form, degree fields cleared): an lcm is a
+    fieldwise maximum and a | t one guarded subtraction."""
+
     def __init__(self, ring: Ring, order: MonomialOrder, spec: PackSpec,
                  limits: Limits, deadline: float | None):
         self.ring = ring
@@ -454,36 +463,59 @@ class _Buchberger:
         self.limits = limits
         self.deadline = deadline
         self.basis: list[GPoly] = []
-        self.ctx: BasisContext | None = None
-        self.pairs: list[tuple[int, int, int, int]] = []
-        self.pending: set[tuple[int, int]] = set()
+        self.exps: list[int] = []      # exponent keys of the leading terms
+        self.active: list[int] = []    # basis indices, the elements of ctx
+        self.ctx = BasisContext(ring, order, spec, [])
+        # (lcm degree, lcm key, i, j, lcm exponent key), a heap
+        self.pairs: list[tuple[int, int, int, int, int]] = []
 
-    def _refresh_ctx(self) -> None:
-        self.ctx = BasisContext(self.ring, self.order, self.spec, self.basis)
+    def _add(self, g: GPoly, with_pairs: bool) -> None:
+        spec, ge, w = self.spec, self.spec.g_exp, self.spec.w
+        h, exps = len(self.basis), self.exps
+        eh = (g.lt_key ^ spec.zero_key) & (ge - (ge >> w))
+        self.basis.append(g)
+        exps.append(eh)
 
-    def _push_pairs(self, j: int) -> None:
-        gj = self.basis[j]
-        for i in range(j):
-            gi = self.basis[i]
-            # product criterion: disjoint leading supports never contribute
-            if all(a == 0 or b == 0 for a, b in zip(gi.lt_exps, gj.lt_exps)):
-                continue
-            lk, lexps = self.spec.lcm_key(gi.lt_exps, gj.lt_exps)
-            heapq.heappush(self.pairs, (sum(lexps), lk, i, j))
-            self.pending.add((i, j))
+        def lcm(a: int) -> int:
+            d = ((a | ge) - eh) & ge
+            m = d - (d >> w)
+            return (a & m) | (eh & ~m)
 
-    def _chain_skippable(self, i: int, j: int, lcm_k: int) -> bool:
-        for l in self.ctx.divisor_indices(lcm_k):
-            if l == i or l == j:
-                continue
-            a = (min(i, l), max(i, l))
-            b = (min(j, l), max(j, l))
-            if a not in self.pending and b not in self.pending:
-                return True
-        return False
+        if with_pairs:
+            # criterion B on the queued pairs
+            kept = [p for p in self.pairs
+                    if ((p[4] | ge) - eh) & ge != ge
+                    or lcm(exps[p[2]]) == p[4] or lcm(exps[p[3]]) == p[4]]
+            if len(kept) < len(self.pairs):
+                heapq.heapify(kept)
+                self.pairs = kept
+            # criteria M and F: in exponent-key order every divisor of an
+            # lcm comes first, and a coprime pair first among equal lcms
+            cands = sorted(((e := lcm(exps[i])), e != exps[i] + eh, i)
+                           for i in self.active)
+            seen: list[int] = []
+            for e, useful, i in cands:
+                guarded = e | ge
+                for s in seen:
+                    if (guarded - s) & ge == ge:
+                        break
+                else:
+                    seen.append(e)
+                    if useful:
+                        lexps = tuple(map(max, self.basis[i].lt_exps,
+                                          g.lt_exps))
+                        heapq.heappush(self.pairs, (sum(lexps),
+                                                    spec.pack(lexps), i, h, e))
+        active = [i for i in self.active if ((exps[i] | ge) - eh) & ge != ge]
+        if len(active) == len(self.active):
+            self.ctx.append(g)
+        else:
+            self.ctx = BasisContext(self.ring, self.order, spec,
+                                    [self.basis[i] for i in active] + [g])
+        self.active = active + [h]
 
     def _spoly(self, i: int, j: int, lcm_k: int) -> dict[int, int]:
-        spec, field = self.spec, self.field
+        spec, sub = self.spec, self.field.sub
         gi, gj = self.basis[i], self.basis[j]
         lcm_deg = spec.key_degree(lcm_k)
         if max(gi.maxdeg + lcm_deg - spec.key_degree(gi.lt_key),
@@ -491,39 +523,24 @@ class _Buchberger:
             raise KeyOverflow(lcm_deg + max(gi.maxdeg, gj.maxdeg))
         di = lcm_k - gi.lt_key
         dj = lcm_k - gj.lt_key
-        work: dict[int, int] = {}
-        for t in range(len(gi.keys)):
-            k = gi.keys[t] + di
-            v = field.add(work.get(k, 0), gi.coeffs[t])
+        work = {k + di: c for k, c in zip(gi.keys, gi.coeffs)}
+        for k, c in zip(gj.keys, gj.coeffs):
+            k += dj
+            v = sub(work.get(k, 0), c)
             if v:
                 work[k] = v
             else:
-                work.pop(k, None)
-        for t in range(len(gj.keys)):
-            k = gj.keys[t] + dj
-            v = field.sub(work.get(k, 0), gj.coeffs[t])
-            if v:
-                work[k] = v
-            else:
-                work.pop(k, None)
+                del work[k]     # v == 0 only where work held c != 0
         return work
 
     def run(self, gens: list[dict[int, int]], gb_prefix: int) -> list[GPoly]:
-        for d in gens:
-            self.basis.append(_freeze(d, self.spec, self.field))
-        self._refresh_ctx()
-        for j in range(len(self.basis)):
-            if j < gb_prefix:
-                continue
-            self._push_pairs(j)
+        for j, d in enumerate(gens):
+            self._add(_freeze(d, self.spec, self.field), j >= gb_prefix)
         while self.pairs:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise TimeLimitError(
                     "time limit exceeded in basis computation")
-            _, lcm_k, i, j = heapq.heappop(self.pairs)
-            self.pending.discard((i, j))
-            if self._chain_skippable(i, j, lcm_k):
-                continue
+            _, lcm_k, i, j, _ = heapq.heappop(self.pairs)
             work = self._spoly(i, j, lcm_k)
             rem = self.ctx.reduce_dict(work)
             if not rem:
@@ -532,43 +549,26 @@ class _Buchberger:
             if g.maxdeg > self.limits.max_degree:
                 raise LimitError(
                     f"degree {g.maxdeg} exceeds the limit {self.limits.max_degree}")
-            self.basis.append(g)
-            if len(self.basis) > self.limits.max_basis:
+            if len(self.basis) >= self.limits.max_basis:
                 raise LimitError(
                     f"basis size exceeds the limit {self.limits.max_basis}")
-            self._refresh_ctx()
-            self._push_pairs(len(self.basis) - 1)
+            self._add(g, True)
         return self._reduce_final()
 
     def _reduce_final(self) -> list[GPoly]:
-        spec, field = self.spec, self.field
-        # minimalize: drop elements whose leading term another one divides
-        order_idx = sorted(range(len(self.basis)),
-                           key=lambda i: self.basis[i].lt_key)
-        kept: list[GPoly] = []
-        for i in order_idx:
-            g = self.basis[i]
-            if any(spec.divides(h.lt_key, g.lt_key) for h in kept):
-                continue
-            kept = [h for h in kept if not spec.divides(g.lt_key, h.lt_key)]
-            kept.append(g)
-        kept.sort(key=lambda g: g.lt_key)
-        # interreduce tails until stable
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(kept)):
-                others = kept[:i] + kept[i + 1:]
-                ctx = BasisContext(self.ring, self.order, spec, others)
-                g = kept[i]
-                work = {k: c for k, c in zip(g.keys, g.coeffs)}
-                rem = ctx.reduce_dict(work)
-                ng = _freeze(rem, spec, field)
-                if ng.keys != g.keys or ng.coeffs != g.coeffs:
-                    kept[i] = ng
-                    changed = True
-        kept.sort(key=lambda g: g.lt_key)
-        return kept
+        """Minimalize (no two active leading terms are equal, so an element
+        stays when it is its own only divisor), then reduce each tail once
+        against the minimal basis: a leading term divides no smaller
+        monomial, so one pass is enough."""
+        kept = sorted((g for i, g in enumerate(self.ctx.elems)
+                       if self.ctx.divisor_indices(g.lt_key) == [i]),
+                      key=lambda g: g.lt_key)
+        ctx = BasisContext(self.ring, self.order, self.spec, kept)
+        out = []
+        for g in kept:
+            rem = ctx.reduce_dict(dict(zip(g.keys[1:], g.coeffs[1:])))
+            out.append(_freeze({g.lt_key: 1, **rem}, self.spec, self.field))
+        return out
 
 
 def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,

@@ -23,6 +23,11 @@ Tasks and the parameters each accepts (`?` marks an optional one):
                                                      extension_variable?,
                                                      n_target?}
 
+A parameter that the job's other settings leave unread is an error too:
+`n_target` of `disc` needs `epsilon`; `relation`, `n_target` and
+`extension_variable` of `perturb` need mode dis-congruence; and
+`generator_names` of `mult` needs a subalgebra block.
+
 `subalgebra` (top level) lists generators of a subring of the ambient
 polynomial ring; `mult` and `present` accept it.  When present, the
 presentation ring's relations are prepended and `defining` is read in the
@@ -243,6 +248,13 @@ def _param(job: Job, key: str, check, default=_REQUIRED):
     return default
 
 
+def _unread(job: Job, keys: tuple, needs: str) -> None:
+    """Reject params that the job's own settings leave unread."""
+    for key in keys:
+        if key in job.params:
+            _fail(f"params.{key} needs {needs}")
+
+
 def _parse_all(texts, ring: Ring) -> list:
     return [parse_poly(t, ring) for t in texts]
 
@@ -325,6 +337,7 @@ def _run_mult(job: Job):
         handle = relations.with_polys(extra)
         R = QuotientPresentation(pres_ring, handle)
     else:
+        _unread(job, ("generator_names",), "a subalgebra block")
         R = QuotientPresentation(job.ring, _defining_handle(job))
     return {"value": hs_multiplicity(R)}
 
@@ -351,6 +364,7 @@ def _run_disc(job: Job):
     P = _extension_from(job, job.defining_texts[0])
     eps_text = _param(job, "epsilon", _as_str, None)
     if eps_text is None:
+        _unread(job, ("n_target",), "params.epsilon")
         return {"value": discriminant(P)}
     eps = parse_poly(eps_text, P.ring)
     n_target = _param(job, "n_target", partial(_as_int, minimum=1))
@@ -374,6 +388,9 @@ def _run_perturb(job: Job):
     if mode == "dis-congruence":
         extension = _extension_from(job, _param(job, "relation", _as_str))
         n_target = _param(job, "n_target", partial(_as_int, minimum=1))
+    else:
+        _unread(job, ("relation", "n_target", "extension_variable"),
+                "mode dis-congruence")
     plan = PerturbationPlan(presentation, targets, N, degree_cap, samples,
                             seed, tuple(e_range), mode, tolerance=tolerance,
                             extension=extension, n_target=n_target)

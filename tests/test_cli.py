@@ -254,14 +254,27 @@ def test_mutated_jobs_exit_cleanly(tmp_path_factory, data):
         assert ERROR_LINE.fullmatch(err.getvalue()), err.getvalue()
 
 
-def test_a_parameter_the_job_does_not_read_is_echoed_as_given(capsys,
-                                                              tmp_path):
-    doc = _shipped("23-disc-quadratic.json")
-    doc["params"] = {"n_target": 0.5}   # read only together with epsilon
-    code, out, err = run(capsys, "disc", "--job",
-                         write_job(tmp_path, "disc.json", doc))
-    assert code == 0 and err == ""
-    assert json.loads(out)["inputs"]["params"] == {"n_target": 0.5}
+@pytest.mark.parametrize("job,params,message", [
+    ("23-disc-quadratic.json", {"n_target": 0.5},
+     "params.n_target needs params.epsilon"),
+    ("30-perturb-constancy-node.json", {"relation": "z^2 - x"},
+     "params.relation needs mode dis-congruence"),
+    ("30-perturb-constancy-node.json", {"n_target": 3},
+     "params.n_target needs mode dis-congruence"),
+    ("30-perturb-constancy-node.json", {"extension_variable": "z"},
+     "params.extension_variable needs mode dis-congruence"),
+    ("20-mult-line-squared.json", {"generator_names": ["a"]},
+     "params.generator_names needs a subalgebra block"),
+], ids=["disc-n_target", "perturb-relation", "perturb-n_target",
+        "perturb-extension_variable", "mult-generator_names"])
+def test_a_parameter_the_job_does_not_read_is_an_input_error(
+        capsys, tmp_path, job, params, message):
+    doc = _shipped(job)
+    doc["params"] = {**doc.get("params", {}), **params}
+    code, out, err = run(capsys, doc["task"], "--job",
+                         write_job(tmp_path, job, doc))
+    assert code == 1 and out == ""
+    assert err == f"error: input: bad job: {message}\n"
 
 
 def test_exhausted_limits_exit_with_code_two(capsys):

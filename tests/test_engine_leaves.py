@@ -2,9 +2,9 @@
 
 Key degrees against unpacked exponents for every order shape and for
 layouts on both sides of the 62-bit numpy limit; the divisor searches
-against a scan with `PackSpec.divides` for bases on both sides of the
-scan/numpy cutoff; the list-table field operations against digit
-arithmetic for every pair of codes.
+against an exponent-wise scan for bases on both sides of the scan/numpy
+cutoff, built at once or one `append` at a time; the list-table field
+operations against digit arithmetic for every pair of codes.
 """
 
 import itertools
@@ -71,17 +71,25 @@ def test_divisor_searches_match_brute_force(size, w):
             lts = [random_exps(rng, n, 9) for _ in range(size)]
             ctx = context_of(n, order, w, lts)
             spec = ctx.spec
+            grown = BasisContext(ctx.ring, order, spec, [])
+            for g in ctx.elems:
+                grown.append(g)
             vectorized = size > SCAN_MAX_BASIS and spec.nbits <= 62
             assert (ctx._lt_arr is not None) == vectorized
+            assert (grown._lt_arr is not None) == vectorized
+            assert grown.min_lt_deg == ctx.min_lt_deg
             keys = [g.lt_key for g in ctx.elems]
             keys += [spec.pack(random_exps(rng, n, 14)) for _ in range(150)]
             for key in keys:
+                exps = spec.unpack(key)
                 brute = [i for i, g in enumerate(ctx.elems)
-                         if spec.divides(g.lt_key, key)]
+                         if all(a <= b for a, b in zip(g.lt_exps, exps))]
                 assert ctx.divisor_indices(key) == brute
                 assert all(type(i) is int for i in ctx.divisor_indices(key))
                 got = ctx.find_reducer(key, spec.key_degree(key))
                 assert got == (brute[0] if brute else None)
+                assert grown.divisor_indices(key) == brute
+                assert grown.find_reducer(key, spec.key_degree(key)) == got
 
 
 def test_empty_basis_has_no_divisors():

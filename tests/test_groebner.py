@@ -574,6 +574,31 @@ def test_groebner_matches_the_oracles_on_random_ideals(case):
         assert count == dense_colength_box(gens, max(bounds))
 
 
+def test_equal_leading_terms_in_a_prefix_keep_one_element():
+    R = ring(5, "x", "y")
+    x, y = R.gens()
+    assert groebner([x, y, x + y], R, GREVLEX, gb_prefix=3) == [y, x]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_ideals(), st.data())
+def test_a_prefix_with_a_repeated_leading_term_gives_the_reduced_basis(
+        case, data):
+    R, order, _, gens, _, _ = case
+    G = groebner(gens, R, order)
+    if len(G) < 2:
+        return
+    # G is sorted by leading term, so lt(G[j]) < lt(G[i]) and G[i] + c*G[j]
+    # has the leading term of G[i]
+    i = data.draw(st.integers(1, len(G) - 1))
+    j = data.draw(st.integers(0, i - 1))
+    c = data.draw(st.integers(1, R.field.q - 1))
+    prefix = list(G)
+    prefix.insert(data.draw(st.integers(0, len(G))),
+                  G[i] + G[j] * Polynomial(R, {(0,) * R.n: c}))
+    assert groebner(prefix, R, order, gb_prefix=len(prefix)) == G
+
+
 # -- subalgebra presentations ------------------------------------------------------
 
 def test_subalgebra_presentation_examples():

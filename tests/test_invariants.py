@@ -7,6 +7,7 @@ synthetic series where the limit is exact by construction.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from charplab import (
     nu_series, parameter_check, parse_poly, splitting_number,
     splitting_series,
 )
+from charplab import engine
 from charplab.invariants import _colon_splitting_count
 from oracles import (dense_colength_box, family_staircase_count,
                      family_staircase_enumerate, nu_direct,
@@ -212,6 +214,31 @@ def test_splitting_chain_matches_dense_oracle():
     g = parse_poly("x^2 + y^2 + t^3", R)
     Q = QuotientPresentation(R, [g])
     assert splitting_number(Q, 1) == splitting_number_dense(g, 1) == 9
+
+
+def test_small_chain_engine_work_stays_bounded(monkeypatch):
+    # upper bounds on the work of the x^2+y^2+t^2 chain to e = 2: the
+    # counts of the engine before its pairs were pruned in bulk
+    R = ring(5, "x", "y", "t")
+    P = QuotientPresentation(R, IdealHandle(R, [parse_poly(
+        "x^2 + y^2 + t^2", R)]))
+    counts = {"spoly": 0, "context": 0}
+    reduce_dict = engine.BasisContext.reduce_dict
+    build = engine.BasisContext.__init__
+    run = engine._Buchberger.run.__code__
+
+    def counted_reduce(self, work):
+        counts["spoly"] += sys._getframe(1).f_code is run
+        return reduce_dict(self, work)
+
+    def counted_build(self, *args):
+        counts["context"] += 1
+        build(self, *args)
+    monkeypatch.setattr(engine.BasisContext, "reduce_dict", counted_reduce)
+    monkeypatch.setattr(engine.BasisContext, "__init__", counted_build)
+    assert [r.a for r in splitting_series(P, 2).rows] == [13, 313]
+    assert 0 < counts["spoly"] <= 172
+    assert 0 < counts["context"] <= 187
 
 
 def test_splitting_chain_agrees_with_colon_formula():
