@@ -18,9 +18,9 @@ field.
 Widths are chosen per computation.  When degrees outgrow the current width
 the whole computation is restarted with wider fields (KeyOverflow is the
 internal signal); only the configured degree limit turns that into an error.
-Keys are arbitrary-precision ints; when the layout fits in 62 bits the
-divisor search over a large basis's leading terms is done on an int64 numpy
-array.
+Keys are arbitrary-precision ints.  The divisor search over a large
+basis's leading terms ANDs one bitmask per variable (see BasisContext), at
+any width.
 
 Polynomials here are bare dicts {key: coefficient code}; conversion from and
 to the public Polynomial type happens at the boundary.
@@ -31,8 +31,12 @@ from __future__ import annotations
 import heapq
 import sys
 import time
+from itertools import accumulate
+from operator import or_
 
-import numpy as np
+# unused here, but imported so that perfbench/run.py finds the numpy version
+# for its machine record in sys.modules; dropping it needs a benchmark change
+import numpy  # noqa: F401
 
 from .errors import InputError, InternalError, LimitError, TimeLimitError
 from .field import Field
@@ -45,7 +49,8 @@ DEFAULT_MAX_DEGREE = 1 << 20
 
 class Limits:
     """Resource caps for basis computations; shared across the package.
-    `max_seconds` is a wall-clock budget for each basis computation."""
+    `max_seconds` is a wall-clock budget for each basis computation and
+    for each m-power scan (see power_scan)."""
 
     __slots__ = ("max_basis", "max_degree", "max_seconds")
 
@@ -81,7 +86,7 @@ class PackSpec:
     """Key layout for one (variable count, order, width) combination."""
 
     __slots__ = ("n", "order", "w", "C", "fields", "shifts", "deg_shifts",
-                 "zero_key", "g_all", "g_exp", "nbits")
+                 "var_shifts", "zero_key", "g_all", "g_exp")
 
     def __init__(self, n: int, order: MonomialOrder, w: int):
         if order.kind == "block" and not 0 < order.block < n:
@@ -115,20 +120,22 @@ class PackSpec:
             grevlex_block(order.block, n)
         self.fields = fields
         nf = len(fields)
-        self.nbits = nf * (w + 1)
         self.shifts = [(nf - 1 - j) * (w + 1) for j in range(nf)]
         # the non-complement fields sum to the total degree: one degree
         # field for grevlex, one field per block, one per variable for lex
         self.deg_shifts = tuple(sh for (kind, _), sh in zip(fields, self.shifts)
                                 if kind != "comp")
         zero = g_all = g_exp = 0
-        for (kind, _), sh in zip(fields, self.shifts):
+        var_shifts = [0] * n    # the field of x_i's exponent, per variable
+        for (kind, spec), sh in zip(fields, self.shifts):
             guard = 1 << (sh + w)
             g_all |= guard
             if kind != "deg":
                 g_exp |= guard      # the exponent fields
+                var_shifts[spec] = sh
             if kind == "comp":
                 zero |= self.C << sh
+        self.var_shifts = tuple(var_shifts)
         self.zero_key = zero
         self.g_all = g_all
         self.g_exp = g_exp
@@ -178,16 +185,17 @@ class PackSpec:
         return total
 
 
-def _np_ready(spec: PackSpec) -> bool:
-    return spec.nbits <= 62
-
-
 # Bases up to this size are searched for divisors by a plain loop over the
-# leading keys; larger ones whose layout fits in 62 bits by one numpy pass.
-# On a 2-core x86-64 host with Python 3.11 the numpy pass costs a fixed 4-7
-# microseconds, as much as a full scan of about 48 keys; the reducer scan,
-# which stops at the first hit, costs less still.  With no numpy pass at
-# all, splitting chains (bases of 100+ elements) ran 40% slower.
+# leading keys; larger ones by the per-variable bitmasks of BasisContext.
+# On a 2-core x86-64 host with Python 3.11 a bitmask query costs 0.3-0.7
+# microseconds at any size, and a scan that finds no divisor about 0.05 per
+# key (2.3 at 48 keys).  Building the index costs about 0.6 microseconds per
+# element against 0.25 for the key list, and a context is rebuilt whenever
+# an element retires, so small bases, with few queries between rebuilds,
+# keep the scan: with a cutoff of 16 the 22-mult-toric-surface suite job
+# ran 1.10x slower, with none 30-perturb-constancy-node 1.13x.  On the
+# 150-270 element block-order bases of a splitting chain, find_reducer
+# takes 0.57 microseconds (2.8 with the int64 numpy pass used before).
 SCAN_MAX_BASIS = 48
 
 
@@ -213,7 +221,10 @@ def _freeze(d: dict[int, int], spec: PackSpec, field: Field) -> GPoly:
         coeffs = [field.mul(inv, d[k]) for k in keys]
     else:
         coeffs = [d[k] for k in keys]
-    maxdeg = max(spec.key_degree(k) for k in keys)
+    if spec.order.kind == "grevlex":     # degree-compatible: lt is highest
+        maxdeg = spec.key_degree(keys[0])
+    else:
+        maxdeg = max(spec.key_degree(k) for k in keys)
     return GPoly(keys, coeffs, spec.unpack(keys[0]), maxdeg)
 
 
@@ -228,13 +239,18 @@ def _to_poly(d: dict[int, int], spec: PackSpec, ring: Ring) -> Polynomial:
 class BasisContext:
     """A fixed basis prepared for repeated normal-form reduction.
 
-    Divisor searches run on the leading keys in direct form (complement
-    fields flipped back to exponents, `key ^ spec.zero_key`), where a | t
-    is a single guarded subtraction: no field of a exceeds that of t.
+    Divisor searches over at most SCAN_MAX_BASIS elements scan the leading
+    keys in direct form (complement fields flipped back to exponents,
+    `key ^ spec.zero_key`), where a | t is a single guarded subtraction: no
+    field of a exceeds that of t.  Larger bases keep one table per
+    variable: bit j of table[e] is set when element j's leading exponent in
+    that variable is at most e, and past the end of a table every element
+    qualifies.  The divisors of t are then the AND of one entry per
+    variable, and the lowest set bit is the lowest-index divisor.
     """
 
     __slots__ = ("ring", "order", "field", "spec", "elems", "_lt_direct",
-                 "_lt_arr", "min_lt_deg")
+                 "_index", "min_lt_deg")
 
     def __init__(self, ring: Ring, order: MonomialOrder, spec: PackSpec,
                  elems: list[GPoly]):
@@ -244,32 +260,61 @@ class BasisContext:
         self.spec = spec
         self.elems = elems
         self._lt_direct = [g.lt_key ^ spec.zero_key for g in elems]
-        self._lt_arr = None
-        if len(elems) > SCAN_MAX_BASIS and _np_ready(spec):
-            self._lt_arr = np.array(self._lt_direct, dtype=np.int64)
+        self._index = (self._build_index() if len(elems) > SCAN_MAX_BASIS
+                       else None)
         self.min_lt_deg = (min(spec.key_degree(g.lt_key) for g in elems)
                            if elems else None)
 
+    def _build_index(self) -> list[tuple[int, list[int]]]:
+        """(shift, table) for each variable; see the class docstring."""
+        index = []
+        for i, sh in enumerate(self.spec.var_shifts):
+            exps = [g.lt_exps[i] for g in self.elems]
+            exact = [0] * (max(exps) + 1)
+            for j, e in enumerate(exps):
+                exact[e] |= 1 << j
+            index.append((sh, list(accumulate(exact, or_))))
+        return index
+
     def append(self, g: GPoly) -> None:
         """Add one element after the others."""
+        j = len(self.elems)
         self.elems.append(g)
         self._lt_direct.append(g.lt_key ^ self.spec.zero_key)
-        if len(self.elems) > SCAN_MAX_BASIS and _np_ready(self.spec):
-            self._lt_arr = np.array(self._lt_direct, dtype=np.int64)
+        if self._index is not None:
+            bit = 1 << j
+            for (_, table), e in zip(self._index, g.lt_exps):
+                if e >= len(table):     # past the end: all earlier elements
+                    table.extend([bit - 1] * (e + 1 - len(table)))
+                table[e:] = [t | bit for t in table[e:]]
+        elif j == SCAN_MAX_BASIS:
+            self._index = self._build_index()
         d = self.spec.key_degree(g.lt_key)
         self.min_lt_deg = d if self.min_lt_deg is None else min(
             d, self.min_lt_deg)
+
+    def _divisor_mask(self, key: int) -> int:
+        """Bit j set when element j's leading term divides `key`; -1 when
+        every element's does."""
+        direct, C = key ^ self.spec.zero_key, self.spec.C
+        mask = -1
+        for sh, table in self._index:
+            e = (direct >> sh) & C
+            if e < len(table):
+                mask &= table[e]
+                if not mask:
+                    return 0
+        return mask
 
     def find_reducer(self, key: int, key_deg: int) -> int | None:
         """Lowest basis index whose leading term divides `key`."""
         if self.min_lt_deg is None or key_deg < self.min_lt_deg:
             return None
+        if self._index is not None:
+            mask = self._divisor_mask(key)     # lowest set bit; 0 for -1
+            return (mask & -mask).bit_length() - 1 if mask else None
         g = self.spec.g_all
         guarded = (key ^ self.spec.zero_key) | g
-        if self._lt_arr is not None:
-            hits = ((guarded - self._lt_arr) & g) == g
-            idx = int(hits.argmax())
-            return idx if hits[idx] else None
         for i, lt in enumerate(self._lt_direct):
             if (guarded - lt) & g == g:
                 return i
@@ -279,10 +324,16 @@ class BasisContext:
         """All basis indices whose leading term divides `key`."""
         if self.min_lt_deg is None:
             return []
+        if self._index is not None:
+            mask = self._divisor_mask(key) & ((1 << len(self.elems)) - 1)
+            out = []
+            while mask:
+                low = mask & -mask
+                out.append(low.bit_length() - 1)
+                mask ^= low
+            return out
         g = self.spec.g_all
         guarded = (key ^ self.spec.zero_key) | g
-        if self._lt_arr is not None:
-            return np.flatnonzero(((guarded - self._lt_arr) & g) == g).tolist()
         return [i for i, lt in enumerate(self._lt_direct)
                 if (guarded - lt) & g == g]
 
@@ -331,7 +382,8 @@ class BasisContext:
         return _to_poly(self.reduce_dict(work), self.spec, self.ring)
 
 
-def power_scan(ctx: BasisContext, length: int) -> int | None:
+def power_scan(ctx: BasisContext, length: int,
+               deadline: float | None = None) -> int | None:
     """Smallest N with every monomial of total degree N in the ideal.
 
     The ideal has colength `length`, and `ctx` holds its grevlex basis;
@@ -346,7 +398,8 @@ def power_scan(ctx: BasisContext, length: int) -> int | None:
 
     Returns None when some x_i^length has a nonzero normal form: a primary
     ideal of colength L contains m^L, so the ideal then has a component
-    away from the origin.
+    away from the origin.  Raises TimeLimitError when a layer starts past
+    `deadline` (a time.monotonic() value).
     """
     spec, field = ctx.spec, ctx.field
     mul, add = field.mul, field.add
@@ -401,6 +454,8 @@ def power_scan(ctx: BasisContext, length: int) -> int | None:
     layer = [(n - 1, {one: 1})]
     degree = 0
     while layer:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeLimitError("time limit exceeded in m-power scan")
         if degree == bound:
             raise InternalError("a monomial past the pure-power bound has a "
                                 "nonzero normal form")

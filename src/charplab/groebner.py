@@ -472,7 +472,9 @@ def m_power_in(I: IdealHandle) -> int:
     # primary ideal of colength L contains m^L.  Its keys reach one degree
     # past the top of the staircase (the border monomials x_i s)
     length = st.count()
-    N = gb.with_context(lambda ctx: power_scan(ctx, length), degree=top + 1)
+    deadline = I.limits.deadline()
+    N = gb.with_context(lambda ctx: power_scan(ctx, length, deadline),
+                        degree=top + 1)
     if N is None:
         raise InputError(
             "no bounded power of a variable lies in the ideal: the "

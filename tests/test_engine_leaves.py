@@ -1,9 +1,11 @@
 """The reduction leaves against brute-force definitions.
 
 Key degrees against unpacked exponents for every order shape and for
-layouts on both sides of the 62-bit numpy limit; the divisor searches
-against an exponent-wise scan for bases on both sides of the scan/numpy
-cutoff, built at once or one `append` at a time; the list-table field
+layouts narrower and wider than 62 bits; the divisor searches against an
+exponent-wise scan for bases on both sides of the cutoff between the
+leading-key scan and the per-variable bitmask index, built at once or one
+`append` at a time across the cutoff, with query keys and later leading
+exponents past the ends of the index tables; the list-table field
 operations against digit arithmetic for every pair of codes.
 """
 
@@ -13,7 +15,8 @@ import random
 import pytest
 
 from charplab import GREVLEX, LEX, Field, Ring, block_order
-from charplab.engine import SCAN_MAX_BASIS, BasisContext, GPoly, PackSpec
+from charplab.engine import SCAN_MAX_BASIS, BasisContext, GPoly, PackSpec, \
+    _freeze
 
 
 def orders_for(n):
@@ -45,9 +48,23 @@ def test_key_degree_is_the_sum_of_unpacked_exponents(n, w):
             assert spec.key_degree(key) == sum(exps)
 
 
-def test_widths_reach_past_the_numpy_layout():
-    assert PackSpec(4, GREVLEX, 21).nbits > 62
-    assert PackSpec(1, LEX, 70).nbits > 62
+def test_widths_reach_past_62_bits():
+    # the top guard bit is the highest bit of a layout
+    assert PackSpec(4, GREVLEX, 21).g_all.bit_length() > 62
+    assert PackSpec(1, LEX, 70).g_all.bit_length() > 62
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_frozen_maxdeg_is_the_largest_term_degree(n):
+    rng = random.Random(n)
+    field = Field(5)
+    for order in orders_for(n):
+        spec = PackSpec(n, order, 8)
+        for _ in range(200):
+            terms = {random_exps(rng, n, 12): rng.randrange(1, 5)
+                     for _ in range(rng.randrange(1, 8))}
+            d = {spec.pack(e): c for e, c in terms.items()}
+            assert _freeze(d, spec, field).maxdeg == max(map(sum, terms))
 
 
 def context_of(n, order, w, lts):
@@ -59,37 +76,61 @@ def context_of(n, order, w, lts):
     return BasisContext(ring, order, spec, elems)
 
 
+def brute_divisors(elems, key, spec):
+    exps = spec.unpack(key)
+    return [i for i, g in enumerate(elems)
+            if all(a <= b for a, b in zip(g.lt_exps, exps))]
+
+
+def assert_searches_match(ctx, key, brute):
+    spec = ctx.spec
+    got = ctx.divisor_indices(key)
+    assert got == brute
+    assert all(type(i) is int for i in got)
+    assert ctx.find_reducer(key, spec.key_degree(key)) == \
+        (brute[0] if brute else None)
+
+
 @pytest.mark.parametrize("size", [1, SCAN_MAX_BASIS // 2, SCAN_MAX_BASIS,
                                   SCAN_MAX_BASIS + 1, 4 * SCAN_MAX_BASIS])
 @pytest.mark.parametrize("w", [8, 21])
 def test_divisor_searches_match_brute_force(size, w):
     rng = random.Random(size * 1000 + w)
-    for n in (2, 3, 4):
+    for n in (1, 2, 3, 4):
         for order in orders_for(n):
             # repeated and mutually dividing leading terms on purpose: the
-            # lowest index must win among several divisors
-            lts = [random_exps(rng, n, 9) for _ in range(size)]
+            # lowest index must win among several divisors.  The degree cap
+            # grows along the list, so elements appended after the index is
+            # built reach past the ends of its tables
+            lts = [random_exps(rng, n, 4 + 12 * j // size)
+                   for j in range(size)]
             ctx = context_of(n, order, w, lts)
             spec = ctx.spec
             grown = BasisContext(ctx.ring, order, spec, [])
             for g in ctx.elems:
                 grown.append(g)
-            vectorized = size > SCAN_MAX_BASIS and spec.nbits <= 62
-            assert (ctx._lt_arr is not None) == vectorized
-            assert (grown._lt_arr is not None) == vectorized
+                extra = spec.pack(random_exps(rng, n, 16))
+                for key in (g.lt_key, extra):
+                    assert_searches_match(
+                        grown, key, brute_divisors(grown.elems, key, spec))
             assert grown.min_lt_deg == ctx.min_lt_deg
+            if size > 2 * SCAN_MAX_BASIS:
+                # some element after the cutoff has an exponent above every
+                # earlier one in some variable
+                assert any(g.lt_exps[i] > max(h.lt_exps[i]
+                                              for h in ctx.elems[:j])
+                           for j, g in enumerate(ctx.elems)
+                           if j > SCAN_MAX_BASIS for i in range(n))
             keys = [g.lt_key for g in ctx.elems]
-            keys += [spec.pack(random_exps(rng, n, 14)) for _ in range(150)]
+            keys += [spec.pack(random_exps(rng, n, 20)) for _ in range(150)]
+            # past the end of every table: each exponent above every
+            # leading exponent
+            keys += [spec.pack(tuple(rng.randrange(16, 30)
+                                     for _ in range(n))) for _ in range(5)]
             for key in keys:
-                exps = spec.unpack(key)
-                brute = [i for i, g in enumerate(ctx.elems)
-                         if all(a <= b for a, b in zip(g.lt_exps, exps))]
-                assert ctx.divisor_indices(key) == brute
-                assert all(type(i) is int for i in ctx.divisor_indices(key))
-                got = ctx.find_reducer(key, spec.key_degree(key))
-                assert got == (brute[0] if brute else None)
-                assert grown.divisor_indices(key) == brute
-                assert grown.find_reducer(key, spec.key_degree(key)) == got
+                brute = brute_divisors(ctx.elems, key, spec)
+                assert_searches_match(ctx, key, brute)
+                assert_searches_match(grown, key, brute)
 
 
 def test_empty_basis_has_no_divisors():

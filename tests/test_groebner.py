@@ -678,3 +678,18 @@ def test_seconds_limit_bounds_each_basis_computation():
     for bad in (-1, float("nan"), float("inf")):
         with pytest.raises(InputError):
             Limits(max_seconds=bad)
+
+
+def test_seconds_limit_bounds_the_m_power_scan():
+    R = ring(5, "x", "y")
+    gens = [parse_poly(t, R) for t in ("x^5 + x*y^3", "y^6")]
+    gb = IdealHandle(R, gens).basis()
+    # an inhomogeneous basis, so m_power_in runs the layer scan
+    assert any(len({sum(e) for e in g.terms}) > 1 for g in gb.elements)
+    spent = IdealHandle(R, gens, limits=Limits(max_seconds=0))
+    spent.seed_cache(gb)
+    with pytest.raises(TimeLimitError, match="time limit"):
+        m_power_in(spent)
+    roomy = IdealHandle(R, gens, limits=Limits(max_seconds=60))
+    roomy.seed_cache(gb)
+    assert m_power_in(roomy) == 11
