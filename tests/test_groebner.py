@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charplab import (
-    GREVLEX, LEX, Field, GroebnerBasis, IdealHandle, InputError, LimitError,
+    GREVLEX, LEX, Field, GroebnerBasis, IdealHandle, InputError,
+    InternalError, LimitError,
     Limits, Polynomial, Ring, block_order, colength, colon, eliminate,
     frobenius_power, groebner_basis, ideal_equal, intersect,
     is_squarefree_hypersurface, krull_dim, m_power_in, normal_form,
@@ -20,7 +21,7 @@ from charplab import (
 )
 from charplab import engine
 from charplab.engine import KeyOverflow, groebner, make_context, power_scan
-from charplab.groebner import Staircase, colon_by_basis
+from charplab.groebner import Staircase, colon_by_basis, divide_exact
 from oracles import block_greater, box_monomial_member, box_monomials, \
     dense_colength_box, dense_membership, grevlex_greater, lex_greater, \
     monomials_up_to, naive_remainder
@@ -182,6 +183,46 @@ def test_colon_by_basis_rejects_zero_multiplier():
     gb = ideal(R, "x^2").basis()
     with pytest.raises(InputError):
         colon_by_basis(list(gb.elements), R, R.zero)
+
+
+DIVISION_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
+
+@st.composite
+def division_cases(draw):
+    """(ring, q, f, t): q and f of degree at most 3 in 1-3 variables, f of
+    at least two terms, and a monomial t."""
+    p, m = draw(st.sampled_from(DIVISION_FIELDS))
+    n = draw(st.integers(1, 3))
+    R = ring(p, *("x", "y", "t")[:n], m=m)
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(n)]).filter(
+        lambda e: sum(e) <= 3)
+    coeffs = st.integers(1, R.field.q - 1)
+    q = Polynomial(R, draw(st.dictionaries(exps, coeffs, max_size=4)))
+    f = Polynomial(R, draw(st.dictionaries(exps, coeffs, min_size=2,
+                                           max_size=4)))
+    t = Polynomial(R, {draw(exps): draw(coeffs)})
+    return R, q, f, t
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(division_cases())
+def test_divide_exact_inverts_multiplication(case):
+    R, q, f, t = case
+    assert divide_exact(q * f, f) == q
+    # f has two terms or more, so no multiple of f is a monomial
+    with pytest.raises(InternalError, match="inexact"):
+        divide_exact(q * f + t, f)
+
+
+def test_divide_exact_fixed_cases():
+    R = ring(5, "x", "y")
+    f = parse_poly("x^2*y + 3*y^2 + 1", R)
+    g = parse_poly("2*x*y - y + 4", R)
+    assert divide_exact(g * R.constant(3), R.constant(3)) == g
+    assert divide_exact(R.zero, f) == R.zero
+    with pytest.raises(InputError):
+        divide_exact(f, R.zero)
 
 
 def test_eliminate_twisted_cubic():
