@@ -10,20 +10,27 @@ that plain integer comparison agrees with the active monomial order:
 
 Every field is w bits wide with one guard bit above it.  Complement fields
 (C - e, C = 2^w - 1) make the grevlex tie-break come out right; they also
-make monomial multiplication affine:  key(ab) = key(a) + key(b) - key(1).
-Divisibility is one guarded subtraction on keys in direct form (complement
-fields flipped back, key ^ zero_key):  a | t  iff  t - a borrows from no
-field.
+make monomial multiplication affine:  key(ab) = key(a) + key(b) - key(1),
+so a key is key(1) plus e_i times the step key(m x_i) - key(m) of each
+variable.  Divisibility is one guarded subtraction on keys in direct form
+(complement fields flipped back, key ^ zero_key):  a | t  iff  t - a
+borrows from no field.
 
-Widths are chosen per computation.  When degrees outgrow the current width
-the whole computation is restarted with wider fields (KeyOverflow is the
-internal signal); only the configured degree limit turns that into an error.
+No field holds more than the total degree, so one rule keeps every field
+in range: a monomial of total degree above C overflows, whatever the
+layout.  Widths are chosen per computation.  When degrees outgrow the
+current width the whole computation is restarted with wider fields
+(KeyOverflow is the internal signal); only the configured degree limit
+turns that into an error.
 Keys are arbitrary-precision ints.  The divisor search over a large
 basis's leading terms ANDs one bitmask per variable (see BasisContext), at
 any width.
 
 Polynomials here are bare dicts {key: coefficient code}; conversion from and
-to the public Polynomial type happens at the boundary.
+to the public Polynomial type happens at the boundary.  The one
+term-by-term division loop is BasisContext.reduce_dict: exact division
+(groebner.divide_exact) reduces against a one-element basis through it and
+collects the quotient.
 """
 
 from __future__ import annotations
@@ -85,8 +92,8 @@ class KeyOverflow(Exception):
 class PackSpec:
     """Key layout for one (variable count, order, width) combination."""
 
-    __slots__ = ("n", "order", "w", "C", "fields", "shifts", "deg_shifts",
-                 "var_shifts", "zero_key", "g_all", "g_exp")
+    __slots__ = ("n", "order", "w", "C", "deg_shifts", "var_shifts",
+                 "var_steps", "zero_key", "g_all", "g_exp")
 
     def __init__(self, n: int, order: MonomialOrder, w: int):
         if order.kind == "block" and not 0 < order.block < n:
@@ -118,24 +125,30 @@ class PackSpec:
         else:
             grevlex_block(0, order.block)
             grevlex_block(order.block, n)
-        self.fields = fields
-        nf = len(fields)
-        self.shifts = [(nf - 1 - j) * (w + 1) for j in range(nf)]
+        zero = g_all = g_exp = 0
         # the non-complement fields sum to the total degree: one degree
         # field for grevlex, one field per block, one per variable for lex
-        self.deg_shifts = tuple(sh for (kind, _), sh in zip(fields, self.shifts)
-                                if kind != "comp")
-        zero = g_all = g_exp = 0
+        deg_shifts = []
         var_shifts = [0] * n    # the field of x_i's exponent, per variable
-        for (kind, spec), sh in zip(fields, self.shifts):
+        var_steps = [0] * n     # key(m x_i) - key(m), per variable
+        for j, (kind, spec) in enumerate(fields):
+            sh = (len(fields) - 1 - j) * (w + 1)
             guard = 1 << (sh + w)
             g_all |= guard
-            if kind != "deg":
-                g_exp |= guard      # the exponent fields
-                var_shifts[spec] = sh
             if kind == "comp":
                 zero |= self.C << sh
+            else:
+                deg_shifts.append(sh)
+            if kind == "deg":
+                for i in range(*spec):
+                    var_steps[i] += 1 << sh
+            else:
+                g_exp |= guard      # the exponent fields
+                var_shifts[spec] = sh
+                var_steps[spec] += -1 << sh if kind == "comp" else 1 << sh
+        self.deg_shifts = tuple(deg_shifts)
         self.var_shifts = tuple(var_shifts)
+        self.var_steps = tuple(var_steps)
         self.zero_key = zero
         self.g_all = g_all
         self.g_exp = g_exp
@@ -143,34 +156,19 @@ class PackSpec:
     # -- scalar key operations -------------------------------------------
 
     def pack(self, exps: tuple[int, ...]) -> int:
-        C = self.C
-        key = 0
-        for (kind, spec), sh in zip(self.fields, self.shifts):
-            if kind == "deg":
-                lo, hi = spec
-                v = sum(exps[lo:hi])
-            elif kind == "dir":
-                v = exps[spec]
-            else:
-                e = exps[spec]
-                if e > C:
-                    raise KeyOverflow(e)
-                v = C - e
-            if v > C:
-                raise KeyOverflow(v)
-            key |= v << sh
+        """Every field holds at most the total degree, so one check on the
+        total keeps each field within its width."""
+        total = sum(exps)
+        if total > self.C:
+            raise KeyOverflow(total)
+        key = self.zero_key
+        for e, step in zip(exps, self.var_steps):
+            key += e * step
         return key
 
     def unpack(self, key: int) -> tuple[int, ...]:
-        C = self.C
-        exps = [0] * self.n
-        for (kind, spec), sh in zip(self.fields, self.shifts):
-            v = (key >> sh) & C
-            if kind == "dir":
-                exps[spec] = v
-            elif kind == "comp":
-                exps[spec] = C - v
-        return tuple(exps)
+        direct, C = key ^ self.zero_key, self.C
+        return tuple((direct >> sh) & C for sh in self.var_shifts)
 
     def key_degree(self, key: int) -> int:
         shifts = self.deg_shifts
@@ -337,10 +335,15 @@ class BasisContext:
         return [i for i, lt in enumerate(self._lt_direct)
                 if (guarded - lt) & g == g]
 
-    def reduce_dict(self, work: dict[int, int]) -> dict[int, int]:
-        """Full normal form of a working dict; consumes its argument."""
+    def reduce_dict(self, work: dict[int, int],
+                    quotient: dict[int, int] | None = None) -> dict[int, int]:
+        """Full normal form of a working dict; consumes its argument.
+
+        `quotient`, valid only for a one-element context, receives the
+        multiplier c*m of each step (keyed by m), so that work is the
+        quotient times the element plus the remainder."""
         spec, field = self.spec, self.field
-        C = spec.C
+        C, one = spec.C, spec.zero_key
         key_degree, find_reducer = spec.key_degree, self.find_reducer
         mul, sub = field.mul, field.sub
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -363,6 +366,8 @@ class BasisContext:
             if g.maxdeg + mult_deg > C:
                 raise KeyOverflow(g.maxdeg + mult_deg)
             delta = k - g.lt_key
+            if quotient is not None:
+                quotient[delta + one] = c
             gkeys, gcoeffs = g.keys, g.coeffs
             for t in range(1, len(gkeys)):
                 nk = gkeys[t] + delta
@@ -398,17 +403,20 @@ def power_scan(ctx: BasisContext, length: int,
 
     Returns None when some x_i^length has a nonzero normal form: a primary
     ideal of colength L contains m^L, so the ideal then has a component
-    away from the origin.  Raises TimeLimitError when a layer starts past
-    `deadline` (a time.monotonic() value).
+    away from the origin.  Raises TimeLimitError when a step of the
+    pure-power loop or a layer starts past `deadline` (a time.monotonic()
+    value).
     """
     spec, field = ctx.spec, ctx.field
     mul, add = field.mul, field.add
     key_degree, find_reducer = spec.key_degree, ctx.find_reducer
     n, C = spec.n, spec.C
-    one = spec.zero_key
-    deltas = [spec.pack(tuple(int(j == i) for j in range(n))) - one
-              for i in range(n)]
+    one, deltas = spec.zero_key, spec.var_steps
     tables: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+
+    def check_deadline() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeLimitError("time limit exceeded in m-power scan")
 
     def times(v: dict[int, int], i: int) -> dict[int, int]:
         table, delta = tables[i], deltas[i]
@@ -440,6 +448,7 @@ def power_scan(ctx: BasisContext, length: int,
     for i in range(n):
         v = {one: 1}
         for k in range(1, length + 1):
+            check_deadline()
             v = times(v, i)
             if not v:
                 bound += k - 1
@@ -454,8 +463,7 @@ def power_scan(ctx: BasisContext, length: int,
     layer = [(n - 1, {one: 1})]
     degree = 0
     while layer:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeLimitError("time limit exceeded in m-power scan")
+        check_deadline()
         if degree == bound:
             raise InternalError("a monomial past the pure-power bound has a "
                                 "nonzero normal form")

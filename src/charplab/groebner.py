@@ -16,10 +16,8 @@ standard representations after multiplication by the tag variable).
 
 from __future__ import annotations
 
-import heapq
-
 from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
-                     groebner, make_context, power_scan)
+                     _to_dict, groebner, make_context, power_scan)
 from .errors import InputError, InternalError
 from .orders import GREVLEX, MonomialOrder, block_order
 from .poly import Polynomial, Ring
@@ -179,48 +177,26 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     return eliminate(inner, 1)
 
 
-def _grevlex_max_first(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """Heap key: the smallest key is the grevlex-largest monomial."""
-    return tuple(-v for v in GREVLEX.key(exps))
-
-
 def divide_exact(h: Polynomial, f: Polynomial) -> Polynomial:
-    """Quotient h/f when the division is exact (grevlex leading terms)."""
+    """Quotient h/f when the division is exact: h reduced against the
+    one-element basis (f), collecting the multipliers of its steps."""
     if f.is_zero():
         raise InputError("division by the zero polynomial")
     ring = h.ring
     field = ring.field
-    flt, flc = f.leading_term(GREVLEX)
-    finv = field.inv(flc.code)
-    fexp = flt.exponents
-    ftail = [(fe, fc) for fe, fc in f.terms.items() if fe != fexp]
-    quot: dict = {}
-    rest = dict(h.terms)
-    # one descending pass: every term a step adds lies below the term it
-    # cancels, so the heap top is the largest remaining term once entries
-    # for terms that cancelled to zero are skipped
-    heap = [(_grevlex_max_first(e), e) for e in rest]
-    heapq.heapify(heap)
-    while heap:
-        exps = heapq.heappop(heap)[1]
-        c = rest.pop(exps, 0)
-        if not c:
-            continue
-        mult = tuple(a - b for a, b in zip(exps, fexp))
-        if any(e < 0 for e in mult):
+
+    def divide(ctx: BasisContext) -> Polynomial:
+        quot: dict[int, int] = {}
+        if ctx.reduce_dict(_to_dict(h, ctx.spec), quot):
             raise InternalError("inexact polynomial division")
-        qc = field.mul(c, finv)
-        quot[mult] = qc
-        for fe, fc in ftail:
-            te = tuple(a + b for a, b in zip(fe, mult))
-            nv = field.sub(rest.get(te, 0), field.mul(qc, fc))
-            if nv:
-                if te not in rest:
-                    heapq.heappush(heap, (_grevlex_max_first(te), te))
-                rest[te] = nv
-            else:
-                rest.pop(te, None)
-    return Polynomial(ring, quot)
+        # the frozen element is f / lc(f), so scale its quotient back
+        inv = field.inv(f.terms[ctx.elems[0].lt_exps])
+        unpack = ctx.spec.unpack
+        return Polynomial(ring, {unpack(k): field.mul(inv, c)
+                                 for k, c in quot.items()})
+
+    return GroebnerBasis(ring, GREVLEX, [f]).with_context(
+        divide, h.total_degree())
 
 
 def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,

@@ -1,6 +1,7 @@
 """The reduction leaves against brute-force definitions.
 
-Key degrees against unpacked exponents for every order shape and for
+Key degrees against unpacked exponents, and the one overflow rule (a
+total degree above the field capacity), for every order shape and for
 layouts narrower and wider than 62 bits; the divisor searches against an
 exponent-wise scan for bases on both sides of the cutoff between the
 leading-key scan and the per-variable bitmask index, built at once or one
@@ -15,8 +16,8 @@ import random
 import pytest
 
 from charplab import GREVLEX, LEX, Field, Ring, block_order
-from charplab.engine import SCAN_MAX_BASIS, BasisContext, GPoly, PackSpec, \
-    _freeze
+from charplab.engine import SCAN_MAX_BASIS, BasisContext, GPoly, \
+    KeyOverflow, PackSpec, _freeze
 
 
 def orders_for(n):
@@ -46,6 +47,13 @@ def test_key_degree_is_the_sum_of_unpacked_exponents(n, w):
             key = spec.pack(exps)
             assert spec.unpack(key) == exps
             assert spec.key_degree(key) == sum(exps)
+        # one rule for every layout: a total degree above C overflows, also
+        # where each field alone would hold its value
+        over = tuple((spec.C + 1) // n + (i < (spec.C + 1) % n)
+                     for i in range(n))
+        with pytest.raises(KeyOverflow) as info:
+            spec.pack(over)
+        assert info.value.needed_degree == spec.C + 1
 
 
 def test_widths_reach_past_62_bits():

@@ -734,3 +734,13 @@ def test_seconds_limit_bounds_the_m_power_scan():
     roomy = IdealHandle(R, gens, limits=Limits(max_seconds=60))
     roomy.seed_cache(gb)
     assert m_power_in(roomy) == 11
+    # not primary to the origin: the pure-power loop runs to the colength
+    # and no layer is ever reached
+    R3 = ring(3, "x", "y")
+    gens = [parse_poly(t, R3) for t in ("x^2 - x", "y^2")]
+    with pytest.raises(InputError, match="not primary"):
+        m_power_in(IdealHandle(R3, gens))
+    spent = IdealHandle(R3, gens, limits=Limits(max_seconds=0))
+    spent.seed_cache(IdealHandle(R3, gens).basis())
+    with pytest.raises(TimeLimitError, match="time limit"):
+        m_power_in(spent)

@@ -227,9 +227,9 @@ def test_small_chain_engine_work_stays_bounded(monkeypatch):
     build = engine.BasisContext.__init__
     run = engine._Buchberger.run.__code__
 
-    def counted_reduce(self, work):
+    def counted_reduce(self, work, quotient=None):
         counts["spoly"] += sys._getframe(1).f_code is run
-        return reduce_dict(self, work)
+        return reduce_dict(self, work, quotient)
 
     def counted_build(self, *args):
         counts["context"] += 1
