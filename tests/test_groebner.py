@@ -189,6 +189,49 @@ DIVISION_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
 
 
 @st.composite
+def colon_cases(draw):
+    """(ring, basis, f): the reduced grevlex basis of 1-3 generators of
+    degree 2-3 in 2-3 variables, with pure powers x_i^(b_i) added
+    sometimes and a multiple of its first element appended sometimes (a
+    basis that is not reduced), and a nonconstant multiplier f of degree
+    at most 3 whose leading coefficient need not be 1."""
+    p, m = draw(st.sampled_from(DIVISION_FIELDS))
+    n = draw(st.integers(2, 3))
+    R = ring(p, *("x", "y", "t")[:n], m=m)
+    coeffs = st.integers(1, R.field.q - 1)
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(n)])
+    gens = [Polynomial(R, draw(st.dictionaries(
+        exps.filter(lambda e: 2 <= sum(e) <= 3), coeffs, min_size=1,
+        max_size=3))) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        gens += [R.monomial(tuple(b if j == i else 0 for j in range(n)))
+                 for i, b in enumerate(draw(st.lists(
+                     st.integers(2, 5), min_size=n, max_size=n)))]
+    elems = list(IdealHandle(R, gens).basis().elements)
+    if draw(st.booleans()):
+        elems.append(elems[0] * R.variable(draw(st.integers(0, n - 1))))
+    f = Polynomial(R, draw(st.dictionaries(
+        exps.filter(lambda e: sum(e) <= 3), coeffs, min_size=1,
+        max_size=3).filter(lambda t: any(map(any, t)))))
+    return R, elems, f
+
+
+def colon_through_the_intersection(elems, R, f):
+    """Reduced grevlex basis of (I : f) from (I meet (f)) / f."""
+    meet = intersect(IdealHandle(R, elems), IdealHandle(R, [f]))
+    quotients = [divide_exact(g, f) for g in meet.generators]
+    return groebner(quotients, R, GREVLEX, gb_prefix=len(quotients))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(colon_cases())
+def test_colon_by_basis_divides_the_intersection_by_f(case):
+    R, elems, f = case
+    assert colon_by_basis(elems, R, f) == \
+        colon_through_the_intersection(elems, R, f)
+
+
+@st.composite
 def division_cases(draw):
     """(ring, q, f, t): q and f of degree at most 3 in 1-3 variables, f of
     at least two terms, and a monomial t."""
