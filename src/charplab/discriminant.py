@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .groebner import divide_exact
+from .groebner import GroebnerBasis, divide_exact
+from .orders import GREVLEX
 from .poly import Polynomial, Ring
 
 
@@ -127,7 +128,7 @@ def bareiss_determinant(rows: list, ring: Ring) -> Polynomial:
         return ring.one
     m = [[entry for entry in row] for row in rows]
     sign = 1
-    prev = ring.one
+    prev = GroebnerBasis(ring, GREVLEX, [ring.one])    # divides one step
     for k in range(n - 1):
         if m[k][k].is_zero():
             pivot_row = None
@@ -145,7 +146,7 @@ def bareiss_determinant(rows: list, ring: Ring) -> Polynomial:
                 m[i][j] = divide_exact(num, prev) if not num.is_zero() \
                     else ring.zero
             m[i][k] = ring.zero
-        prev = m[k][k]
+        prev = GroebnerBasis(ring, GREVLEX, [m[k][k]])
     det = m[n - 1][n - 1]
     if sign < 0:
         det = -det

@@ -28,9 +28,10 @@ any width.
 
 Polynomials here are bare dicts {key: coefficient code}; conversion from and
 to the public Polynomial type happens at the boundary.  The one
-term-by-term division loop is BasisContext.reduce_dict: exact division
-(groebner.divide_exact) reduces against a one-element basis through it and
-collects the quotient.
+term-by-term division loop is BasisContext.reduce_dict.  Exact division
+reduces against a one-element basis through it and collects the quotient:
+groebner.divide_exact does so on a context of its own, and the final pass
+of a groebner() run given a divisor (a colon step) on the run's own keys.
 """
 
 from __future__ import annotations
@@ -596,7 +597,8 @@ class _Buchberger:
                 del work[k]     # v == 0 only where work held c != 0
         return work
 
-    def run(self, gens: list[dict[int, int]], gb_prefix: int) -> list[GPoly]:
+    def run(self, gens: list[dict[int, int]], gb_prefix: int,
+            divisor: dict[int, int] | None) -> list[GPoly]:
         for j, d in enumerate(gens):
             self._add(_freeze(d, self.spec, self.field), j >= gb_prefix)
         while self.pairs:
@@ -616,16 +618,26 @@ class _Buchberger:
                 raise LimitError(
                     f"basis size exceeds the limit {self.limits.max_basis}")
             self._add(g, True)
-        return self._reduce_final()
+        return self._reduce_final(divisor)
 
-    def _reduce_final(self) -> list[GPoly]:
+    def _reduce_final(self, divisor: dict[int, int] | None) -> list[GPoly]:
         """Minimalize (no two active leading terms are equal, so an element
         stays when it is its own only divisor), then reduce each tail once
         against the minimal basis: a leading term divides no smaller
-        monomial, so one pass is enough."""
+        monomial, so one pass is enough.  A divisor (see groebner) divides
+        them first: lt(g/f) = lt(g)/lt(f) keeps them minimal and sorted."""
         kept = sorted((g for i, g in enumerate(self.ctx.elems)
                        if self.ctx.divisor_indices(g.lt_key) == [i]),
                       key=lambda g: g.lt_key)
+        if divisor is not None:
+            div = BasisContext(self.ring, self.order, self.spec,
+                               [_freeze(divisor, self.spec, self.field)])
+            kept = [g for g in kept if not any(g.lt_exps[:self.order.block])]
+            quots: list[dict[int, int]] = [{} for _ in kept]
+            if any(div.reduce_dict(dict(zip(g.keys, g.coeffs)), q)
+                   for g, q in zip(kept, quots)):
+                raise InternalError("inexact polynomial division")
+            kept = [_freeze(q, self.spec, self.field) for q in quots]
         ctx = BasisContext(self.ring, self.order, self.spec, kept)
         out = []
         for g in kept:
@@ -635,20 +647,24 @@ class _Buchberger:
 
 
 def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
-             limits: Limits = DEFAULT_LIMITS,
-             gb_prefix: int = 0) -> list[Polynomial]:
+             limits: Limits = DEFAULT_LIMITS, gb_prefix: int = 0,
+             divisor: Polynomial | None = None) -> list[Polynomial]:
     """Reduced Groebner basis of (gens) under `order`.
 
     `gb_prefix` marks an initial segment already known to be a Groebner
     basis under this order: pairs inside the segment are skipped (their
     S-polynomials have standard representations by assumption).
     `limits.max_seconds` bounds this one call, restarts on wider keys
-    included.
+    included.  A `divisor` f, under block_order(k), makes the answer J / f
+    for J the part of (gens) free of the first k variables, which must lie
+    in (f): the final pass divides (see groebner.colon_by_basis).
     """
     nz = [f for f in gens if not f.is_zero()]
     for f in nz:
         if f.ring != ring:
             raise InputError("generators live in different rings")
+    if divisor is not None and order.kind != "block":
+        raise InputError("a divisor needs a block order")
     if not nz:
         return []
     deadline = limits.deadline()
@@ -658,7 +674,8 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
         spec = PackSpec(ring.n, order, w)
         try:
             eng = _Buchberger(ring, order, spec, limits, deadline)
-            out = eng.run([_to_dict(f, spec) for f in nz], gb_prefix)
+            out = eng.run([_to_dict(f, spec) for f in nz], gb_prefix,
+                          None if divisor is None else _to_dict(divisor, spec))
             return [_to_poly({k: c for k, c in zip(g.keys, g.coeffs)},
                              spec, ring) for g in out]
         except KeyOverflow as o:

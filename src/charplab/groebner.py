@@ -7,11 +7,12 @@ colon, elimination, bracket powers of Frobenius, combinatorial Krull
 dimension, staircase colength counting, minimal m-power inclusion,
 subalgebra presentations, and the squarefreeness test for hypersurfaces.
 
-Colon ideals get special care because perturbation experiments hammer them:
-when the inner ideal is handed over as a Groebner basis already, the tag
-construction marks those generators as a known-basis prefix so Buchberger
-skips every pair inside the prefix (their S-polynomials already have
-standard representations after multiplication by the tag variable).
+Colon ideals get special care because perturbation experiments and
+splitting chains hammer them.  A colon step is one engine run: the tag
+construction marks the inner ideal's basis as a known-basis prefix so
+Buchberger skips every pair inside it (their S-polynomials already have
+standard representations after multiplication by the tag variable), and
+the final pass divides the tag-free basis elements by the multiplier.
 """
 
 from __future__ import annotations
@@ -177,11 +178,14 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     return eliminate(inner, 1)
 
 
-def divide_exact(h: Polynomial, f: Polynomial) -> Polynomial:
+def divide_exact(h: Polynomial, f: Polynomial | GroebnerBasis) -> Polynomial:
     """Quotient h/f when the division is exact: h reduced against the
-    one-element basis (f), collecting the multipliers of its steps."""
-    if f.is_zero():
-        raise InputError("division by the zero polynomial")
+    one-element basis (f), collecting the multipliers of its steps.  Given
+    as GroebnerBasis(ring, GREVLEX, [f]), f keeps its context across calls."""
+    if isinstance(f, Polynomial):
+        if f.is_zero():
+            raise InputError("division by the zero polynomial")
+        f = GroebnerBasis(h.ring, GREVLEX, [f])
     ring = h.ring
     field = ring.field
 
@@ -190,20 +194,20 @@ def divide_exact(h: Polynomial, f: Polynomial) -> Polynomial:
         if ctx.reduce_dict(_to_dict(h, ctx.spec), quot):
             raise InternalError("inexact polynomial division")
         # the frozen element is f / lc(f), so scale its quotient back
-        inv = field.inv(f.terms[ctx.elems[0].lt_exps])
+        inv = field.inv(f.elements[0].terms[ctx.elems[0].lt_exps])
         unpack = ctx.spec.unpack
         return Polynomial(ring, {unpack(k): field.mul(inv, c)
                                  for k, c in quot.items()})
 
-    return GroebnerBasis(ring, GREVLEX, [f]).with_context(
-        divide, h.total_degree())
+    return f.with_context(divide, h.total_degree())
 
 
 def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
                    limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
-    """Reduced grevlex basis of (I : f), where gb_elements is any grevlex
-    Groebner basis of I (not necessarily reduced).  The tag construction
-    skips all pairs inside the lifted basis prefix."""
+    """Reduced grevlex basis of (I : f) = (I meet (f)) / f, where
+    gb_elements is any grevlex Groebner basis of I (not necessarily
+    reduced).  One engine run eliminates a tag variable w from wI + (1-w)f,
+    skipping the pairs inside the lifted basis, and divides by f."""
     if f.is_zero():
         raise InputError("colon by the zero polynomial")
     if not gb_elements:
@@ -219,17 +223,12 @@ def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
                         gb_prefix=len(gb_elements))
     ext = ring.extend_front([_tag_name(ring)])
     w = ext.variable(0)
+    lifted = _lift_front(f, ext)
     gens = [w * _lift_front(g, ext) for g in gb_elements]
-    gens.append(_lift_front(f, ext) - w * _lift_front(f, ext))
-    inner = groebner(gens, ext, block_order(1), limits,
-                     gb_prefix=len(gb_elements))
-    kept = [_drop_front(g, ring, 1) for g in inner
-            if all(exps[0] == 0 for exps in g.terms)]
-    quotients = [divide_exact(g, f) for g in kept]
-    # quotients form a Groebner basis already; one interreduction pass
-    # restores reducedness (gb_prefix covering everything skips all pairs)
-    return groebner(quotients, ring, GREVLEX, limits,
-                    gb_prefix=len(quotients))
+    gens.append(lifted - w * lifted)
+    return [_drop_front(g, ring, 1) for g in groebner(
+        gens, ext, block_order(1), limits, gb_prefix=len(gb_elements),
+        divisor=lifted)]
 
 
 def colon(I: IdealHandle, J: IdealHandle) -> IdealHandle:
@@ -262,12 +261,19 @@ def frobenius_power(I: IdealHandle, e: int) -> IdealHandle:
 # -- dimension and staircases --------------------------------------------------
 
 def _minimalize(corners) -> frozenset:
+    """The corners no other corner divides.  Packed into fields under guard
+    bits, k | c when (c | guards) - k borrows from no guard (engine keys)."""
     items = sorted(set(corners), key=lambda c: (sum(c), c))
-    kept: list[tuple[int, ...]] = []
+    step = max((e for c in items for e in c), default=0).bit_length() + 1
+    guards = sum(1 << (i * step + step - 1)
+                 for i in range(len(items[0]) if items else 0))
+    kept: dict[int, tuple[int, ...]] = {}      # packed corner: corner
     for c in items:
-        if not any(all(a <= b for a, b in zip(k, c)) for k in kept):
-            kept.append(c)
-    return frozenset(kept)
+        key = sum(e << (i * step) for i, e in enumerate(c))
+        top = key | guards
+        if all((top - k) & guards != guards for k in kept):
+            kept[key] = c
+    return frozenset(kept.values())
 
 
 class Staircase:

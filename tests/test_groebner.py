@@ -20,6 +20,7 @@ from charplab import (
     parse_poly, staircase_of, subalgebra_presentation, TimeLimitError,
 )
 from charplab import engine
+from charplab import groebner as charplab_groebner
 from charplab.engine import KeyOverflow, groebner, make_context, power_scan
 from charplab.groebner import Staircase, colon_by_basis, divide_exact
 from oracles import block_greater, box_monomial_member, box_monomials, \
@@ -231,6 +232,61 @@ def test_colon_by_basis_divides_the_intersection_by_f(case):
         colon_through_the_intersection(elems, R, f)
 
 
+def colon_step_case():
+    R = ring(5, "x", "y", "t")
+    elems = list(ideal(R, "x^2 + y*t", "y^3 - t^2", "t^4").basis().elements)
+    return R, elems, parse_poly("2*x*y + t", R)
+
+
+def test_a_colon_step_is_one_engine_run(monkeypatch):
+    R, elems, f = colon_step_case()
+    calls = {"groebner": 0, "divide_exact": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(f"charplab.groebner.{name}",
+                            counted(name, getattr(charplab_groebner, name)))
+    got = colon_by_basis(elems, R, f)
+    assert calls == {"groebner": 1, "divide_exact": 0}
+    assert got == colon_through_the_intersection(elems, R, f)
+
+
+def test_a_colon_step_restarts_on_wider_keys(monkeypatch):
+    R, elems, f = colon_step_case()
+    expected = colon_by_basis(elems, R, f)
+    assert len(expected) == 6
+    # the basis and f pack into 3-bit keys (degree 7); the S-polynomials
+    # of the tag run overflow them, and the run restarts once, on 5 bits
+    monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
+    steps = []
+    wider = engine._wider
+
+    def spy(w, needed):
+        steps.append((w, wider(w, needed)))
+        return steps[-1][1]
+    monkeypatch.setattr("charplab.engine._wider", spy)
+    assert colon_by_basis(elems, R, f) == expected
+    assert steps == [(3, 5)]
+
+
+def test_groebner_divides_only_under_a_block_order():
+    R, elems, f = colon_step_case()
+    with pytest.raises(InputError, match="divisor"):
+        groebner(elems, R, GREVLEX, divisor=f)
+
+
+def test_seconds_limit_bounds_a_colon_step():
+    R, elems, f = colon_step_case()
+    with pytest.raises(TimeLimitError, match="time limit"):
+        colon_by_basis(elems, R, f, Limits(max_seconds=0))
+    assert colon_by_basis(elems, R, f, Limits(max_seconds=60)) == \
+        colon_by_basis(elems, R, f)
+
+
 @st.composite
 def division_cases(draw):
     """(ring, q, f, t): q and f of degree at most 3 in 1-3 variables, f of
@@ -253,6 +309,10 @@ def division_cases(draw):
 def test_divide_exact_inverts_multiplication(case):
     R, q, f, t = case
     assert divide_exact(q * f, f) == q
+    # one prepared divisor for several dividends, the second of higher degree
+    divisor = GroebnerBasis(R, GREVLEX, [f])
+    assert divide_exact(q * f, divisor) == q
+    assert divide_exact(q * f * t, divisor) == q * t
     # f has two terms or more, so no multiple of f is a monomial
     with pytest.raises(InternalError, match="inexact"):
         divide_exact(q * f + t, f)
