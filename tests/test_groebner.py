@@ -479,6 +479,7 @@ def staircase_calls(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(staircase_calls())
 @example((2, 12, {(0, 0), (1, 2)}, ["count", "max_degree", 0, -1]))
+@example((2, 20, {(0, 9), (9, 0), (3, 3), (4, 3), (3, 8)}, ["count", 7]))
 def test_staircase_calls_in_any_order_match_enumeration(case):
     n, top, corners, calls = case
     standard = [m for m in monomials_up_to(n, top)
@@ -486,6 +487,8 @@ def test_staircase_calls_in_any_order_match_enumeration(case):
                            for c in corners)]
     finite = not any(sum(m) == top for m in standard)
     stair = Staircase(corners, n)
+    assert stair.corners == {c for c in corners if not any(
+        k != c and all(a <= b for a, b in zip(k, c)) for k in corners)}
     for call in calls:
         if call == "count" and finite:
             assert stair.count() == len(standard)
