@@ -5,6 +5,7 @@ The randomized blocks compare against the dense linear-algebra oracles;
 the fixed examples pin down hand-checkable values.
 """
 
+import itertools
 import random
 
 import pytest
@@ -356,6 +357,55 @@ def test_eliminate_zero_ideal():
     assert J.generators == ()
 
 
+@st.composite
+def generator_lists(draw, count, max_vars):
+    """(ring, lists): `count` lists of 1-3 generators of degree at most 3,
+    constants allowed, in 2-max_vars variables over GF(2), GF(3), GF(4),
+    GF(5) or GF(9)."""
+    p, m = draw(st.sampled_from(DIVISION_FIELDS))
+    n = draw(st.integers(2, max_vars))
+    R = ring(p, *("x", "y", "z", "t")[:n], m=m)
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(n)]).filter(
+        lambda e: sum(e) <= 3)
+    polys = st.dictionaries(exps, st.integers(1, R.field.q - 1), min_size=1,
+                            max_size=3).map(lambda t: Polynomial(R, t))
+    return R, [draw(st.lists(polys, min_size=1, max_size=3))
+               for _ in range(count)]
+
+
+def eliminate_through_the_block_basis(gens, R, k):
+    """The elements of the reduced block_order(k) basis with no term in the
+    first k variables, on the last n - k, in basis order."""
+    target = R.drop_front(k)
+    return tuple(Polynomial(target, {e[k:]: c for e, c in g.terms.items()})
+                 for g in IdealHandle(R, gens).basis(block_order(k))
+                 if not any(any(e[:k]) for e in g.terms))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(generator_lists(1, 4))
+def test_eliminate_keeps_the_block_basis_part_free_of_the_first_block(case):
+    R, (gens,) = case
+    for k in range(1, R.n):
+        # the exact tuple, order included: it seeds the grevlex cache
+        assert eliminate(IdealHandle(R, gens), k).generators == \
+            eliminate_through_the_block_basis(gens, R, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(generator_lists(2, 3))
+def test_intersect_lies_in_both_and_holds_their_products(case):
+    R, (gens_i, gens_j) = case
+    I, J = IdealHandle(R, gens_i), IdealHandle(R, gens_j)
+    meet = intersect(I, J)
+    for h in meet.generators:
+        assert I.basis().normal_form(h).is_zero()
+        assert J.basis().normal_form(h).is_zero()
+    for f in I.generators:
+        for g in J.generators:
+            assert meet.basis().normal_form(f * g).is_zero()
+
+
 # -- Frobenius powers of ideals ---------------------------------------------------
 
 def test_frobenius_power_fixed_values():
@@ -405,6 +455,39 @@ def test_krull_dim_examples():
     assert krull_dim(ideal(R2, "x^2", "y^3")) == 0
     with pytest.raises(InputError):
         krull_dim(ideal(R2, "1"))
+
+
+def brute_force_dimension(corners, n):
+    """Largest size of a set S of variables whose product of x_i^T, i in S,
+    no corner divides, with T past every corner exponent; -1 when a corner
+    divides 1."""
+    T = 1 + max((e for c in corners for e in c), default=0)
+    best = -1
+    for chosen in itertools.product((0, 1), repeat=n):
+        m = [T * s for s in chosen]
+        if not any(all(a <= b for a, b in zip(c, m)) for c in corners):
+            best = max(best, sum(chosen))
+    return best
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[st.integers(0, 3) for _ in range(n)]), max_size=5))))
+@example((1, [(0,)]))
+@example((3, [(0, 0, 0), (2, 0, 0)]))
+@example((2, []))
+@example((3, [(2, 0, 0), (0, 1, 0), (0, 0, 3), (1, 1, 1)]))
+def test_dimension_of_a_corner_set_matches_brute_force(case):
+    n, corners = case
+    expected = brute_force_dimension(corners, n)
+    assert Staircase(corners, n).zero_dimensional() == (expected == 0)
+    R = ring(2, *("x", "y", "z", "t")[:n])
+    I = IdealHandle(R, [R.monomial(c) for c in corners])
+    if expected < 0:
+        with pytest.raises(InputError):
+            krull_dim(I)
+    else:
+        assert krull_dim(I) == expected
 
 
 def test_colength_examples():
