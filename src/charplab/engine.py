@@ -20,8 +20,9 @@ No field holds more than the total degree, so one rule keeps every field
 in range: a monomial of total degree above C overflows, whatever the
 layout.  Widths are chosen per computation.  When degrees outgrow the
 current width the whole computation is restarted with wider fields
-(KeyOverflow is the internal signal); only the configured degree limit
-turns that into an error.
+(KeyOverflow is the internal signal, asking for a degree above C); the
+new fields hold twice the degree asked for, and only the configured
+degree limit (Limits.max_degree) turns a restart into an error.
 Keys are arbitrary-precision ints.  The divisor search over a large
 basis's leading terms ANDs one bitmask per variable (see BasisContext), at
 any width.
@@ -488,9 +489,12 @@ def _initial_width(polys: list[Polynomial]) -> int:
     return need.bit_length()
 
 
-def _wider(w: int, needed_degree: int) -> int:
-    """The next key width after a KeyOverflow asking for needed_degree."""
-    return max(w + 2, (2 * needed_degree + 4).bit_length())
+def _wider(needed_degree: int) -> int:
+    """The key width after a KeyOverflow asking for needed_degree: its
+    fields hold twice that degree.  Every KeyOverflow asks for more than
+    the current capacity C = 2^w - 1, so the width grows by 2 bits or
+    more."""
+    return (2 * needed_degree + 4).bit_length()
 
 
 def make_context(gb: list[Polynomial], ring: Ring, order: MonomialOrder,
@@ -499,7 +503,7 @@ def make_context(gb: list[Polynomial], ring: Ring, order: MonomialOrder,
     whose fields hold at least `degree`."""
     w = _initial_width(gb)
     if (1 << w) - 1 < degree:
-        w = _wider(w, degree)
+        w = _wider(degree)
     spec = PackSpec(ring.n, order, w)
     elems = [_freeze(_to_dict(g, spec), spec, ring.field)
              for g in gb if not g.is_zero()]
@@ -657,7 +661,8 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
     `limits.max_seconds` bounds this one call, restarts on wider keys
     included.  A `divisor` f, under block_order(k), makes the answer J / f
     for J the part of (gens) free of the first k variables, which must lie
-    in (f): the final pass divides (see groebner.colon_by_basis).
+    in (f): the final pass divides (see groebner.colon_by_basis).  With
+    f = 1 the answer is the elimination ideal J itself (groebner.eliminate).
     """
     nz = [f for f in gens if not f.is_zero()]
     for f in nz:
@@ -669,7 +674,6 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
         return []
     deadline = limits.deadline()
     w = _initial_width(nz)
-    cap_bits = (4 * limits.max_degree + 8).bit_length()
     while True:
         spec = PackSpec(ring.n, order, w)
         try:
@@ -683,6 +687,4 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
                 raise LimitError(
                     f"degree {o.needed_degree} exceeds the limit "
                     f"{limits.max_degree}") from None
-            w = _wider(w, o.needed_degree)
-            if w > cap_bits:
-                raise LimitError("exponent width exceeds the degree limit") from None
+            w = _wider(o.needed_degree)

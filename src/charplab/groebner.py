@@ -7,6 +7,12 @@ colon, elimination, bracket powers of Frobenius, combinatorial Krull
 dimension, staircase colength counting, minimal m-power inclusion,
 subalgebra presentations, and the squarefreeness test for hypersurfaces.
 
+Elimination is one engine run under a block order.  By the Elimination
+Theorem the reduced basis elements free of the first block form the
+reduced basis of the elimination ideal, and the run's final pass keeps
+just those (it divides them by a divisor of 1).  Intersections and
+subalgebra presentations eliminate.
+
 Colon ideals get special care because perturbation experiments and
 splitting chains hammer them.  A colon step is one engine run: the tag
 construction marks the inner ideal's basis as a known-basis prefix so
@@ -146,16 +152,18 @@ def _drop_front(f: Polynomial, target: Ring, k: int) -> Polynomial:
 
 
 def eliminate(I: IdealHandle, k: int) -> IdealHandle:
-    """I intersected with the subring on the last n-k variables."""
+    """I intersected with the subring on the last n-k variables: one
+    engine run under block_order(k), whose final pass keeps the part of
+    the reduced basis free of the first k variables."""
     n = I.ring.n
     if not 1 <= k < n:
         raise InputError(f"cannot eliminate {k} of {n} variables")
-    gb = I.basis(block_order(k))
     target = I.ring.drop_front(k)
-    kept = [_drop_front(g, target, k) for g in gb.elements
-            if all(all(e == 0 for e in exps[:k]) for exps in g.terms)]
-    # the kept subset is itself reduced, monic, and sorted for grevlex on
-    # the remaining variables, so the cache can be seeded directly
+    kept = [_drop_front(g, target, k) for g in groebner(
+        list(I.generators), I.ring, block_order(k), I.limits,
+        divisor=I.ring.one)]
+    # that part is itself reduced, monic, and sorted for grevlex on the
+    # remaining variables, so the cache can be seeded directly
     out = IdealHandle(target, kept, I.limits)
     out.seed_cache(GroebnerBasis(target, GREVLEX, kept))
     return out
@@ -277,29 +285,39 @@ def _minimalize(corners) -> frozenset:
 
 
 class Staircase:
-    """The complement of a monomial ideal given by its minimal corners."""
+    """The complement of a monomial ideal given by its minimal corners.
+
+    `dimension` is the Krull dimension of the quotient.  A finite
+    staircase is cut into slices (see _slices); one memoized fold over
+    them gives both `count` and `max_degree`, and `count_degree` counts
+    one degree at any dimension."""
 
     __slots__ = ("corners", "n", "_memo")
 
     def __init__(self, corners, n: int):
         self.n = n
         self.corners = _minimalize(corners)
-        # slices and the counts folded from them, keyed (kind, n, corners)
-        # plus the degree for "degree": the empty corner set recurs at
-        # every n with a different count
+        # slices and the folds over them, keyed (kind, n, corners) plus the
+        # degree for "degree": the empty corner set recurs at every n with
+        # a different count
         self._memo: dict = {}
 
     def is_trivial(self) -> bool:
         """True when the ideal is the unit ideal (no standard monomials)."""
         return any(sum(c) == 0 for c in self.corners)
 
+    def dimension(self) -> int:
+        """Size of the largest set of variables that contains no corner's
+        support; -1 for the unit ideal, whose zero corner has empty
+        support."""
+        supports = {sum(1 << i for i, e in enumerate(c) if e)
+                    for c in self.corners}
+        return max((mask.bit_count() for mask in range(1 << self.n)
+                    if all(s & ~mask for s in supports)), default=-1)
+
     def zero_dimensional(self) -> bool:
-        for i in range(self.n):
-            if not any(c[i] > 0 and all(e == 0 for j, e in enumerate(c)
-                                        if j != i)
-                       for c in self.corners):
-                return False
-        return True
+        """Each variable has a pure power among the corners."""
+        return self.dimension() == 0
 
     def _slices(self, corners: frozenset, n: int) -> list:
         """The runs lo <= x_n < hi of one slice, as (lo, hi, rest): rest is
@@ -323,24 +341,35 @@ class Staircase:
     # is the single monomial 1
 
     def count(self) -> int:
-        if self.is_trivial():
-            return 0
-        if not self.zero_dimensional():
-            raise InputError("staircase is infinite (dimension > 0)")
-        return self._count(self.corners, self.n)
+        return self._finite()[0]
 
-    def _count(self, corners: frozenset, n: int) -> int:
+    def max_degree(self) -> int:
+        """Largest total degree of a standard monomial; -1 when empty."""
+        return self._finite()[1]
+
+    def _finite(self) -> tuple[int, int]:
+        """(count, max_degree) of a finite staircase; (0, -1) when empty."""
+        d = self.dimension()
+        if d < 0:
+            return 0, -1
+        if d > 0:
+            raise InputError("staircase is infinite (dimension > 0)")
+        return self._fold(self.corners, self.n)
+
+    def _fold(self, corners: frozenset, n: int) -> tuple[int, int]:
         if n == 0:
-            return 1
-        key = ("count", n, corners)
+            return 1, 0
+        key = ("fold", n, corners)
         got = self._memo.get(key)
         if got is None:
-            got = 0
+            count, top = 0, -1
             for lo, hi, rest in self._slices(corners, n):
                 if hi is None:
                     raise InternalError("unbounded staircase slice")
-                got += (hi - lo) * self._count(rest, n - 1)
-            self._memo[key] = got
+                c, t = self._fold(rest, n - 1)
+                count += (hi - lo) * c
+                top = max(top, hi - 1 + t)
+            got = self._memo[key] = (count, top)
         return got
 
     def count_degree(self, k: int) -> int:
@@ -363,28 +392,6 @@ class Staircase:
             self._memo[key] = got
         return got
 
-    def max_degree(self) -> int:
-        """Largest total degree of a standard monomial; -1 when empty."""
-        if self.is_trivial():
-            return -1
-        if not self.zero_dimensional():
-            raise InputError("staircase is infinite (dimension > 0)")
-        return self._max_degree(self.corners, self.n)
-
-    def _max_degree(self, corners: frozenset, n: int) -> int:
-        if n == 0:
-            return 0
-        key = ("max", n, corners)
-        got = self._memo.get(key)
-        if got is None:
-            got = -1
-            for lo, hi, rest in self._slices(corners, n):
-                if hi is None:
-                    raise InternalError("unbounded staircase slice")
-                got = max(got, hi - 1 + self._max_degree(rest, n - 1))
-            self._memo[key] = got
-        return got
-
 
 def staircase_of(gb: GroebnerBasis) -> Staircase:
     return Staircase(gb.leading_exponents(), gb.ring.n)
@@ -400,31 +407,18 @@ def krull_dim(I: IdealHandle) -> int:
 
 def _dim_or_unit(I: IdealHandle) -> int:
     """Like krull_dim but returns -1 for the unit ideal."""
-    gb = I.basis(GREVLEX)
-    if gb.contains_one():
-        return -1
-    n = I.ring.n
-    supports = []
-    for exps in gb.leading_exponents():
-        supports.append(sum(1 << i for i, e in enumerate(exps) if e))
-    best = 0
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        if size <= best:
-            continue
-        if all(s & ~mask for s in supports):
-            best = size
-    return best
+    return staircase_of(I.basis(GREVLEX)).dimension()
 
 
 def _zero_dim_staircase(I: IdealHandle) -> tuple[GroebnerBasis, Staircase]:
     """The grevlex basis of I and its staircase, which must be finite and
     nonempty."""
     gb = I.basis(GREVLEX)
-    if gb.contains_one():
-        raise InputError("ideal is not contained in the maximal ideal")
     st = staircase_of(gb)
-    if not st.zero_dimensional():
+    d = st.dimension()
+    if d < 0:
+        raise InputError("ideal is not contained in the maximal ideal")
+    if d > 0:
         raise InputError("ideal is not zero-dimensional")
     return gb, st
 

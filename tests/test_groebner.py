@@ -266,12 +266,12 @@ def test_a_colon_step_restarts_on_wider_keys(monkeypatch):
     steps = []
     wider = engine._wider
 
-    def spy(w, needed):
-        steps.append((w, wider(w, needed)))
-        return steps[-1][1]
+    def spy(needed):
+        steps.append(wider(needed))
+        return steps[-1]
     monkeypatch.setattr("charplab.engine._wider", spy)
     assert colon_by_basis(elems, R, f) == expected
-    assert steps == [(3, 5)]
+    assert steps == [5]
 
 
 def test_groebner_divides_only_under_a_block_order():
@@ -480,7 +480,9 @@ def brute_force_dimension(corners, n):
 def test_dimension_of_a_corner_set_matches_brute_force(case):
     n, corners = case
     expected = brute_force_dimension(corners, n)
-    assert Staircase(corners, n).zero_dimensional() == (expected == 0)
+    stair = Staircase(corners, n)
+    assert stair.dimension() == expected
+    assert stair.zero_dimensional() == (expected == 0)
     R = ring(2, *("x", "y", "z", "t")[:n])
     I = IdealHandle(R, [R.monomial(c) for c in corners])
     if expected < 0:
@@ -691,14 +693,56 @@ def test_groebner_restarts_on_wider_keys(order, monkeypatch):
     steps = []
     wider = engine._wider
 
-    def spy(w, needed):
-        steps.append((w, wider(w, needed)))
-        return steps[-1][1]
+    def spy(needed):
+        steps.append(wider(needed))
+        return steps[-1]
     monkeypatch.setattr("charplab.engine._wider", spy)
     assert groebner(gens, R, order) == expected
-    assert steps == [(3, 5)]
+    assert steps == [5]
     with pytest.raises(LimitError):
         groebner(gens, R, order, Limits(max_degree=3))
+
+
+@pytest.mark.parametrize("max_degree", [6, 10, 20, 40, 100])
+@pytest.mark.parametrize("order", [GREVLEX, block_order(1), block_order(2)],
+                         ids=["grevlex", "block1", "block2"])
+def test_every_restart_fits_twice_the_degree_asked_for(order, max_degree,
+                                                       monkeypatch):
+    R = ring(5, "x", "y", "t")
+    gens = [parse_poly(t, R)
+            for t in ("x^3*y + t^4", "y^5 - x*t^2", "x^2*t^3 + y")]
+    limits = Limits(max_degree=max_degree)
+    try:
+        expected = groebner(gens, R, order, limits)
+    except LimitError:
+        expected = None
+    # from 3-bit keys, record the width of each attempt and the degree
+    # each restart asks for
+    monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
+    widths, asked = [], []
+    pack_spec, wider = engine.PackSpec, engine._wider
+
+    def spec_spy(n, order, w):
+        widths.append(w)
+        return pack_spec(n, order, w)
+
+    def wider_spy(needed):
+        asked.append(needed)
+        return wider(needed)
+    monkeypatch.setattr("charplab.engine.PackSpec", spec_spy)
+    monkeypatch.setattr("charplab.engine._wider", wider_spy)
+    if expected is None:
+        with pytest.raises(LimitError, match="exceeds the limit"):
+            groebner(gens, R, order, limits)
+    else:
+        assert groebner(gens, R, order, limits) == expected
+    assert len(widths) == len(asked) + 1 and widths[0] == 3
+    for w, needed, new in zip(widths, asked, widths[1:]):
+        assert needed > (1 << w) - 1
+        assert new == (2 * needed + 4).bit_length()
+        assert w + 2 <= new <= (4 * max_degree + 8).bit_length()
+    if (order, max_degree) == (block_order(2), 100):
+        assert widths == [3, 5, 7]
 
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
