@@ -32,7 +32,8 @@ to the public Polynomial type happens at the boundary.  The one
 term-by-term division loop is BasisContext.reduce_dict.  Exact division
 reduces against a one-element basis through it and collects the quotient:
 groebner.divide_exact does so on a context of its own, and the final pass
-of a groebner() run given a divisor (a colon step) on the run's own keys.
+of a groebner() run given a divisor (a colon step, or 1 for an
+elimination) on the run's own keys.
 """
 
 from __future__ import annotations
@@ -490,10 +491,9 @@ def _initial_width(polys: list[Polynomial]) -> int:
 
 
 def _wider(needed_degree: int) -> int:
-    """The key width after a KeyOverflow asking for needed_degree: its
-    fields hold twice that degree.  Every KeyOverflow asks for more than
-    the current capacity C = 2^w - 1, so the width grows by 2 bits or
-    more."""
+    """The key width after a KeyOverflow, whose fields hold twice the
+    degree asked for.  That degree is above the current C = 2^w - 1, so
+    the width grows by 2 bits or more."""
     return (2 * needed_degree + 4).bit_length()
 
 
@@ -628,8 +628,9 @@ class _Buchberger:
         """Minimalize (no two active leading terms are equal, so an element
         stays when it is its own only divisor), then reduce each tail once
         against the minimal basis: a leading term divides no smaller
-        monomial, so one pass is enough.  A divisor (see groebner) divides
-        them first: lt(g/f) = lt(g)/lt(f) keeps them minimal and sorted."""
+        monomial, so one pass is enough.  Given a divisor (see groebner),
+        only the elements free of the first block stay, and it divides them
+        first: lt(g/f) = lt(g)/lt(f) keeps them minimal and sorted."""
         kept = sorted((g for i, g in enumerate(self.ctx.elems)
                        if self.ctx.divisor_indices(g.lt_key) == [i]),
                       key=lambda g: g.lt_key)

@@ -7,11 +7,9 @@ colon, elimination, bracket powers of Frobenius, combinatorial Krull
 dimension, staircase colength counting, minimal m-power inclusion,
 subalgebra presentations, and the squarefreeness test for hypersurfaces.
 
-Elimination is one engine run under a block order.  By the Elimination
-Theorem the reduced basis elements free of the first block form the
-reduced basis of the elimination ideal, and the run's final pass keeps
-just those (it divides them by a divisor of 1).  Intersections and
-subalgebra presentations eliminate.
+Elimination is one engine run under a block order: its final pass keeps
+the reduced basis elements free of the first block, which by the
+Elimination Theorem form the reduced basis of the elimination ideal.
 
 Colon ideals get special care because perturbation experiments and
 splitting chains hammer them.  A colon step is one engine run: the tag
@@ -286,11 +284,8 @@ def _minimalize(corners) -> frozenset:
 
 class Staircase:
     """The complement of a monomial ideal given by its minimal corners.
-
-    `dimension` is the Krull dimension of the quotient.  A finite
-    staircase is cut into slices (see _slices); one memoized fold over
-    them gives both `count` and `max_degree`, and `count_degree` counts
-    one degree at any dimension."""
+    `dimension` is the Krull dimension of the quotient, and one memoized
+    fold over the slices gives both `count` and `max_degree`."""
 
     __slots__ = ("corners", "n", "_memo")
 
@@ -308,8 +303,7 @@ class Staircase:
 
     def dimension(self) -> int:
         """Size of the largest set of variables that contains no corner's
-        support; -1 for the unit ideal, whose zero corner has empty
-        support."""
+        support; -1 for the unit ideal (its zero corner has none)."""
         supports = {sum(1 << i for i, e in enumerate(c) if e)
                     for c in self.corners}
         return max((mask.bit_count() for mask in range(1 << self.n)
