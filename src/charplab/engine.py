@@ -477,17 +477,11 @@ def power_scan(ctx: BasisContext, length: int,
 
 
 def _initial_width(polys: list[Polynomial]) -> int:
-    """A key width w whose field capacity C = 2^w - 1 is at least
-    2 * maxdeg + 4 for the largest total degree among the polys.  Every
-    term of them then packs: make_context freezes its basis without a
-    KeyOverflow, and its degree only widens further."""
-    maxdeg = 1
-    for f in polys:
-        d = f.total_degree()
-        if d > maxdeg:
-            maxdeg = d
-    need = max(2 * maxdeg + 4, 32)
-    return need.bit_length()
+    """The width _wider gives the largest total degree among the polys,
+    and 6 bits (degree 14) at least.  Every term of them then packs:
+    make_context freezes its basis without a KeyOverflow, and its degree
+    only widens further."""
+    return _wider(max([14] + [f.total_degree() for f in polys]))
 
 
 def _wider(needed_degree: int) -> int:
