@@ -36,6 +36,22 @@ def test_addition_wraps_f7():
     assert F.add(3, 5) == 1
 
 
+def test_characteristic_must_be_a_prime():
+    sieve = [True] * 500
+    sieve[0] = sieve[1] = False
+    for d in range(2, 23):
+        sieve[d * d::d] = [False] * len(range(d * d, 500, d))
+    for n in range(-2, 500):
+        if n >= 2 and sieve[n]:
+            assert Field(n).p == n
+        else:
+            with pytest.raises(InputError):
+                Field(n)
+    for bad in (True, False, 2.0, "2"):
+        with pytest.raises(InputError):
+            Field(bad)
+
+
 def test_gf_alias():
     assert GF(3, 2) == Field(3, 2)
 

@@ -565,6 +565,9 @@ def staircase_calls(draw):
 @given(staircase_calls())
 @example((2, 12, {(0, 0), (1, 2)}, ["count", "max_degree", 0, -1]))
 @example((2, 20, {(0, 9), (9, 0), (3, 3), (4, 3), (3, 8)}, ["count", 7]))
+@example((3, 18, {(2, 0, 0), (0, 3, 0), (1, 1, 1)},
+          [4, 2, "count", "max_degree", 5]))
+@example((2, 12, {(0, 0)}, [0, "max_degree", "count"]))
 def test_staircase_calls_in_any_order_match_enumeration(case):
     n, top, corners, calls = case
     standard = [m for m in monomials_up_to(n, top)

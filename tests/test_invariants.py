@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charplab import (
-    Field, HKRow, HKSeries, IdealHandle, InputError, Polynomial,
-    QuotientPresentation, Ring, convergence_diagnostic, ehk_estimate,
-    fpt_estimate, fsig_estimate, hk_length, hk_series, hs_multiplicity,
-    nu_series, parameter_check, parse_poly, splitting_number,
-    splitting_series,
+    Field, HKRow, HKSeries, IdealHandle, InputError, InternalError,
+    Polynomial, QuotientPresentation, Ring, convergence_diagnostic,
+    ehk_estimate, fpt_estimate, fsig_estimate, hk_length, hk_series,
+    hs_multiplicity, nu_series, parameter_check, parse_poly,
+    splitting_number, splitting_series,
 )
 from charplab import engine
-from charplab.invariants import _colon_splitting_count
+from charplab.invariants import _colon_splitting_count, _count_or_zero
 from oracles import (dense_colength_box, family_staircase_count,
                      family_staircase_enumerate, nu_direct,
                      splitting_number_dense)
@@ -249,6 +249,15 @@ def test_splitting_chain_agrees_with_colon_formula():
         P = present(R, text)
         for e in (1, 2):
             assert splitting_number(P, e) == _colon_splitting_count(P, e)
+
+
+def test_colon_step_count_needs_a_finite_staircase():
+    R = ring(3, "x", "y")
+    x, y = R.gens()
+    with pytest.raises(InternalError):
+        _count_or_zero([x], R)
+    assert _count_or_zero([R.one], R) == 0
+    assert _count_or_zero([x**2, y], R) == 2
 
 
 def test_splitting_bounds_multigenerator():

@@ -292,7 +292,7 @@ def test_constancy_asserts_only_the_certified_levels():
     assert rep.verdicts["perturbed-ideal-equality"] == "pass"
 
 
-def test_reports_are_identical_across_thread_counts():
+def test_two_runs_of_one_plan_give_identical_reports():
     a = run_experiment(node_plan(7, samples=6))
     b = run_experiment(node_plan(7, samples=6))
     assert a.rows == b.rows

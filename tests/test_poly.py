@@ -4,9 +4,12 @@ Random round trips and order comparisons run against the literal
 re-implementations in oracles.py.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charplab import (
     GREVLEX, LEX, Field, InputError, ParseError, Polynomial, Ring,
@@ -114,6 +117,40 @@ def test_ring_distributivity_random():
         f, g, h = (random_poly(rng, R) for _ in range(3))
         assert f * (g + h) == f * g + f * h
         assert (f + g) - g == f
+
+
+@st.composite
+def field_polys(draw):
+    """A field among GF(2), GF(3), GF(4), GF(9), a ring in 1-2 variables,
+    two polynomials whose drawn codes may be 0, and a scalar code."""
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    R = ring(p, m, *("x", "y")[:draw(st.integers(1, 2))])
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * R.n),
+                     st.integers(0, R.field.q - 1))
+    f, g = (Polynomial(R, dict(draw(st.lists(term, max_size=6))))
+            for _ in range(2))
+    return R, f, g, draw(st.integers(0, R.field.q - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(field_polys())
+def test_no_zero_codes_and_arithmetic_matches_evaluation(case):
+    R, f, g, c = case
+    F = R.field
+    scalar = F.from_code(c)
+    exps = next(iter(f.terms), (1,) * R.n)
+    cancelled = parse_poly(f.text() + " + " + (-f).text(), R)
+    results = [f + g, f - g, f * g, f * scalar, c * f, f * 0, 0 * f,
+               R.constant(scalar), R.monomial(exps, scalar), cancelled]
+    results += [f.partial(i) for i in range(R.n)]
+    for h in results:
+        assert all(v for v in h.terms.values()), h.terms
+    assert cancelled.is_zero()
+    for pt in itertools.product(range(F.q), repeat=R.n):
+        a, b = f.evaluate(pt), g.evaluate(pt)
+        assert (f + g).evaluate(pt) == F.add(a, b)
+        assert (f - g).evaluate(pt) == F.sub(a, b)
+        assert (f * g).evaluate(pt) == F.mul(a, b)
 
 
 def test_evaluate_agrees_with_substitution():
