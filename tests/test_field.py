@@ -45,10 +45,10 @@ def test_characteristic_must_be_a_prime():
         if n >= 2 and sieve[n]:
             assert Field(n).p == n
         else:
-            with pytest.raises(InputError):
+            with pytest.raises(InputError, match="must be a prime"):
                 Field(n)
     for bad in (True, False, 2.0, "2"):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="must be a prime"):
             Field(bad)
 
 
