@@ -25,17 +25,6 @@ from .errors import InputError
 MAX_Q = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -116,7 +105,7 @@ class Field:
         # huge m, would run for minutes before the size check
         if isinstance(p, int) and p > MAX_Q:
             raise InputError(f"characteristic {p} exceeds the supported bound {MAX_Q}")
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or _prime_factors(p) != [p]:
             raise InputError(f"characteristic must be a prime, got {p!r}")
         if not isinstance(m, int) or m < 1:
             raise InputError(f"extension degree must be a positive integer, got {m!r}")
@@ -202,11 +191,7 @@ class Field:
         self._exp = exp
         self._log = log
         self._inv = [0] + [exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)]
-        if p == 2:
-            self._neg = list(range(q))
-        else:
-            self._neg = [self.add(0, self._scale_digits(c, p - 1))
-                         for c in range(q)]
+        self._neg = [self._scale_digits(c, p - 1) for c in range(q)]
 
     def _scale_digits(self, a: int, s: int) -> int:
         p, m = self.p, self.m
@@ -240,16 +225,13 @@ class Field:
         return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
+        """a - b; an extension of odd characteristic adds the negation."""
         p, m = self.p, self.m
         if m == 1:
             return (a - b) % p
         if p == 2:
             return a ^ b
-        out = 0
-        for i in range(m):
-            pi = p**i
-            out += (((a // pi) - (b // pi)) % p) * pi
-        return out
+        return self.add(a, self._neg[b])
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

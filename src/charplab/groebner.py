@@ -58,9 +58,6 @@ class GroebnerBasis:
         return self.with_context(lambda ctx: ctx.normal_form(f),
                                  f.total_degree())
 
-    def contains_one(self) -> bool:
-        return any(g.is_constant() and not g.is_zero() for g in self.elements)
-
     def leading_exponents(self) -> list[tuple[int, ...]]:
         return [g.leading_term(self.order)[0].exponents for g in self.elements]
 
@@ -285,7 +282,9 @@ def _minimalize(corners) -> frozenset:
 class Staircase:
     """The complement of a monomial ideal given by its minimal corners.
     `dimension` is the Krull dimension of the quotient, and one memoized
-    fold over the slices gives both `count` and `max_degree`."""
+    fold over the slices gives both `count` and `max_degree`: the fold is
+    where an infinite staircase raises InputError, and the unit ideal
+    gives (0, -1)."""
 
     __slots__ = ("corners", "n", "_memo")
 
@@ -296,10 +295,6 @@ class Staircase:
         # degree for "degree": the empty corner set recurs at every n with
         # a different count
         self._memo: dict = {}
-
-    def is_trivial(self) -> bool:
-        """True when the ideal is the unit ideal (no standard monomials)."""
-        return any(sum(c) == 0 for c in self.corners)
 
     def dimension(self) -> int:
         """Size of the largest set of variables that contains no corner's
@@ -335,22 +330,17 @@ class Staircase:
     # is the single monomial 1
 
     def count(self) -> int:
-        return self._finite()[0]
+        return self._fold(self.corners, self.n)[0]
 
     def max_degree(self) -> int:
         """Largest total degree of a standard monomial; -1 when empty."""
-        return self._finite()[1]
-
-    def _finite(self) -> tuple[int, int]:
-        """(count, max_degree) of a finite staircase; (0, -1) when empty."""
-        d = self.dimension()
-        if d < 0:
-            return 0, -1
-        if d > 0:
-            raise InputError("staircase is infinite (dimension > 0)")
-        return self._fold(self.corners, self.n)
+        return self._fold(self.corners, self.n)[1]
 
     def _fold(self, corners: frozenset, n: int) -> tuple[int, int]:
+        """(count, max_degree).  A run is unbounded exactly when the
+        staircase is infinite, since a finite one has a pure power x_n^b
+        and every run from b up is cut off; the unit ideal has no slices
+        and gives (0, -1)."""
         if n == 0:
             return 1, 0
         key = ("fold", n, corners)
@@ -359,7 +349,7 @@ class Staircase:
             count, top = 0, -1
             for lo, hi, rest in self._slices(corners, n):
                 if hi is None:
-                    raise InternalError("unbounded staircase slice")
+                    raise InputError("staircase is infinite (dimension > 0)")
                 c, t = self._fold(rest, n - 1)
                 count += (hi - lo) * c
                 top = max(top, hi - 1 + t)
@@ -368,8 +358,6 @@ class Staircase:
 
     def count_degree(self, k: int) -> int:
         """Standard monomials of total degree exactly k (any dimension)."""
-        if k < 0 or self.is_trivial():
-            return 0
         return self._count_degree(self.corners, self.n, k)
 
     def _count_degree(self, corners: frozenset, n: int, k: int) -> int:

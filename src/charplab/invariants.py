@@ -205,11 +205,8 @@ def convergence_diagnostic(series, d: int) -> ConvergenceDiagnostic:
 
 def _count_or_zero(elems, ring: Ring) -> int:
     """Staircase count of a reduced basis, 0 for the unit ideal."""
-    gb = GroebnerBasis(ring, GREVLEX, elems)
-    if gb.contains_one():
-        return 0
-    st = staircase_of(gb)
-    if not st.zero_dimensional():
+    st = staircase_of(GroebnerBasis(ring, GREVLEX, elems))
+    if st.dimension() > 0:
         raise InternalError("splitting colon failed to be zero-dimensional")
     return st.count()
 

@@ -300,18 +300,12 @@ def _run_dim(job: Job):
     return {"value": krull_dim(_defining_handle(job))}
 
 
-def _run_hk(job: Job):
+def _run_series(series_of, estimate_of, job: Job):
+    """hk and fsig: a series to e_max >= 2 and its limit estimate."""
     e_max = _param(job, "e_max", partial(_as_int, minimum=2))
     R = QuotientPresentation(job.ring, _defining_handle(job))
-    series = hk_series(R, e_max)
-    return {"series": series, "estimate": ehk_estimate(series)}
-
-
-def _run_fsig(job: Job):
-    e_max = _param(job, "e_max", partial(_as_int, minimum=2))
-    R = QuotientPresentation(job.ring, _defining_handle(job))
-    series = splitting_series(R, e_max)
-    return {"series": series, "estimate": fsig_estimate(series)}
+    series = series_of(R, e_max)
+    return {"series": series, "estimate": estimate_of(series)}
 
 
 def _run_fpt(job: Job):
@@ -402,8 +396,9 @@ _TASKS = {
     "gb": (_run_gb, {"order"}),
     "length": (_run_length, set()),
     "dim": (_run_dim, set()),
-    "hk": (_run_hk, {"e_max"}),
-    "fsig": (_run_fsig, {"e_max"}),
+    "hk": (partial(_run_series, hk_series, ehk_estimate), {"e_max"}),
+    "fsig": (partial(_run_series, splitting_series, fsig_estimate),
+             {"e_max"}),
     "fpt": (_run_fpt, {"target", "e_max"}),
     "mult": (_run_mult, {"generator_names"}),
     "disc": (_run_disc, {"extension_variable", "epsilon", "n_target"}),

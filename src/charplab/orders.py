@@ -75,7 +75,8 @@ def block_order(k: int) -> MonomialOrder:
 
 
 def order_from_string(text: str) -> MonomialOrder:
-    """Parse 'grevlex', 'lex', or 'block:<k>' (CLI spelling)."""
+    """Parse 'grevlex', 'lex', or 'block:<k>'; a library helper (the CLI
+    and job files accept only 'grevlex' and 'lex')."""
     t = text.strip().lower()
     if t == "grevlex":
         return GREVLEX

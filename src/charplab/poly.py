@@ -64,10 +64,7 @@ class Ring:
         return Polynomial(self, {(0,) * self.n: 1})
 
     def constant(self, value) -> "Polynomial":
-        code = self.field.element(value).code
-        if code == 0:
-            return self.zero
-        return Polynomial(self, {(0,) * self.n: code})
+        return Polynomial(self, {(0,) * self.n: self.field.element(value).code})
 
     def variable(self, i) -> "Polynomial":
         if isinstance(i, str):
@@ -85,10 +82,7 @@ class Ring:
         t = tuple(int(e) for e in exps)
         if len(t) != self.n or any(e < 0 for e in t):
             raise InputError(f"bad exponent tuple {t} for {self.n} variables")
-        code = self.field.element(coeff).code
-        if code == 0:
-            return self.zero
-        return Polynomial(self, {t: code})
+        return Polynomial(self, {t: self.field.element(coeff).code})
 
     def extend_front(self, names: Iterable[str]) -> "Ring":
         """New ring with extra variables prepended (they become largest)."""
@@ -147,7 +141,9 @@ class Monomial:
 
 
 class Polynomial:
-    """Sparse polynomial: ring plus a map exponent-tuple -> nonzero code."""
+    """Sparse polynomial: ring plus a map exponent-tuple -> nonzero code.
+    The constructor is the one place that drops zero codes, so arithmetic
+    stores sums and products as they come."""
 
     __slots__ = ("ring", "terms")
 
@@ -202,11 +198,7 @@ class Polynomial:
         f = self.ring.field
         out = dict(self.terms)
         for k, v in o.terms.items():
-            s = f.add(out.get(k, 0), v)
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = f.add(out.get(k, 0), v)
         return Polynomial(self.ring, out)
 
     __radd__ = __add__
@@ -223,10 +215,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
-            c = self.ring.field.element(other).code
-            if c == 0:
-                return self.ring.zero
             f = self.ring.field
+            c = f.element(other).code
             return Polynomial(self.ring, {k: f.mul(c, v) for k, v in self.terms.items()})
         o = self._coerce(other)
         f = self.ring.field
@@ -234,11 +224,7 @@ class Polynomial:
         for ka, va in self.terms.items():
             for kb, vb in o.terms.items():
                 k = tuple(a + b for a, b in zip(ka, kb))
-                s = f.add(out.get(k, 0), f.mul(va, vb))
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                out[k] = f.add(out.get(k, 0), f.mul(va, vb))
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -274,23 +260,12 @@ class Polynomial:
              for k, v in self.terms.items()})
 
     def partial(self, i: int) -> "Polynomial":
-        """Formal partial derivative with respect to the i-th variable."""
+        """Formal partial derivative with respect to the i-th variable;
+        distinct terms have distinct derivative keys."""
         f = self.ring.field
-        out: dict = {}
-        for k, v in self.terms.items():
-            e = k[i]
-            if e == 0:
-                continue
-            c = f.mul(f.from_int(e), v)
-            if not c:
-                continue
-            nk = k[:i] + (e - 1,) + k[i + 1:]
-            s = f.add(out.get(nk, 0), c)
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, {
+            k[:i] + (k[i] - 1,) + k[i + 1:]: f.mul(f.from_int(k[i]), v)
+            for k, v in self.terms.items() if k[i]})
 
     def evaluate(self, codes: Iterable[int]) -> int:
         """Value at a point given by coefficient codes; returns a code."""
@@ -507,11 +482,7 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
     def take(coeff: int, exps: tuple[int, ...], sign: int) -> None:
         if sign < 0:
             coeff = f.neg(coeff)
-        s = f.add(acc.get(exps, 0), coeff)
-        if s:
-            acc[exps] = s
-        else:
-            acc.pop(exps, None)
+        acc[exps] = f.add(acc.get(exps, 0), coeff)
 
     coeff, exps = parse_term()
     take(coeff, exps, +1)
