@@ -233,6 +233,59 @@ def test_colon_by_basis_divides_the_intersection_by_f(case):
         colon_through_the_intersection(elems, R, f)
 
 
+def grevlex_count(elems, R):
+    """Staircase count of the ideal of a grevlex Groebner basis; 0 for
+    the unit ideal."""
+    return staircase_of(GroebnerBasis(R, GREVLEX, elems)).count()
+
+
+@st.composite
+def primary_ideals_and_multipliers(draw):
+    """(ring, gens, f): pure powers x_i^(b_i) and 0-2 random polynomials
+    of degree 1-4 with no constant term in 2-3 variables, which generate
+    an m-primary ideal, and a nonzero f of degree at most 3 that may
+    have a constant term."""
+    p, m = draw(st.sampled_from(DIVISION_FIELDS))
+    n = draw(st.integers(2, 3))
+    R = ring(p, *("x", "y", "t")[:n], m=m)
+    coeffs = st.integers(1, R.field.q - 1)
+    exps = st.tuples(*[st.integers(0, 4) for _ in range(n)])
+    gens = [R.monomial(tuple(b if j == i else 0 for j in range(n)))
+            for i, b in enumerate(draw(st.lists(
+                st.integers(1, 5 if n == 2 else 3), min_size=n,
+                max_size=n)))]
+    gens += [Polynomial(R, draw(st.dictionaries(
+        exps.filter(lambda e: 1 <= sum(e) <= 4), coeffs, min_size=1,
+        max_size=4))) for _ in range(draw(st.integers(0, 2)))]
+    f = Polynomial(R, draw(st.dictionaries(
+        exps.filter(lambda e: sum(e) <= 3), coeffs, min_size=1,
+        max_size=3)))
+    return R, gens, f
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(primary_ideals_and_multipliers())
+def test_colon_colength_is_the_length_of_the_principal_quotient(case):
+    # in the artinian A = S/I, A/(0 : f) is isomorphic to fA, so
+    # l(S/(I : f)) = l(fA) = l(A) - l(A/fA) = l(S/I) - l(S/(I + f))
+    R, gens, f = case
+    elems = list(IdealHandle(R, gens).basis().elements)
+    plus_f = IdealHandle(R, gens + [f]).basis().elements
+    assert grevlex_count(colon_by_basis(elems, R, f), R) == \
+        grevlex_count(elems, R) - grevlex_count(plus_f, R)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(primary_ideals_and_multipliers())
+def test_bracket_power_multiplies_the_colength_by_p_to_the_n(case):
+    # Kunz: Frobenius is flat over the regular S, so l(S/C^[p]) is
+    # p^n l(S/C) for every m-primary C
+    R, gens, _ = case
+    C = IdealHandle(R, gens)
+    assert colength(frobenius_power(C, 1)) == \
+        R.field.p ** R.n * colength(C)
+
+
 def colon_step_case():
     R = ring(5, "x", "y", "t")
     elems = list(ideal(R, "x^2 + y*t", "y^3 - t^2", "t^4").basis().elements)

@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charplab import (
-    Field, HKRow, HKSeries, IdealHandle, InputError, InternalError,
-    Polynomial, QuotientPresentation, Ring, convergence_diagnostic,
-    ehk_estimate, fpt_estimate, fsig_estimate, hk_length, hk_series,
-    hs_multiplicity, nu_series, parameter_check, parse_poly,
-    splitting_number, splitting_series,
+    GREVLEX, Field, GroebnerBasis, HKRow, HKSeries, IdealHandle, InputError,
+    InternalError, Polynomial, QuotientPresentation, Ring,
+    convergence_diagnostic, ehk_estimate, fpt_estimate, fsig_estimate,
+    hk_length, hk_series, hs_multiplicity, nu_series, parameter_check,
+    parse_poly, splitting_number, splitting_series, staircase_of,
 )
 from charplab import engine
+from charplab.groebner import colon_by_basis
 from charplab.invariants import _colon_splitting_count, _count_or_zero
 from oracles import (dense_colength_box, family_staircase_count,
                      family_staircase_enumerate, nu_direct,
@@ -249,6 +250,46 @@ def test_splitting_chain_agrees_with_colon_formula():
         P = present(R, text)
         for e in (1, 2):
             assert splitting_number(P, e) == _colon_splitting_count(P, e)
+
+
+def colon_at_every_level(g, e_max):
+    """a_1..a_emax of (g) by C_e = (C_(e-1)^[p] : g^(p-1)), C_0 = (1),
+    reading each a_e off the colength of a colon."""
+    R = g.ring
+    p = R.field.p
+    current = [R.monomial(tuple(p if j == i else 0 for j in range(R.n)))
+               for i in range(R.n)]
+    out = []
+    for _ in range(e_max):
+        elems = colon_by_basis(current, R, g ** (p - 1))
+        out.append(staircase_of(GroebnerBasis(R, GREVLEX, elems)).count())
+        current = [h.frobenius_pow(1) for h in elems]
+    return out
+
+
+@st.composite
+def hypersurface_cases(draw):
+    """(g, e_max): g with no constant term and 2-4 terms of degree 1-3 in
+    2-3 variables over GF(2), GF(3), GF(5) or GF(4), and e_max <= 3 with
+    p^(e_max n) <= 20000."""
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)]))
+    n = draw(st.integers(2, 3))
+    R = ring(p, *("x", "y", "t")[:n], m=m)
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(n)]).filter(
+        lambda e: 1 <= sum(e) <= 3)
+    terms = draw(st.dictionaries(exps, st.integers(1, R.field.q - 1),
+                                 min_size=2, max_size=4))
+    top = max(e for e in range(1, 4) if p ** (e * n) <= 20000)
+    return Polynomial(R, terms), draw(st.integers(1, top))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(hypersurface_cases())
+def test_splitting_series_matches_a_colon_at_every_level(case):
+    g, e_max = case
+    P = QuotientPresentation(g.ring, [g])
+    assert [r.a for r in splitting_series(P, e_max).rows] == \
+        colon_at_every_level(g, e_max)
 
 
 def test_colon_step_count_needs_a_finite_staircase():
