@@ -347,34 +347,42 @@ class FieldElement:
     def __setattr__(self, *args):
         raise AttributeError("field elements are immutable")
 
-    def _coerce(self, other) -> "FieldElement":
-        return self.field.element(other)
+    def _operand(method):
+        """Coerce an int or FieldElement; decline others (reflected ops)."""
+        @functools.wraps(method)
+        def wrapped(self, other):
+            if not isinstance(other, (int, FieldElement)):
+                return NotImplemented
+            return method(self, self.field.element(other))
+        return wrapped
 
-    def __add__(self, other):
-        o = self._coerce(other)
+    @_operand
+    def __add__(self, o):
         return FieldElement(self.field, self.field.add(self.code, o.code))
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
+    @_operand
+    def __sub__(self, o):
         return FieldElement(self.field, self.field.sub(self.code, o.code))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
+    @_operand
+    def __rsub__(self, o):
+        return o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
+    @_operand
+    def __mul__(self, o):
         return FieldElement(self.field, self.field.mul(self.code, o.code))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
+    @_operand
+    def __truediv__(self, o):
         return FieldElement(self.field, self.field.div(self.code, o.code))
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
+    @_operand
+    def __rtruediv__(self, o):
+        return o / self
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.code))

@@ -14,7 +14,11 @@ which satisfies C_e = (m^[p^e] : g^(p^e - 1)) because bracket powers commute
 with colon by a p-th power (flatness of Frobenius over the regular ambient),
 and a_e = colength(C_e) by duality in the Gorenstein artinian quotient by
 m^[p^e].  Each chain step colons by the fixed small polynomial g^(p-1),
-which keeps the Groebner workload flat as e grows.
+which keeps the Groebner workload flat as e grows.  The last level needs
+only a length: A/(0 : f) is isomorphic to fA in the artinian A = S/I, so
+l(S/(I : f)) = l(S/I) - l(S/(I + (f))), and l(S/C^[p]) = p^n l(S/C) by
+Kunz's flatness theorem (Amer. J. Math. 91, 1969).  So for I = C_{e-1}^[p]
+a_e = p^n a_{e-1} - l(S/(I + (r))), r = g^(p-1) mod I: one grevlex basis.
 """
 
 from __future__ import annotations
@@ -213,24 +217,24 @@ def _count_or_zero(elems, ring: Ring) -> int:
 
 def _principal_splitting_chain(R: QuotientPresentation,
                                e_max: int) -> list:
-    """a_1..a_emax for J = (g) via the bracket-and-colon chain."""
+    """a_1..a_emax for J = (g): a colon at every level but the last,
+    which reads a_e = p^n a_{e-1} - l(S/(I + (r))) with a_0 = 1 (Kunz; see
+    the module docstring).  A zero r leaves l(S/I), so a_e = 0."""
     ring = R.ring
     p = ring.field.p
     g = R.defining.generators[0]
     current = _bracket_gens(ring, 1)
     mult = g ** (p - 1)
-    out = []
-    for _ in range(e_max):
+    out = [1]
+    for _ in range(e_max - 1):
         elems = colon_by_basis(current, ring, mult, R.limits)
-        count = _count_or_zero(elems, ring)
-        out.append(count)
-        if count == 0:
-            # the colon hit the unit ideal; every later level is 0 too
-            while len(out) < e_max:
-                out.append(0)
-            break
+        out.append(_count_or_zero(elems, ring))
         current = [h.frobenius_pow(1) for h in elems]
-    return out
+    r = GroebnerBasis(ring, GREVLEX, current).normal_form(mult)
+    elems = groebner(current + [r], ring, GREVLEX, R.limits,
+                     gb_prefix=len(current))
+    out.append(p ** ring.n * out[-1] - _count_or_zero(elems, ring))
+    return out[1:]
 
 
 def _colon_splitting_count(R: QuotientPresentation, e: int) -> int:

@@ -411,12 +411,11 @@ def test_per_sample_failures_are_recorded_and_the_run_continues():
 ERROR_PATH_CASES = [
     ("hk-continuity", 7, ("x*y",), 2, 5, (1, 2), (1, 2, 3),
      {1: Fraction(3, 2), 2: Fraction(7, 4)}, {"hk-continuity": "fail"}),
-    ("fsig-continuity", 7, ("x*y",), 2, 5, (1, 2), (2, 3),
+    ("fsig-continuity", 7, ("x*y",), 2, 4, (1, 2), (0, 2),
      {1: Fraction(1, 2), 2: Fraction(1, 4)}, {"fsig-continuity": "fail"}),
-    ("splitting-constancy", 7, ("x*y",), 4, 5, (1, 2), (3,),
-     {1: 2, 2: 4}, {"splitting-constancy": "fail",
-                    "perturbed-ideal-equality": "pass"}),
-    ("splitting-monotonicity", 7, ("x*y",), 2, 5, (1, 2), (2, 3),
+    ("splitting-constancy", 7, ("x*y",), 2, 4, (1, 2), (0, 2),
+     {1: 2, 2: 4}, {"splitting-constancy": "indeterminate"}),
+    ("splitting-monotonicity", 7, ("x*y",), 2, 4, (1, 2), (0, 2),
      {1: 2, 2: 4}, {"splitting-monotonicity": "fail"}),
     ("sop-stability", 4, ("x*y", "t^2"), 2, 4, (1,), (3,),
      {0: True}, {"parameter-stability": "fail"}),
@@ -453,6 +452,34 @@ def test_every_mode_records_sample_errors_and_grades_them(
     if mode == "open-question-probe":
         assert [o["sample"] for o in rep.observations] == \
             [i for i in range(4) if i not in bad]
+
+
+def test_certified_constancy_grades_a_sample_error_as_a_failure(monkeypatch):
+    # no certified neighbourhood (N >= 4 here) drives a sample past a basis
+    # cap that the base series stays under, so the cap is simulated on
+    # the series of sample 1
+    real = perturb.splitting_series
+    calls = []
+
+    def flaky(pres, e_max):
+        calls.append(pres)
+        if len(calls) == 3:
+            raise LimitError("simulated cap")
+        return real(pres, e_max)
+
+    monkeypatch.setattr(perturb, "splitting_series", flaky)
+    R = presentation(2, ("x", "y", "t"))
+    plan = PerturbationPlan(R, (parse_poly("x*y", R.ring),), 4, 5, 3, 0,
+                            (1, 2), "splitting-constancy")
+    rep = run_experiment(plan)
+    assert [(r.sample, r.e, r.base, r.perturbed, r.verdict)
+            for r in rep.rows] == [
+        (0, 1, 2, 2, "pass"), (0, 2, 4, 4, "unasserted"),
+        (1, 1, 2, None, "error:limit"), (1, 2, 4, None, "error:limit"),
+        (2, 1, 2, 2, "pass"), (2, 2, 4, 4, "unasserted")]
+    assert rep.failures == ("sample 1: simulated cap",)
+    assert rep.verdicts == {"splitting-constancy": "fail",
+                            "perturbed-ideal-equality": "pass"}
 
 
 def test_dis_congruence_records_sample_errors_and_grades_them(monkeypatch):

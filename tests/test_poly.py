@@ -110,6 +110,22 @@ def test_multiplication_by_zero():
     assert (f * R.zero).is_zero()
 
 
+def test_field_element_scalars_work_on_either_side():
+    # a FieldElement on the left declines a Polynomial, so Python reaches
+    # Polynomial's reflected methods
+    rng = random.Random(14)
+    for p, m in ((5, 1), (2, 2)):
+        R = ring(p, m, "x", "y")
+        for c in R.field.elements():
+            for _ in range(5):
+                f = random_poly(rng, R)
+                assert c * f == f * c == R.constant(c) * f
+                assert c + f == f + c
+                assert c - f == -(f - c)
+        with pytest.raises(TypeError):
+            R.field.one * 1.5
+
+
 def test_ring_distributivity_random():
     rng = random.Random(11)
     R = ring(3, 1, "x", "y")
