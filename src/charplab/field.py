@@ -335,6 +335,17 @@ def GF(p: int, m: int = 1, modulus: tuple[int, ...] | None = None) -> Field:
     return Field(p, m, modulus)
 
 
+def _field_operand(method):
+    """Coerce an int or FieldElement operand; decline any other, so that
+    Python tries its reflected method (Polynomial's, say)."""
+    @functools.wraps(method)
+    def wrapped(self, other):
+        if not isinstance(other, (int, FieldElement)):
+            return NotImplemented
+        return method(self, self.field.element(other))
+    return wrapped
+
+
 class FieldElement:
     """Immutable element of a Field, wrapping an integer code."""
 
@@ -347,40 +358,31 @@ class FieldElement:
     def __setattr__(self, *args):
         raise AttributeError("field elements are immutable")
 
-    def _operand(method):
-        """Coerce an int or FieldElement; decline others (reflected ops)."""
-        @functools.wraps(method)
-        def wrapped(self, other):
-            if not isinstance(other, (int, FieldElement)):
-                return NotImplemented
-            return method(self, self.field.element(other))
-        return wrapped
-
-    @_operand
+    @_field_operand
     def __add__(self, o):
         return FieldElement(self.field, self.field.add(self.code, o.code))
 
     __radd__ = __add__
 
-    @_operand
+    @_field_operand
     def __sub__(self, o):
         return FieldElement(self.field, self.field.sub(self.code, o.code))
 
-    @_operand
+    @_field_operand
     def __rsub__(self, o):
         return o - self
 
-    @_operand
+    @_field_operand
     def __mul__(self, o):
         return FieldElement(self.field, self.field.mul(self.code, o.code))
 
     __rmul__ = __mul__
 
-    @_operand
+    @_field_operand
     def __truediv__(self, o):
         return FieldElement(self.field, self.field.div(self.code, o.code))
 
-    @_operand
+    @_field_operand
     def __rtruediv__(self, o):
         return o / self
 
