@@ -180,6 +180,20 @@ def test_colon_inverse_law_random():
                 assert gb.normal_form(g * h).is_zero()
 
 
+def test_colon_by_a_unit_is_the_ideal_itself():
+    # (I : c) = I for a nonzero constant c, and so is (I : c + h) for h in I
+    rng = random.Random(41)
+    for p, m in DIVISION_FIELDS:
+        R = ring(p, "x", "y", "t", m=m)
+        for _ in range(4):
+            I = IdealHandle(R, [random_poly(rng, R, 3, 3)
+                                for _ in range(rng.randrange(1, 4))])
+            c = Polynomial(R, {(0, 0, 0): rng.randrange(1, R.field.q)})
+            h = random_poly(rng, R, 2, 2) * I.generators[0]
+            for f in (c, c + h):
+                assert ideal_equal(colon(I, IdealHandle(R, [f])), I)
+
+
 def test_colon_by_basis_rejects_zero_multiplier():
     R = ring(5, "x", "y")
     gb = ideal(R, "x^2").basis()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from charplab import (
     GREVLEX, Field, GroebnerBasis, HKRow, HKSeries, IdealHandle, InputError,
-    InternalError, Polynomial, QuotientPresentation, Ring,
+    InternalError, colength, Polynomial, QuotientPresentation, Ring,
     convergence_diagnostic, ehk_estimate, fpt_estimate, fsig_estimate,
     hk_length, hk_series, hs_multiplicity, nu_series, parameter_check,
     parse_poly, splitting_number, splitting_series, staircase_of,
@@ -267,20 +267,23 @@ def colon_at_every_level(g, e_max):
     return out
 
 
+def maximal_polys(R):
+    """Polynomials with no constant term and 2-4 terms of degree 1-3."""
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(R.n)]).filter(
+        lambda e: 1 <= sum(e) <= 3)
+    return st.builds(lambda terms: Polynomial(R, terms), st.dictionaries(
+        exps, st.integers(1, R.field.q - 1), min_size=2, max_size=4))
+
+
 @st.composite
-def hypersurface_cases(draw):
-    """(g, e_max): g with no constant term and 2-4 terms of degree 1-3 in
-    2-3 variables over GF(2), GF(3), GF(5) or GF(4), and e_max <= 3 with
-    p^(e_max n) <= 20000."""
+def hypersurface_cases(draw, box=20000, e_top=3):
+    """(g, e_max): g from maximal_polys in 2-3 variables over GF(2), GF(3),
+    GF(5) or GF(4), and e_max <= e_top with p^(e_max n) <= box."""
     p, m = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)]))
     n = draw(st.integers(2, 3))
     R = ring(p, *("x", "y", "t")[:n], m=m)
-    exps = st.tuples(*[st.integers(0, 3) for _ in range(n)]).filter(
-        lambda e: 1 <= sum(e) <= 3)
-    terms = draw(st.dictionaries(exps, st.integers(1, R.field.q - 1),
-                                 min_size=2, max_size=4))
-    top = max(e for e in range(1, 4) if p ** (e * n) <= 20000)
-    return Polynomial(R, terms), draw(st.integers(1, top))
+    top = max(e for e in range(1, e_top + 1) if p ** (e * n) <= box)
+    return draw(maximal_polys(R)), draw(st.integers(1, top))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -290,6 +293,24 @@ def test_splitting_series_matches_a_colon_at_every_level(case):
     P = QuotientPresentation(g.ring, [g])
     assert [r.a for r in splitting_series(P, e_max).rows] == \
         colon_at_every_level(g, e_max)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(hypersurface_cases(box=729, e_top=2), st.data())
+def test_known_bases_plus_brackets_match_fresh_computations(case, data):
+    # the last-level length of the chain and the literal colon formula
+    # agree, and the length of J + m^[q] read off J's cached basis plus
+    # the x_i^q equals the colength of a fresh ideal on all of them
+    g, e = case
+    R = g.ring
+    P = QuotientPresentation(R, [g])
+    assert _colon_splitting_count(P, e) == splitting_number(P, e)
+    gens = [g] + data.draw(st.lists(maximal_polys(R), max_size=1))
+    q = R.field.p ** e
+    bracket = [R.monomial(tuple(q if j == i else 0 for j in range(R.n)))
+               for i in range(R.n)]
+    assert hk_length(QuotientPresentation(R, gens), e) == \
+        colength(IdealHandle(R, gens + bracket))
 
 
 def test_colon_step_count_needs_a_finite_staircase():
