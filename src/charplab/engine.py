@@ -652,9 +652,9 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
 
     `gb_prefix` marks an initial segment already known to be a Groebner
     basis under this order: pairs inside the segment are skipped (their
-    S-polynomials have standard representations by assumption).
-    `limits.max_seconds` bounds this one call, restarts on wider keys
-    included.  A `divisor` f, under block_order(k), makes the answer J / f
+    S-polynomials have standard representations by assumption); callers
+    reach it through groebner.GroebnerBasis.extend.  `limits.max_seconds`
+    bounds this one call, restarts on wider keys included.  A `divisor` f, under block_order(k), makes the answer J / f
     for J the part of (gens) free of the first k variables, which must lie
     in (f): the final pass divides (see groebner.colon_by_basis).  With
     f = 1 the answer is the elimination ideal J itself (groebner.eliminate).

@@ -1,11 +1,13 @@
 """Ideal algebra on top of the Buchberger engine.
 
 IdealHandle is the unit of sharing: generators plus a per-order cache of
-reduced Groebner bases.  All the classical constructions live here as
-module-level functions: membership, equality, intersection (tag variable),
-colon, elimination, bracket powers of Frobenius, combinatorial Krull
-dimension, staircase colength counting, minimal m-power inclusion,
-subalgebra presentations, and the squarefreeness test for hypersurfaces.
+reduced Groebner bases.  A known basis grows only through
+GroebnerBasis.extend, one engine run that takes it as a known prefix.
+All the classical constructions live here as module-level functions:
+membership, equality, intersection (tag variable), colon, elimination,
+bracket powers of Frobenius, combinatorial Krull dimension, staircase
+colength counting, minimal m-power inclusion, subalgebra presentations,
+and the squarefreeness test for hypersurfaces.
 
 Elimination is one engine run under a block order: its final pass keeps
 the reduced basis elements free of the first block, which by the
@@ -29,7 +31,8 @@ from .poly import Polynomial, Ring
 
 
 class GroebnerBasis:
-    """A reduced basis frozen together with a reduction context."""
+    """A reduced basis frozen together with a reduction context; `extend`
+    is the only way to grow it."""
 
     __slots__ = ("ring", "order", "elements", "_ctx")
 
@@ -57,6 +60,14 @@ class GroebnerBasis:
         """Fully reduced remainder of f; zero iff f lies in the ideal."""
         return self.with_context(lambda ctx: ctx.normal_form(f),
                                  f.total_degree())
+
+    def extend(self, extra, limits: Limits = DEFAULT_LIMITS) -> "GroebnerBasis":
+        """Reduced basis of these elements plus `extra`: one engine run
+        that skips every pair inside the known prefix."""
+        elems = list(self.elements)
+        return GroebnerBasis(self.ring, self.order, groebner(
+            elems + list(extra), self.ring, self.order, limits,
+            gb_prefix=len(elems)))
 
     def leading_exponents(self) -> list[tuple[int, ...]]:
         return [g.leading_term(self.order)[0].exponents for g in self.elements]
@@ -91,8 +102,8 @@ class IdealHandle:
         got = self._cache.get(order)
         if got is not None:
             return got
-        elems = groebner(list(self.generators), self.ring, order, self.limits)
-        gb = GroebnerBasis(self.ring, order, elems)
+        gb = GroebnerBasis(self.ring, order, []).extend(self.generators,
+                                                        self.limits)
         for f in self.generators:
             if not gb.normal_form(f).is_zero():
                 raise InternalError("a generator fails to reduce to zero "
@@ -221,9 +232,6 @@ def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
     f = GroebnerBasis(ring, GREVLEX, list(gb_elements)).normal_form(f)
     if f.is_zero():
         return [ring.one]
-    if f.is_constant():
-        return groebner(list(gb_elements), ring, GREVLEX, limits,
-                        gb_prefix=len(gb_elements))
     ext = ring.extend_front([_tag_name(ring)])
     w = ext.variable(0)
     lifted = _lift_front(f, ext)

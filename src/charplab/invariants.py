@@ -19,6 +19,8 @@ only a length: A/(0 : f) is isomorphic to fA in the artinian A = S/I, so
 l(S/(I : f)) = l(S/I) - l(S/(I + (f))), and l(S/C^[p]) = p^n l(S/C) by
 Kunz's flatness theorem (Amer. J. Math. 91, 1969).  So for I = C_{e-1}^[p]
 a_e = p^n a_{e-1} - l(S/(I + (r))), r = g^(p-1) mod I: one grevlex basis.
+When g has a term of degree 1, S/(g) is regular at the origin, so F_*^e is
+free of rank q^(n-1) there (Kunz, loc. cit.): a_e = q^(n-1), no basis needed.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import DEFAULT_LIMITS, Limits, groebner
 from .errors import InputError, InternalError, LimitError
-from .groebner import (GroebnerBasis, IdealHandle, colon, colon_by_basis,
-                       frobenius_power, krull_dim, staircase_of)
+from .groebner import (GroebnerBasis, IdealHandle, Limits, colon,
+                       colon_by_basis, frobenius_power, krull_dim,
+                       staircase_of)
 from .orders import GREVLEX
 from .poly import Polynomial, Ring
 
@@ -126,23 +128,12 @@ def _bracket_gens(ring: Ring, e: int) -> list[Polynomial]:
             for i in range(ring.n)]
 
 
-def _zero_dim_count(R: QuotientPresentation,
-                    extra: list[Polynomial]) -> int:
-    """Colength of J + (extra); the cached basis of J is reused as a
-    known-Groebner prefix so its internal pairs are skipped.  Callers pass
-    an m-primary `extra` (the x_i^q, or every monomial of one degree), and
-    J lies in m, so the ideal is proper and zero-dimensional."""
-    base = R.defining.basis(GREVLEX)
-    elems = groebner(list(base.elements) + extra, R.ring, GREVLEX, R.limits,
-                     gb_prefix=len(base.elements))
-    return staircase_of(GroebnerBasis(R.ring, GREVLEX, elems)).count()
-
-
 def hk_length(R: QuotientPresentation, e: int) -> int:
     """Colength of J + the e-th bracket power of the maximal ideal."""
     if not isinstance(e, int) or e < 1:
         raise InputError("Frobenius level e must be a positive integer")
-    return _zero_dim_count(R, _bracket_gens(R.ring, e))
+    return staircase_of(R.defining.basis(GREVLEX).extend(
+        _bracket_gens(R.ring, e), R.limits)).count()
 
 
 def hk_series(R: QuotientPresentation, e_max: int) -> HKSeries:
@@ -230,10 +221,9 @@ def _principal_splitting_chain(R: QuotientPresentation,
         elems = colon_by_basis(current, ring, mult, R.limits)
         out.append(_count_or_zero(elems, ring))
         current = [h.frobenius_pow(1) for h in elems]
-    r = GroebnerBasis(ring, GREVLEX, current).normal_form(mult)
-    elems = groebner(current + [r], ring, GREVLEX, R.limits,
-                     gb_prefix=len(current))
-    out.append(p ** ring.n * out[-1] - _count_or_zero(elems, ring))
+    base = GroebnerBasis(ring, GREVLEX, current)
+    ext = base.extend([base.normal_form(mult)], R.limits)
+    out.append(p ** ring.n * out[-1] - _count_or_zero(ext.elements, ring))
     return out[1:]
 
 
@@ -241,21 +231,21 @@ def _colon_splitting_count(R: QuotientPresentation, e: int) -> int:
     """a_e by the literal colon formula for arbitrary J."""
     ring = R.ring
     quotient = colon(frobenius_power(R.defining, e), R.defining)
-    gens = list(quotient.generators) + _bracket_gens(ring, e)
-    elems = groebner(gens, ring, GREVLEX, R.limits)
-    return ring.field.p ** (e * ring.n) - _count_or_zero(elems, ring)
+    ext = quotient.basis(GREVLEX).extend(_bracket_gens(ring, e), R.limits)
+    return ring.field.p ** (e * ring.n) - _count_or_zero(ext.elements, ring)
 
 
 def _splitting_values(R: QuotientPresentation, first: int,
                       last: int) -> list:
-    """a_first, ..., a_last: the box count p^(e n) when J = 0, the chain
-    for a principal J (run from e = 1 whatever first is), and the colon
-    formula level by level otherwise."""
+    """a_first, ..., a_last: q^(n - len(J)) when J = 0 or J = (g) with a
+    degree-1 term (S/J regular), the chain for any other principal J (run
+    from e = 1 whatever first is), and the colon formula otherwise."""
     ring = R.ring
     levels = range(first, last + 1)
-    if not R.defining.generators:
-        return [ring.field.p ** (e * ring.n) for e in levels]
-    if len(R.defining.generators) == 1:
+    gens = R.defining.generators
+    if len(gens) <= 1 and all(1 in map(sum, g.terms) for g in gens):
+        return [ring.field.p ** (e * (ring.n - len(gens))) for e in levels]
+    if len(gens) == 1:
         return _principal_splitting_chain(R, last)[first - 1:]
     return [_colon_splitting_count(R, e) for e in levels]
 
@@ -305,7 +295,8 @@ def hs_multiplicity(R: QuotientPresentation) -> int:
     d = R.dim
     homogeneous = all(
         len({sum(e) for e in g.terms}) == 1 for g in R.defining.generators)
-    st = staircase_of(R.defining.basis(GREVLEX)) if homogeneous else None
+    base = R.defining.basis(GREVLEX)
+    st = staircase_of(base) if homogeneous else None
     lengths: list[int] = []
     for s in range(1, 61):
         if st is not None:
@@ -314,8 +305,8 @@ def hs_multiplicity(R: QuotientPresentation) -> int:
             lengths.append((lengths[-1] if lengths else 0)
                            + st.count_degree(s - 1))
         else:
-            lengths.append(
-                _zero_dim_count(R, _ordinary_power_monomials(R.ring, s)))
+            lengths.append(staircase_of(base.extend(
+                _ordinary_power_monomials(R.ring, s), R.limits)).count())
         diffs = lengths
         for _ in range(d):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]

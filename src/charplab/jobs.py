@@ -118,9 +118,7 @@ def _int_list(value, what: str) -> list:
 
 
 def _fraction_param(value, what: str) -> Fraction:
-    if isinstance(value, bool):
-        _fail(f"{what} must be a number or [num, den]")
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if (isinstance(value, list) and len(value) == 2
             and all(map(_is_int, value))):

@@ -99,6 +99,8 @@ class PerturbationPlan:
             raise InputError("need at least one sample")
         if not isinstance(self.seed, int) or not 0 <= self.seed <= MASK64:
             raise InputError("seed must be a 64-bit unsigned integer")
+        if self.tolerance is not None and self.tolerance < 0:
+            raise InputError("tolerance must be >= 0")
         e_range = tuple(self.e_range)
         object.__setattr__(self, "e_range", e_range)
         if not e_range:

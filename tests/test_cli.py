@@ -277,6 +277,31 @@ def test_a_parameter_the_job_does_not_read_is_an_input_error(
     assert err == f"error: input: bad job: {message}\n"
 
 
+@pytest.mark.parametrize("tolerance,echo", [
+    (1, {"num": 1, "den": 1}),
+    ([1, 3], {"num": 1, "den": 3}),
+], ids=["integer", "pair"])
+def test_a_tolerance_is_echoed_in_the_reproducibility_block(
+        capsys, tmp_path, tolerance, echo):
+    doc = _shipped("32-perturb-hk-invisible.json")
+    doc["params"]["tolerance"] = tolerance
+    code, out, err = run(capsys, "perturb", "--job",
+                         write_job(tmp_path, "tolerance.json", doc))
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["reproducibility"]["tolerance"] == echo
+
+
+@pytest.mark.parametrize("tolerance", [[1, 0], True, -1],
+                         ids=["zero-denominator", "boolean", "negative"])
+def test_a_bad_tolerance_is_an_input_error(capsys, tmp_path, tolerance):
+    doc = _shipped("32-perturb-hk-invisible.json")
+    doc["params"]["tolerance"] = tolerance
+    code, out, err = run(capsys, "perturb", "--job",
+                         write_job(tmp_path, "tolerance.json", doc))
+    assert code == 1 and out == ""
+    assert err.startswith("error: input: ") and "tolerance" in err
+
+
 def test_exhausted_limits_exit_with_code_two(capsys):
     code, out, err = run(capsys, "length", "--job",
                          job_path("06-length-quadric-13.json"),

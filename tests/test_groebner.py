@@ -5,7 +5,9 @@ The randomized blocks compare against the dense linear-algebra oracles;
 the fixed examples pin down hand-checkable values.
 """
 
+import ast
 import itertools
+import os
 import random
 
 import pytest
@@ -192,6 +194,45 @@ def test_colon_by_a_unit_is_the_ideal_itself():
             h = random_poly(rng, R, 2, 2) * I.generators[0]
             for f in (c, c + h):
                 assert ideal_equal(colon(I, IdealHandle(R, [f])), I)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_extend_gives_the_basis_of_the_elements_plus_the_extra(order):
+    rng = random.Random(43)
+    for p, m in DIVISION_FIELDS:
+        R = ring(p, "x", "y", "t", m=m)
+        for _ in range(4):
+            G = IdealHandle(R, [random_poly(rng, R, 3, 3)
+                                for _ in range(rng.randrange(1, 4))]).basis(
+                                    order)
+            extra = [random_poly(rng, R, 3, 2)
+                     for _ in range(rng.randrange(0, 3))]
+            got = G.extend(extra, Limits())
+            assert got.order == order
+            assert got.elements == IdealHandle(
+                R, list(G.elements) + extra).basis(order).elements
+
+
+def test_only_the_ideal_layer_imports_the_engine():
+    # every other module reaches engine.groebner through groebner.py
+    src = os.path.dirname(charplab_groebner.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "groebner.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                parts = ["charplab"] * (node.level > 0) + [node.module]
+                base = ".".join(part for part in parts if part)
+                targets = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(t == "charplab.engine" or
+                           t.startswith("charplab.engine.")
+                           for t in targets), (name, node.lineno)
 
 
 def test_colon_by_basis_rejects_zero_multiplier():

@@ -8,6 +8,7 @@ synthetic series where the limit is exact by construction.
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -311,6 +312,39 @@ def test_known_bases_plus_brackets_match_fresh_computations(case, data):
                for i in range(R.n)]
     assert hk_length(QuotientPresentation(R, gens), e) == \
         colength(IdealHandle(R, gens + bracket))
+
+
+@st.composite
+def regular_hypersurface_cases(draw):
+    """(g, e_max) from hypersurface_cases with a degree-1 term c x_i put
+    into g, so that S/(g) is regular at the origin."""
+    g, e_max = draw(hypersurface_cases(box=729))
+    R = g.ring
+    i = draw(st.integers(0, R.n - 1))
+    unit = tuple(int(j == i) for j in range(R.n))
+    return Polynomial(R, {**g.terms, unit: draw(
+        st.integers(1, R.field.q - 1))}), e_max
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(regular_hypersurface_cases())
+def test_a_regular_hypersurface_has_free_rank_q_to_the_n_minus_1(case):
+    # Kunz: F_*^e of a regular local ring with perfect residue field is
+    # free of rank q^(n-1) here, which the colon chain agrees with
+    g, e_max = case
+    R = g.ring
+    P = QuotientPresentation(R, [g])
+    want = [R.field.p ** (e * (R.n - 1)) for e in range(1, e_max + 1)]
+    assert [r.a for r in splitting_series(P, e_max).rows] == want
+    assert colon_at_every_level(g, e_max) == want
+
+
+def test_a_regular_hypersurface_takes_no_basis_computation():
+    R = ring(5, "x", "y", "t")
+    P = present(R, "x^2*y*t + 4*y^2*t + 4*t^2 + x + 4*y")
+    start = time.perf_counter()
+    assert [r.a for r in splitting_series(P, 2).rows] == [25, 625]
+    assert time.perf_counter() - start < 1
 
 
 def test_colon_step_count_needs_a_finite_staircase():
