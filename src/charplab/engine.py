@@ -654,10 +654,11 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
     basis under this order: pairs inside the segment are skipped (their
     S-polynomials have standard representations by assumption); callers
     reach it through groebner.GroebnerBasis.extend.  `limits.max_seconds`
-    bounds this one call, restarts on wider keys included.  A `divisor` f, under block_order(k), makes the answer J / f
-    for J the part of (gens) free of the first k variables, which must lie
-    in (f): the final pass divides (see groebner.colon_by_basis).  With
-    f = 1 the answer is the elimination ideal J itself (groebner.eliminate).
+    bounds this one call, restarts on wider keys included.  A `divisor`
+    f, under block_order(k), makes the answer J / f for J the part of
+    (gens) free of the first k variables, which must lie in (f): the
+    final pass divides (see groebner.colon_by_basis).  With f = 1 the
+    answer is the elimination ideal J itself (groebner.eliminate).
     """
     nz = [f for f in gens if not f.is_zero()]
     for f in nz:

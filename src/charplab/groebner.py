@@ -61,7 +61,7 @@ class GroebnerBasis:
         return self.with_context(lambda ctx: ctx.normal_form(f),
                                  f.total_degree())
 
-    def extend(self, extra, limits: Limits = DEFAULT_LIMITS) -> "GroebnerBasis":
+    def extend(self, extra, limits: Limits = DEFAULT_LIMITS) -> GroebnerBasis:
         """Reduced basis of these elements plus `extra`: one engine run
         that skips every pair inside the known prefix."""
         elems = list(self.elements)

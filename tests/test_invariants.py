@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from charplab import (
     GREVLEX, Field, GroebnerBasis, HKRow, HKSeries, IdealHandle, InputError,
-    InternalError, colength, Polynomial, QuotientPresentation, Ring,
+    InternalError, Polynomial, QuotientPresentation, Ring, colength,
     convergence_diagnostic, ehk_estimate, fpt_estimate, fsig_estimate,
     hk_length, hk_series, hs_multiplicity, nu_series, parameter_check,
     parse_poly, splitting_number, splitting_series, staircase_of,
