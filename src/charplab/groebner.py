@@ -70,7 +70,7 @@ class GroebnerBasis:
             gb_prefix=len(elems)))
 
     def leading_exponents(self) -> list[tuple[int, ...]]:
-        return [g.leading_term(self.order)[0].exponents for g in self.elements]
+        return [max(g.terms, key=self.order.key) for g in self.elements]
 
     def __iter__(self):
         return iter(self.elements)
@@ -288,27 +288,38 @@ def _minimalize(corners) -> frozenset:
 
 
 class Staircase:
-    """The complement of a monomial ideal given by its minimal corners.
-    `dimension` is the Krull dimension of the quotient, and one memoized
-    fold over the slices gives both `count` and `max_degree`: the fold is
-    where an infinite staircase raises InputError, and the unit ideal
-    gives (0, -1)."""
+    """The complement of a monomial ideal given by the exponents of its
+    generators; `corners`, their minimal set, is found on first read, since
+    a divisible corner changes no slice and no dimension.  `dimension` is
+    the Krull dimension of the quotient, and one memoized fold over the
+    slices gives both `count` and `max_degree`: the fold is where an
+    infinite staircase raises InputError, and the unit ideal gives (0, -1)."""
 
-    __slots__ = ("corners", "n", "_memo")
+    __slots__ = ("n", "_given", "_corners", "_memo")
 
     def __init__(self, corners, n: int):
-        self.n = n
-        self.corners = _minimalize(corners)
+        corners = list(corners)
+        if not all(type(c) is tuple and len(c) == n and all(
+                type(e) is int and e >= 0 for e in c) for c in corners):
+            raise InputError(f"corners must be {n}-tuples of nonnegative ints")
+        self.n, self._given = n, frozenset(corners)
+        self._corners: frozenset | None = None
         # slices and the folds over them, keyed (kind, n, corners) plus the
         # degree for "degree": the empty corner set recurs at every n with
         # a different count
         self._memo: dict = {}
 
+    @property
+    def corners(self) -> frozenset:
+        if self._corners is None:
+            self._corners = _minimalize(self._given)
+        return self._corners
+
     def dimension(self) -> int:
         """Size of the largest set of variables that contains no corner's
         support; -1 for the unit ideal (its zero corner has none)."""
         supports = {sum(1 << i for i, e in enumerate(c) if e)
-                    for c in self.corners}
+                    for c in self._given}
         return max((mask.bit_count() for mask in range(1 << self.n)
                     if all(s & ~mask for s in supports)), default=-1)
 
@@ -318,16 +329,20 @@ class Staircase:
 
     def _slices(self, corners: frozenset, n: int) -> list:
         """The runs lo <= x_n < hi of one slice, as (lo, hi, rest): rest is
-        the staircase of the slice in the first n - 1 variables, and hi is
-        None on the last, unbounded run.  Runs cut at the distinct last
-        coordinates of the corners and stop at the first empty slice."""
+        the minimal staircase of the slice in the first n - 1 variables, and
+        hi is None on the last, unbounded run.  Runs cut at the distinct last
+        coordinates of the corners and stop at the first empty slice.  One
+        sweep carries rest up and folds in the corners with c[-1] == lo, as
+        min(A | B) = min(min(A) | B) and minimal sets are unique."""
         key = ("slices", n, corners)
         got = self._memo.get(key)
         if got is None:
-            bounds = sorted({0} | {c[-1] for c in corners})
-            got = []
+            at: dict[int, list] = {0: []}
+            for c in corners:
+                at.setdefault(c[-1], []).append(c[:-1])
+            got, rest, bounds = [], frozenset(), sorted(at)
             for lo, hi in zip(bounds, bounds[1:] + [None]):
-                rest = _minimalize(c[:-1] for c in corners if c[-1] <= lo)
+                rest = _minimalize([*rest, *at[lo]])
                 if any(sum(c) == 0 for c in rest):
                     break
                 got.append((lo, hi, rest))
@@ -338,11 +353,11 @@ class Staircase:
     # is the single monomial 1
 
     def count(self) -> int:
-        return self._fold(self.corners, self.n)[0]
+        return self._fold(self._given, self.n)[0]
 
     def max_degree(self) -> int:
         """Largest total degree of a standard monomial; -1 when empty."""
-        return self._fold(self.corners, self.n)[1]
+        return self._fold(self._given, self.n)[1]
 
     def _fold(self, corners: frozenset, n: int) -> tuple[int, int]:
         """(count, max_degree).  A run is unbounded exactly when the
@@ -366,7 +381,7 @@ class Staircase:
 
     def count_degree(self, k: int) -> int:
         """Standard monomials of total degree exactly k (any dimension)."""
-        return self._count_degree(self.corners, self.n, k)
+        return self._count_degree(self._given, self.n, k)
 
     def _count_degree(self, corners: frozenset, n: int, k: int) -> int:
         if n == 0:

@@ -19,7 +19,7 @@ so that output always re-parses to the same polynomial.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InputError, LimitError, ParseError
 from .field import Field, FieldElement
@@ -170,11 +170,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def iter_terms(self, order: MonomialOrder = GREVLEX) -> Iterator[tuple[Monomial, FieldElement]]:
-        f = self.ring.field
-        for exps in sorted(self.terms, key=order.key, reverse=True):
-            yield Monomial(exps), f.from_code(self.terms[exps])
 
     def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, FieldElement]:
         if not self.terms:

@@ -700,6 +700,72 @@ def test_staircase_calls_in_any_order_match_enumeration(case):
     assert stair.count_degree(-1) == 0
 
 
+@st.composite
+def many_corners(draw):
+    """(n, side, corners): 20-40 drawn corners in 2-4 variables with
+    exponents up to side (12 in two and three variables, 6 in four), plus
+    the lcm of each of the first 20 with the next, which another corner
+    divides; closed off by pure powers of at most side + 1, or not.  The
+    slices then have many distinct last coordinates to carry across."""
+    n = draw(st.integers(2, 4))
+    side = 12 if n < 4 else 6
+    drawn = draw(st.lists(st.tuples(*[st.integers(0, side)] * n),
+                          min_size=20, max_size=40))
+    corners = set(drawn) | {tuple(map(max, a, b))
+                            for a, b in zip(drawn[:20], drawn[1:21])}
+    if draw(st.booleans()):
+        bounds = draw(st.lists(st.integers(1, side + 1), min_size=n,
+                               max_size=n))
+        corners |= {tuple(b if j == i else 0 for j in range(n))
+                    for i, b in enumerate(bounds)}
+    return n, side, corners
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(many_corners())
+@example((2, 12, {(12 - i, i) for i in range(13)}
+          | {(13 - i, i + 1) for i in range(12)}))
+@example((3, 12, {(i, 12 - i, i) for i in range(13)}
+          | {(13, 0, 0), (0, 13, 0), (0, 0, 13)}))
+def test_staircase_with_many_corners_matches_box_enumeration(case):
+    """A finite staircase lies in the box of exponents <= side; an
+    infinite one misses the pure power of some variable, so it has a
+    standard monomial with an exponent side + 1.  Every monomial of degree
+    at most side + 1 lies in the box either way."""
+    n, side, corners = case
+    standard = [m for m in box_monomials(n, side + 2)
+                if not any(all(a >= b for a, b in zip(m, c))
+                           for c in corners)]
+    finite = all(max(m) <= side for m in standard)
+    stair = Staircase(corners, n)
+    assert (stair.dimension() <= 0) == finite
+    if finite:
+        assert stair.count() == len(standard)
+        assert stair.max_degree() == max((sum(m) for m in standard),
+                                         default=-1)
+    else:
+        for call in (stair.count, stair.max_degree):
+            with pytest.raises(InputError):
+                call()
+    for k in range(-1, (n * side if finite else side) + 2):
+        assert stair.count_degree(k) == sum(1 for m in standard
+                                            if sum(m) == k)
+
+
+@pytest.mark.parametrize("corners", [
+    [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0, 0)],  # a 4-variable corner
+    [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1)],        # a 2-variable corner
+    [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, -1, 1)],    # a negative exponent
+    [(2, 0, 0), [0, 2, 0], (0, 0, 2)],                # a list, not a tuple
+    [(2, 0, 0), (0, 2.0, 0), (0, 0, 2)],              # a float exponent
+])
+def test_staircase_rejects_malformed_corners(corners):
+    with pytest.raises(InputError):
+        Staircase(corners, 3)
+    assert Staircase([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)],
+                     3).count() == 6
+
+
 def test_m_power_in_examples():
     R = ring(5, "x", "y")
     assert m_power_in(ideal(R, "x^2", "y^3")) == 4

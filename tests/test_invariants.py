@@ -23,7 +23,7 @@ from charplab import (
     parse_poly, splitting_number, splitting_series, staircase_of,
 )
 from charplab import engine
-from charplab.groebner import colon_by_basis
+from charplab.groebner import Staircase, colon_by_basis
 from charplab.invariants import _colon_splitting_count, _count_or_zero
 from oracles import (dense_colength_box, family_staircase_count,
                      family_staircase_enumerate, nu_direct,
@@ -266,6 +266,23 @@ def colon_at_every_level(g, e_max):
         out.append(staircase_of(GroebnerBasis(R, GREVLEX, elems)).count())
         current = [h.frobenius_pow(1) for h in elems]
     return out
+
+
+def test_staircase_count_on_a_level_four_chain_basis():
+    """a_4 of x^2 + y^2 + t^2 over F3 is (81^2 + 1)/2 = 3281, the count of
+    the staircase of the level-4 colon's reduced basis, whose leading
+    exponents are already the minimal corners."""
+    R = ring(3, "x", "y", "t")
+    g = parse_poly("x^2 + y^2 + t^2", R)
+    current = [R.monomial(tuple(3 if j == i else 0 for j in range(3)))
+               for i in range(3)]
+    for _ in range(4):
+        elems = colon_by_basis(current, R, g ** 2)
+        current = [h.frobenius_pow(1) for h in elems]
+    lead = GroebnerBasis(R, GREVLEX, elems).leading_exponents()
+    stair = Staircase(lead, 3)
+    assert stair.count() == 3281
+    assert stair.corners == set(lead)
 
 
 def maximal_polys(R):
