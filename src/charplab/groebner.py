@@ -299,7 +299,7 @@ class Staircase:
 
     def __init__(self, corners, n: int):
         corners = list(corners)
-        if not all(type(c) is tuple and len(c) == n and all(
+        if n < 1 or not all(type(c) is tuple and len(c) == n and all(
                 type(e) is int and e >= 0 for e in c) for c in corners):
             raise InputError(f"corners must be {n}-tuples of nonnegative ints")
         self.n, self._given = n, frozenset(corners)

@@ -752,18 +752,17 @@ def test_staircase_with_many_corners_matches_box_enumeration(case):
                                             if sum(m) == k)
 
 
-@pytest.mark.parametrize("corners", [
-    [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0, 0)],  # a 4-variable corner
-    [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1)],        # a 2-variable corner
-    [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, -1, 1)],    # a negative exponent
-    [(2, 0, 0), [0, 2, 0], (0, 0, 2)],                # a list, not a tuple
-    [(2, 0, 0), (0, 2.0, 0), (0, 0, 2)],              # a float exponent
+@pytest.mark.parametrize("corners, n", [
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0, 0)], 3),  # 4 exponents
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1)], 3),        # 2 exponents
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, -1, 1)], 3),    # negative
+    ([(2, 0, 0), [0, 2, 0], (0, 0, 2)], 3),                # a list
+    ([(2, 0, 0), (0, 2.0, 0), (0, 0, 2)], 3),              # a float
+    ([()], 0),                          # no variables, yet it would count 1
 ])
-def test_staircase_rejects_malformed_corners(corners):
+def test_staircase_rejects_malformed_corners(corners, n):
     with pytest.raises(InputError):
-        Staircase(corners, 3)
-    assert Staircase([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)],
-                     3).count() == 6
+        Staircase(corners, n)
 
 
 def test_m_power_in_examples():
