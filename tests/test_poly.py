@@ -63,13 +63,47 @@ def test_parse_cancellation_to_zero():
     assert parse_poly("x - x", R).is_zero()
 
 
+# text -> (message, 1-based position) over GF(5)[x, y], then GF(4)[x, y]
+PRIME_FIELD_ERRORS = {
+    "": ("expected an atom", 1),
+    "  ": ("expected an atom", 3),
+    "x +": ("expected an atom", 4),
+    "x - ": ("expected an atom", 5),
+    "x*": ("expected an atom", 3),
+    "x ^": ("expected integer exponent after 'x'", 4),
+    "x^": ("expected integer exponent after 'x'", 3),
+    "x^y": ("expected integer exponent after 'x'", 3),
+    "x^-1": ("expected integer exponent after 'x'", 3),
+    "^2": ("expected an atom, got '^'", 1),
+    "-x": ("expected an atom, got '-'", 1),
+    "x * * y": ("expected an atom, got '*'", 5),
+    "x + (y)": ("unexpected character '('", 5),
+    "x @ y": ("unexpected character '@'", 3),
+    "x ++ @": ("unexpected character '@'", 6),
+    "w + x": ("unknown identifier 'w'", 1),
+    "3x": ("expected '+' or '-', got 'x'", 2),
+    "x y": ("expected '+' or '-', got 'y'", 3),
+    "2^3": ("expected '+' or '-', got '^'", 2),
+    "x^2^3": ("expected '+' or '-', got '^'", 4),
+    "g": ("'g' denotes the extension generator but the field is prime", 1),
+}
+EXTENSION_FIELD_ERRORS = {
+    "g^": ("expected integer exponent after 'g'", 3),
+    "g^y": ("expected integer exponent after 'g'", 3),
+    "g x": ("expected '+' or '-', got 'x'", 3),
+    "g*x^2 + g^3 +": ("expected an atom", 14),
+    "h": ("unknown identifier 'h'", 1),
+}
+
+
 def test_parse_errors_carry_positions():
-    R = ring(5, 1, "x", "y")
-    cases = ["", "x +", "x ^", "^2", "x * * y", "x + (y)", "w + x", "3x"]
-    for text in cases:
-        with pytest.raises(ParseError) as err:
-            parse_poly(text, R)
-        assert err.value.position >= 0
+    for R, table in ((ring(5, 1, "x", "y"), PRIME_FIELD_ERRORS),
+                     (ring(2, 2, "x", "y"), EXTENSION_FIELD_ERRORS)):
+        for text, (message, position) in table.items():
+            with pytest.raises(ParseError) as err:
+                parse_poly(text, R)
+            assert (str(err.value), err.value.position) == \
+                (f"{message} (at position {position})", position), text
 
 
 def test_generator_letter_reserved_in_extension_rings():
