@@ -19,8 +19,17 @@ from .errors import CharplabError, InputError
 from .jobs import TASKS, check_expectations, load_job_file, parse_job, run_job
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError, so that it leaves the one
+    error line and exit code 1 of every other bad input; subcommand
+    parsers are built from the same class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="charplab",
         description="characteristic-p invariants of quotient rings")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -116,8 +125,8 @@ def _run_suite(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run-suite":
             return _run_suite(args)
         return _run_task(args)

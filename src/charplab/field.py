@@ -114,22 +114,25 @@ class Field:
         q = p**m
         if q > MAX_Q:
             raise InputError(f"field size {q} exceeds the supported bound {MAX_Q}")
+        if modulus is not None:
+            modulus = tuple(modulus)
+            if any(isinstance(c, bool) or not isinstance(c, int) for c in modulus):
+                raise InputError(f"modulus coefficients must be integers, got {modulus!r}")
+            modulus = tuple(c % p for c in modulus)
         if m == 1:
-            if modulus is not None and tuple(c % p for c in modulus) not in ((0, 1),):
+            if modulus not in (None, (0, 1)):
                 raise InputError("modulus is only meaningful for extension degree > 1")
             modulus = (0, 1)
+        elif modulus is None:
+            modulus = _default_modulus(p, m)
         else:
-            if modulus is None:
-                modulus = _default_modulus(p, m)
-            else:
-                modulus = tuple(int(c) % p for c in modulus)
-                if len(modulus) != m + 1:
-                    raise InputError(
-                        f"modulus must list {m + 1} coefficients, got {len(modulus)}")
-                if modulus[-1] != 1:
-                    raise InputError("modulus must be monic")
-                if not _is_irreducible(modulus, p):
-                    raise InputError("modulus is reducible over the prime field")
+            if len(modulus) != m + 1:
+                raise InputError(
+                    f"modulus must list {m + 1} coefficients, got {len(modulus)}")
+            if modulus[-1] != 1:
+                raise InputError("modulus must be monic")
+            if not _is_irreducible(modulus, p):
+                raise InputError("modulus is reducible over the prime field")
         self.p = p
         self.m = m
         self.q = q
@@ -329,10 +332,12 @@ class Field:
         return f"GF({self.p}^{self.m})"
 
 
-@functools.cache
-def GF(p: int, m: int = 1, modulus: tuple[int, ...] | None = None) -> Field:
+def GF(p: int, m: int = 1, modulus: Iterable[int] | None = None) -> Field:
     """Cached field constructor; equal parameters share one table set."""
-    return Field(p, m, modulus)
+    return _cached_field(p, m, None if modulus is None else tuple(modulus))
+
+
+_cached_field = functools.cache(Field)
 
 
 def _field_operand(method):

@@ -83,9 +83,12 @@ def order_from_string(text: str) -> MonomialOrder:
     if t == "lex":
         return LEX
     if t.startswith("block:"):
-        try:
-            k = int(t[6:])
-        except ValueError:
-            raise InputError(f"malformed block order {text!r}") from None
-        return block_order(k)
+        digits = t[6:]
+        # ASCII digits only: int() also reads '1_0', '+3' and non-ASCII digits
+        if digits.isascii() and digits.isdigit():
+            try:
+                return block_order(int(digits))
+            except ValueError:  # past the interpreter's digit limit
+                pass
+        raise InputError(f"malformed block order {text!r}")
     raise InputError(f"unknown monomial order {text!r}")

@@ -99,8 +99,11 @@ class PerturbationPlan:
             raise InputError("need at least one sample")
         if not isinstance(self.seed, int) or not 0 <= self.seed <= MASK64:
             raise InputError("seed must be a 64-bit unsigned integer")
-        if self.tolerance is not None and self.tolerance < 0:
-            raise InputError("tolerance must be >= 0")
+        tol = self.tolerance
+        if tol is not None and (isinstance(tol, bool)
+                                or not isinstance(tol, (int, Fraction))
+                                or tol < 0):
+            raise InputError("tolerance must be an int or a Fraction >= 0")
         e_range = tuple(self.e_range)
         object.__setattr__(self, "e_range", e_range)
         if not e_range:

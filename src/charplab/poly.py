@@ -6,11 +6,13 @@ all arithmetic is exact.  The text grammar is
 
     poly := term (('+'|'-') term)*
     term := atom ('*' atom)*
-    atom := integer | 'g' ('^' nat)? | var ('^' nat)?
+    atom := integer | ('g' | var) ('^' nat)?
 
-with insignificant whitespace.  'g' denotes the extension generator and is
-only legal when the field is a proper extension (m > 1); in that case no
-ring variable may be called 'g'.  Printing emits terms in descending order
+with insignificant whitespace.  Digits and names are ASCII; any other
+character, and an integer longer than the interpreter converts, is a
+ParseError at its 1-based position.  'g' denotes the extension generator
+and is only legal when the field is a proper extension (m > 1); in that
+case no ring variable may be called 'g'.  Printing emits terms in descending order
 under the active monomial order, coefficients as canonical residues joined
 by '+', extension coefficients expanded into separate generator-power terms
 so that output always re-parses to the same polynomial.
@@ -27,6 +29,13 @@ from .orders import GREVLEX, MonomialOrder
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT63 = 1 << 63
+
+
+def _exponents(exps: Iterable[int]) -> tuple[int, ...]:
+    t = tuple(exps)
+    if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in t):
+        raise InputError(f"exponents must be nonnegative integers, got {t}")
+    return t
 
 
 class Ring:
@@ -79,8 +88,8 @@ class Ring:
         return [self.variable(i) for i in range(self.n)]
 
     def monomial(self, exps: Iterable[int], coeff=1) -> "Polynomial":
-        t = tuple(int(e) for e in exps)
-        if len(t) != self.n or any(e < 0 for e in t):
+        t = _exponents(exps)
+        if len(t) != self.n:
             raise InputError(f"bad exponent tuple {t} for {self.n} variables")
         return Polynomial(self, {t: self.field.element(coeff).code})
 
@@ -112,9 +121,7 @@ class Monomial:
     __slots__ = ("exponents", "degree")
 
     def __init__(self, exponents: Iterable[int]):
-        t = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in t):
-            raise InputError("monomial exponents must be nonnegative")
+        t = _exponents(exponents)
         object.__setattr__(self, "exponents", t)
         object.__setattr__(self, "degree", sum(t))
 
@@ -336,25 +343,19 @@ class Polynomial:
                     mono_atoms.append(ring.variables[i])
                 elif e > 1:
                     mono_atoms.append(f"{ring.variables[i]}^{e}")
-            if f.m == 1:
+            digits = f.coords(code)
+            for i in range(f.m - 1, -1, -1):
+                c = digits[i]
+                if not c:
+                    continue
                 atoms = []
-                if code != 1 or not mono_atoms:
-                    atoms.append(str(code))
+                if c != 1 or (i == 0 and not mono_atoms):
+                    atoms.append(str(c))
+                if i == 1:
+                    atoms.append("g")
+                elif i > 1:
+                    atoms.append(f"g^{i}")
                 pieces.append("*".join(atoms + mono_atoms))
-            else:
-                digits = f.coords(code)
-                for i in range(f.m - 1, -1, -1):
-                    c = digits[i]
-                    if not c:
-                        continue
-                    atoms = []
-                    if c != 1 or (i == 0 and not mono_atoms):
-                        atoms.append(str(c))
-                    if i == 1:
-                        atoms.append("g")
-                    elif i > 1:
-                        atoms.append(f"g^{i}")
-                    pieces.append("*".join(atoms + mono_atoms))
         return " + ".join(pieces)
 
     def __str__(self) -> str:
@@ -375,119 +376,71 @@ class Polynomial:
 # -- parsing ----------------------------------------------------------------
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.items: list[tuple[str, str, int]] = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.items.append(("int", text[i:j], i))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                m = _NAME_RE.match(text, i)
-                self.items.append(("name", m.group(), i))
-                i = m.end()
-            elif ch in "+-*^":
-                self.items.append((ch, ch, i))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i + 1)
-        self.k = 0
+# one token per match: an ASCII digit run, a name, an operator, or any
+# other non-space character, which is an error
+_TOKEN_RE = re.compile(
+    rf"(?P<int>[0-9]+)|(?P<name>{_NAME_RE.pattern})|(?P<op>[-+*^])|(?P<bad>\S)")
 
-    def peek(self):
-        return self.items[self.k] if self.k < len(self.items) else None
 
-    def next(self):
-        t = self.peek()
-        if t is not None:
-            self.k += 1
-        return t
-
-    def end_pos(self) -> int:
-        return len(self.text) + 1
+def _integer(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's integer-string digit limit
+        raise ParseError(f"integer of {len(digits)} digits is too long",
+                         pos) from None
 
 
 def parse_poly(text: str, ring: Ring) -> Polynomial:
     """Parse the ASCII grammar; raises ParseError with a 1-based position."""
-    toks = _Tokens(text)
+    toks = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             m.start() + 1)
+        toks.append((m.lastgroup, m.group(), m.start() + 1))
+    toks.append(("end", "", len(text) + 1))
     f = ring.field
-
-    def parse_nat(after: str) -> int:
-        t = toks.next()
-        if t is None or t[0] != "int":
-            pos = t[2] + 1 if t else toks.end_pos()
-            raise ParseError(f"expected integer exponent after {after!r}", pos)
-        return int(t[1])
-
-    def parse_atom() -> tuple[int, tuple[int, ...]]:
-        # returns (coefficient code, exponent tuple)
-        t = toks.next()
-        if t is None:
-            raise ParseError("expected an atom", toks.end_pos())
-        kind, val, pos = t
-        zero = (0,) * ring.n
-        if kind == "int":
-            return f.from_int(int(val)), zero
-        if kind == "name":
-            if val in ring._index:
-                i = ring._index[val]
-                e = 1
-                nxt = toks.peek()
-                if nxt is not None and nxt[0] == "^":
-                    toks.next()
-                    e = parse_nat(val)
-                return 1, tuple(e if j == i else 0 for j in range(ring.n))
-            if val == "g":
-                if f.m == 1:
-                    raise ParseError(
-                        "'g' denotes the extension generator but the field "
-                        "is prime", pos + 1)
-                e = 1
-                nxt = toks.peek()
-                if nxt is not None and nxt[0] == "^":
-                    toks.next()
-                    e = parse_nat("g")
-                return f.pow(f.p, e), zero
-            raise ParseError(f"unknown identifier {val!r}", pos + 1)
-        raise ParseError(f"expected an atom, got {val!r}", pos + 1)
-
-    def parse_term() -> tuple[int, tuple[int, ...]]:
-        coeff, exps = parse_atom()
-        while True:
-            nxt = toks.peek()
-            if nxt is None or nxt[0] != "*":
-                break
-            toks.next()
-            c2, e2 = parse_atom()
-            coeff = f.mul(coeff, c2)
-            exps = tuple(a + b for a, b in zip(exps, e2))
-        return coeff, exps
-
+    zero = (0,) * ring.n
     acc: dict = {}
-
-    def take(coeff: int, exps: tuple[int, ...], sign: int) -> None:
-        if sign < 0:
-            coeff = f.neg(coeff)
-        acc[exps] = f.add(acc.get(exps, 0), coeff)
-
-    coeff, exps = parse_term()
-    take(coeff, exps, +1)
+    coeff, exps, k = 1, zero, 0
     while True:
-        t = toks.peek()
-        if t is None:
-            break
-        if t[0] not in "+-":
-            raise ParseError(f"expected '+' or '-', got {t[1]!r}", t[2] + 1)
-        toks.next()
-        coeff, exps = parse_term()
-        take(coeff, exps, +1 if t[0] == "+" else -1)
-    return Polynomial(ring, acc)
+        # one atom, multiplied into the term
+        kind, val, pos = toks[k]
+        k += 1
+        if kind == "int":
+            coeff = f.mul(coeff, f.from_int(_integer(val, pos)))
+        elif kind == "end":
+            raise ParseError("expected an atom", pos)
+        elif kind != "name":
+            raise ParseError(f"expected an atom, got {val!r}", pos)
+        else:
+            i = ring._index.get(val)
+            if i is None and val != "g":
+                raise ParseError(f"unknown identifier {val!r}", pos)
+            if i is None and f.m == 1:
+                raise ParseError(
+                    "'g' denotes the extension generator but the field "
+                    "is prime", pos)
+            e = 1
+            if toks[k][1] == "^":
+                kind, digits, pos = toks[k + 1]
+                if kind != "int":
+                    raise ParseError(
+                        f"expected integer exponent after {val!r}", pos)
+                e = _integer(digits, pos)
+                k += 2
+            if i is None:
+                coeff = f.mul(coeff, f.pow(f.p, e))
+            else:
+                exps = exps[:i] + (exps[i] + e,) + exps[i + 1:]
+        kind, op, pos = toks[k]
+        if op == "*":
+            k += 1
+            continue
+        acc[exps] = f.add(acc.get(exps, 0), coeff)
+        if kind == "end":
+            return Polynomial(ring, acc)
+        if op not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', got {op!r}", pos)
+        k += 1
+        coeff, exps = (1 if op == "+" else f.neg(1)), zero

@@ -354,6 +354,33 @@ def test_a_timed_out_perturbation_sample_exits_with_code_two(capsys,
     assert err == "error: limit: time limit exceeded in basis computation\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("hk",),
+    ("hk", "--job", job_path("14-hk-quadric-f3.json"), "--emax", "x"),
+    ("wobble",),
+], ids=["missing-job", "non-integer-flag", "unknown-subcommand"])
+def test_usage_errors_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert ERROR_LINE.fullmatch(err) and err.startswith("error: input: "), err
+
+
+def test_help_exits_with_code_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["hk", "--help"])
+    assert stop.value.code == 0
+    assert "--job" in capsys.readouterr().out
+
+
+def test_non_ascii_polynomial_text_is_an_input_error(capsys, tmp_path):
+    doc = _shipped("06-length-quadric-13.json")
+    doc["defining"][1] = "x^\u00b2"
+    code, out, err = run(capsys, "length", "--job",
+                         write_job(tmp_path, "superscript.json", doc))
+    assert code == 1 and out == ""
+    assert ERROR_LINE.fullmatch(err) and err.startswith("error: input: "), err
+
+
 def test_unexpected_exceptions_exit_with_code_three(capsys, monkeypatch):
     def boom(job):
         raise ValueError("wires\ncrossed")

@@ -54,6 +54,8 @@ def test_characteristic_must_be_a_prime():
 
 def test_gf_alias():
     assert GF(3, 2) == Field(3, 2)
+    # a list modulus is read as the tuple it lists
+    assert GF(2, 2, [1, 1, 1]) is GF(2, 2, (1, 1, 1)) == Field(2, 2, [1, 1, 1])
 
 
 def test_axioms_exhaustive():
@@ -153,6 +155,11 @@ def test_bad_construction_rejected():
         Field(2, 2, modulus=(1, 1))      # wrong length
     with pytest.raises(InputError):
         Field(2, 2, modulus=(1, 1, 2))   # 2 = 0: not monic
+    for modulus in ((2.9, 2, 1), (2, True, 1), ("2", 2, 1)):
+        with pytest.raises(InputError, match="must be integers"):
+            Field(3, 2, modulus=modulus)
+    with pytest.raises(InputError, match="must be integers"):
+        Field(3, 1, modulus=(0.0, 1.0))
     # both are rejected by the size bound before any costly work: trial
     # division up to sqrt(2^61 - 1), or forming 3^200000000
     with pytest.raises(InputError, match="exceeds the supported bound"):

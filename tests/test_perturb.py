@@ -158,6 +158,10 @@ def test_plan_rejects_bad_shapes():
     bad(targets=(parse_poly("x + 1", R.ring),))       # unit offset
     other = Ring(Field(3), ("x", "z"))
     bad(targets=(parse_poly("x*z", other),))          # foreign ring
+    for tolerance in (-1, Fraction(-1, 2), 0.5, float("nan"), True, "1"):
+        bad(tolerance=tolerance)                      # not reportable
+    PerturbationPlan(**dict(good, tolerance=1))
+    PerturbationPlan(**dict(good, tolerance=Fraction(1, 2)))
 
 
 def test_estimate_modes_need_consecutive_levels():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charplab import (
-    GREVLEX, LEX, Field, InputError, ParseError, Polynomial, Ring,
+    GREVLEX, LEX, Field, InputError, Monomial, ParseError, Polynomial, Ring,
     block_order, order_from_string, parse_poly,
 )
 from oracles import block_greater, grevlex_greater, lex_greater
@@ -104,6 +104,45 @@ def test_parse_errors_carry_positions():
                 parse_poly(text, R)
             assert (str(err.value), err.value.position) == \
                 (f"{message} (at position {position})", position), text
+
+
+def test_non_ascii_text_and_overlong_integers_are_parse_errors():
+    R = ring(5, 1, "x", "y")
+    digits = "9" * 5000
+    cases = {
+        "x^\u00b2": ("unexpected character '\u00b2'", 3),
+        "\u00e9 + x": ("unexpected character '\u00e9'", 1),
+        "x + \u0663": ("unexpected character '\u0663'", 5),
+        "x\u0663": ("unexpected character '\u0663'", 2),
+        "x + " + digits: ("integer of 5000 digits is too long", 5),
+        "x^" + digits: ("integer of 5000 digits is too long", 3),
+    }
+    for text, (message, position) in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, R)
+        assert (str(err.value), err.value.position) == \
+            (f"{message} (at position {position})", position), text
+    # whitespace stays insignificant, the no-break space included
+    assert parse_poly("x\u00a0+\ty", R) == parse_poly("x + y", R)
+
+
+# the grammar's characters, characters outside ASCII, and digit runs past
+# the interpreter's integer-string limit
+FUZZ_PIECES = (list("xyg0123456789+-*^ _") + ["x1", "^2", "\u00b2", "\u0663",
+               "\u00e9", "\u00a0", "9" * 5000, "1" + "0" * 4999])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(5, 1), (2, 2)]),
+       st.lists(st.sampled_from(FUZZ_PIECES), max_size=12).map("".join))
+def test_any_text_parses_or_raises_a_parse_error(field, text):
+    R = ring(*field, "x", "y")
+    try:
+        f = parse_poly(text, R)
+    except ParseError as err:
+        assert 1 <= err.position <= len(text) + 1
+    else:
+        assert parse_poly(f.text(), R) == f
 
 
 def test_generator_letter_reserved_in_extension_rings():
@@ -299,3 +338,17 @@ def test_order_from_string_spellings():
         order_from_string("degrevlex")
     with pytest.raises(InputError):
         order_from_string("block:0")
+    for text in ("block:1_0", "block:\u0663", "block:+3", "block:" + "9" * 5000):
+        with pytest.raises(InputError, match="malformed block order"):
+            order_from_string(text)
+
+
+def test_exponents_must_be_nonnegative_integers():
+    R = ring(5, 1, "x", "y")
+    for exps in ((1.7, 0), (True, 0), (-1, 0), ("1", 0)):
+        with pytest.raises(InputError):
+            R.monomial(exps)
+        with pytest.raises(InputError):
+            Monomial(exps)
+    assert R.monomial((1, 0)) == R.variable("x")
+    assert Monomial((2, 1)).degree == 3
