@@ -49,7 +49,7 @@ from operator import or_
 import numpy  # noqa: F401
 
 from .errors import InputError, InternalError, LimitError, TimeLimitError
-from .field import Field
+from .field import Field, _is_int
 from .orders import MonomialOrder
 from .poly import Polynomial, Ring
 
@@ -67,8 +67,8 @@ class Limits:
     def __init__(self, max_basis: int = DEFAULT_MAX_BASIS,
                  max_degree: int = DEFAULT_MAX_DEGREE,
                  max_seconds: float | None = None):
-        if max_basis < 1 or max_degree < 1:
-            raise InputError("limits must be positive")
+        if not all(_is_int(v) and v > 0 for v in (max_basis, max_degree)):
+            raise InputError("limits must be positive integers")
         if max_seconds is not None and \
                 not 0 <= max_seconds <= sys.float_info.max:
             raise InputError("max_seconds must be finite and nonnegative")
@@ -247,24 +247,21 @@ class BasisContext:
     variable: bit j of table[e] is set when element j's leading exponent in
     that variable is at most e, and past the end of a table every element
     qualifies.  The divisors of t are then the AND of one entry per
-    variable, and the lowest set bit is the lowest-index divisor.
+    variable, and the lowest set bit is the lowest-index divisor.  Either
+    search alone answers every key: one of lower degree than every leading
+    term, or any key against an empty basis, finds no divisor.
     """
 
-    __slots__ = ("ring", "order", "field", "spec", "elems", "_lt_direct",
-                 "_index", "min_lt_deg")
+    __slots__ = ("ring", "field", "spec", "elems", "_lt_direct", "_index")
 
-    def __init__(self, ring: Ring, order: MonomialOrder, spec: PackSpec,
-                 elems: list[GPoly]):
+    def __init__(self, ring: Ring, spec: PackSpec, elems: list[GPoly]):
         self.ring = ring
-        self.order = order
         self.field = ring.field
         self.spec = spec
         self.elems = elems
         self._lt_direct = [g.lt_key ^ spec.zero_key for g in elems]
         self._index = (self._build_index() if len(elems) > SCAN_MAX_BASIS
                        else None)
-        self.min_lt_deg = (min(spec.key_degree(g.lt_key) for g in elems)
-                           if elems else None)
 
     def _build_index(self) -> list[tuple[int, list[int]]]:
         """(shift, table) for each variable; see the class docstring."""
@@ -290,9 +287,6 @@ class BasisContext:
                 table[e:] = [t | bit for t in table[e:]]
         elif j == SCAN_MAX_BASIS:
             self._index = self._build_index()
-        d = self.spec.key_degree(g.lt_key)
-        self.min_lt_deg = d if self.min_lt_deg is None else min(
-            d, self.min_lt_deg)
 
     def _divisor_mask(self, key: int) -> int:
         """Bit j set when element j's leading term divides `key`; -1 when
@@ -307,10 +301,8 @@ class BasisContext:
                     return 0
         return mask
 
-    def find_reducer(self, key: int, key_deg: int) -> int | None:
+    def find_reducer(self, key: int) -> int | None:
         """Lowest basis index whose leading term divides `key`."""
-        if self.min_lt_deg is None or key_deg < self.min_lt_deg:
-            return None
         if self._index is not None:
             mask = self._divisor_mask(key)     # lowest set bit; 0 for -1
             return (mask & -mask).bit_length() - 1 if mask else None
@@ -323,8 +315,6 @@ class BasisContext:
 
     def divisor_indices(self, key: int) -> list[int]:
         """All basis indices whose leading term divides `key`."""
-        if self.min_lt_deg is None:
-            return []
         if self._index is not None:
             mask = self._divisor_mask(key) & ((1 << len(self.elems)) - 1)
             out = []
@@ -359,13 +349,12 @@ class BasisContext:
             c = work.pop(k, 0)
             if not c:
                 continue
-            kdeg = key_degree(k)
-            gi = find_reducer(k, kdeg)
+            gi = find_reducer(k)
             if gi is None:
                 remainder[k] = c
                 continue
             g = elems[gi]
-            mult_deg = kdeg - key_degree(g.lt_key)
+            mult_deg = key_degree(k) - key_degree(g.lt_key)
             if g.maxdeg + mult_deg > C:
                 raise KeyOverflow(g.maxdeg + mult_deg)
             delta = k - g.lt_key
@@ -431,7 +420,7 @@ def power_scan(ctx: BasisContext, length: int,
                 if kdeg > C:
                     raise KeyOverflow(kdeg)
                 k = s + delta
-                if find_reducer(k, kdeg) is None:
+                if find_reducer(k) is None:
                     row = {k: 1}
                 else:
                     row = ctx.reduce_dict({k: 1})
@@ -501,7 +490,7 @@ def make_context(gb: list[Polynomial], ring: Ring, order: MonomialOrder,
     spec = PackSpec(ring.n, order, w)
     elems = [_freeze(_to_dict(g, spec), spec, ring.field)
              for g in gb if not g.is_zero()]
-    return BasisContext(ring, order, spec, elems)
+    return BasisContext(ring, spec, elems)
 
 
 class _Buchberger:
@@ -516,10 +505,9 @@ class _Buchberger:
     exponent keys (direct form, degree fields cleared): an lcm is a
     fieldwise maximum and a | t one guarded subtraction."""
 
-    def __init__(self, ring: Ring, order: MonomialOrder, spec: PackSpec,
-                 limits: Limits, deadline: float | None):
+    def __init__(self, ring: Ring, spec: PackSpec, limits: Limits,
+                 deadline: float | None):
         self.ring = ring
-        self.order = order
         self.spec = spec
         self.field = ring.field
         self.limits = limits
@@ -527,7 +515,7 @@ class _Buchberger:
         self.basis: list[GPoly] = []
         self.exps: list[int] = []      # exponent keys of the leading terms
         self.active: list[int] = []    # basis indices, the elements of ctx
-        self.ctx = BasisContext(ring, order, spec, [])
+        self.ctx = BasisContext(ring, spec, [])
         # (lcm degree, lcm key, i, j, lcm exponent key), a heap
         self.pairs: list[tuple[int, int, int, int, int]] = []
 
@@ -572,7 +560,7 @@ class _Buchberger:
         if len(active) == len(self.active):
             self.ctx.append(g)
         else:
-            self.ctx = BasisContext(self.ring, self.order, spec,
+            self.ctx = BasisContext(self.ring, spec,
                                     [self.basis[i] for i in active] + [g])
         self.active = active + [h]
 
@@ -629,15 +617,16 @@ class _Buchberger:
                        if self.ctx.divisor_indices(g.lt_key) == [i]),
                       key=lambda g: g.lt_key)
         if divisor is not None:
-            div = BasisContext(self.ring, self.order, self.spec,
+            div = BasisContext(self.ring, self.spec,
                                [_freeze(divisor, self.spec, self.field)])
-            kept = [g for g in kept if not any(g.lt_exps[:self.order.block])]
+            kept = [g for g in kept
+                    if not any(g.lt_exps[:self.spec.order.block])]
             quots: list[dict[int, int]] = [{} for _ in kept]
             if any(div.reduce_dict(dict(zip(g.keys, g.coeffs)), q)
                    for g, q in zip(kept, quots)):
                 raise InternalError("inexact polynomial division")
             kept = [_freeze(q, self.spec, self.field) for q in quots]
-        ctx = BasisContext(self.ring, self.order, self.spec, kept)
+        ctx = BasisContext(self.ring, self.spec, kept)
         out = []
         for g in kept:
             rem = ctx.reduce_dict(dict(zip(g.keys[1:], g.coeffs[1:])))
@@ -673,7 +662,7 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
     while True:
         spec = PackSpec(ring.n, order, w)
         try:
-            eng = _Buchberger(ring, order, spec, limits, deadline)
+            eng = _Buchberger(ring, spec, limits, deadline)
             out = eng.run([_to_dict(f, spec) for f in nz], gb_prefix,
                           None if divisor is None else _to_dict(divisor, spec))
             return [_to_poly({k: c for k, c in zip(g.keys, g.coeffs)},

@@ -25,6 +25,11 @@ from .errors import InputError
 MAX_Q = 1 << 16
 
 
+def _is_int(value) -> bool:
+    """The rule for an integer taken from a caller: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -103,11 +108,11 @@ class Field:
     def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None):
         # the bounds come first: trial division of a huge p, or p**m for a
         # huge m, would run for minutes before the size check
-        if isinstance(p, int) and p > MAX_Q:
+        if _is_int(p) and p > MAX_Q:
             raise InputError(f"characteristic {p} exceeds the supported bound {MAX_Q}")
-        if not isinstance(p, int) or _prime_factors(p) != [p]:
+        if not _is_int(p) or _prime_factors(p) != [p]:
             raise InputError(f"characteristic must be a prime, got {p!r}")
-        if not isinstance(m, int) or m < 1:
+        if not _is_int(m) or m < 1:
             raise InputError(f"extension degree must be a positive integer, got {m!r}")
         if m > 16:  # p**m >= 2**17
             raise InputError(f"field size {p}^{m} exceeds the supported bound {MAX_Q}")
@@ -116,7 +121,7 @@ class Field:
             raise InputError(f"field size {q} exceeds the supported bound {MAX_Q}")
         if modulus is not None:
             modulus = tuple(modulus)
-            if any(isinstance(c, bool) or not isinstance(c, int) for c in modulus):
+            if not all(map(_is_int, modulus)):
                 raise InputError(f"modulus coefficients must be integers, got {modulus!r}")
             modulus = tuple(c % p for c in modulus)
         if m == 1:
@@ -290,13 +295,13 @@ class Field:
             if value.field is not self:
                 raise InputError("element belongs to a different field")
             return value
-        if isinstance(value, int):
+        if _is_int(value):
             return FieldElement(self, self.from_int(value))
         raise InputError(f"cannot coerce {value!r} into GF({self.q})")
 
     def from_code(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.q:
-            raise InputError(f"code {code} out of range for GF({self.q})")
+        if not _is_int(code) or not 0 <= code < self.q:
+            raise InputError(f"code {code!r} out of range for GF({self.q})")
         return FieldElement(self, code)
 
     @property
@@ -395,6 +400,8 @@ class FieldElement:
         return FieldElement(self.field, self.field.neg(self.code))
 
     def __pow__(self, n: int):
+        if not _is_int(n):
+            raise InputError(f"field powers take integer exponents, got {n!r}")
         return FieldElement(self.field, self.field.pow(self.code, n))
 
     def frobenius(self, e: int = 1) -> "FieldElement":
@@ -410,7 +417,7 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
+        if _is_int(other):
             return self.code == self.field.from_int(other)
         return NotImplemented
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
                      _to_dict, groebner, make_context, power_scan)
 from .errors import InputError, InternalError
+from .field import _is_int
 from .orders import GREVLEX, MonomialOrder, block_order
 from .poly import Polynomial, Ring
 
@@ -263,7 +264,7 @@ def colon(I: IdealHandle, J: IdealHandle) -> IdealHandle:
 
 def frobenius_power(I: IdealHandle, e: int) -> IdealHandle:
     """The ideal generated by the p^e-th powers of the generators."""
-    if not isinstance(e, int) or e < 0:
+    if not _is_int(e) or e < 0:
         raise InputError("Frobenius power index must be nonnegative")
     return IdealHandle(I.ring, [f.frobenius_pow(e) for f in I.generators],
                        I.limits)

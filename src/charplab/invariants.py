@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError, LimitError
+from .field import _is_int
 from .groebner import (GroebnerBasis, IdealHandle, Limits, colon,
                        colon_by_basis, frobenius_power, krull_dim,
                        staircase_of)
@@ -130,14 +131,14 @@ def _bracket_gens(ring: Ring, e: int) -> list[Polynomial]:
 
 def hk_length(R: QuotientPresentation, e: int) -> int:
     """Colength of J + the e-th bracket power of the maximal ideal."""
-    if not isinstance(e, int) or e < 1:
+    if not _is_int(e) or e < 1:
         raise InputError("Frobenius level e must be a positive integer")
     return staircase_of(R.defining.basis(GREVLEX).extend(
         _bracket_gens(R.ring, e), R.limits)).count()
 
 
 def hk_series(R: QuotientPresentation, e_max: int) -> HKSeries:
-    if not isinstance(e_max, int) or e_max < 2:
+    if not _is_int(e_max) or e_max < 2:
         raise InputError("series needs e_max >= 2")
     p = R.ring.field.p
     d = R.dim
@@ -252,13 +253,13 @@ def _splitting_values(R: QuotientPresentation, first: int,
 
 def splitting_number(R: QuotientPresentation, e: int) -> int:
     """Rank of the largest free summand of the e-th Frobenius pushforward."""
-    if not isinstance(e, int) or e < 1:
+    if not _is_int(e) or e < 1:
         raise InputError("Frobenius level e must be a positive integer")
     return _splitting_values(R, e, e)[0]
 
 
 def splitting_series(R: QuotientPresentation, e_max: int) -> SplittingSeries:
-    if not isinstance(e_max, int) or e_max < 1:
+    if not _is_int(e_max) or e_max < 1:
         raise InputError("series needs e_max >= 1")
     p = R.ring.field.p
     d = R.dim
@@ -327,7 +328,7 @@ def _outside_box(f: Polynomial, t: int, q: int) -> bool:
 
 def nu_series(f: Polynomial, e_max: int) -> NuSeries:
     """nu_e = max t with f^t outside m^[p^e], for e = 1..e_max."""
-    if not isinstance(e_max, int) or e_max < 1:
+    if not _is_int(e_max) or e_max < 1:
         raise InputError("series needs e_max >= 1")
     if f.is_zero():
         raise InputError("nu is undefined for the zero polynomial")

@@ -52,7 +52,7 @@ from functools import partial
 from .discriminant import (FiniteExtensionPresentation, disc_congruence_check,
                            discriminant)
 from .errors import InputError, ParseError
-from .field import Field
+from .field import Field, _is_int
 from .groebner import (IdealHandle, Limits, colength, krull_dim,
                        subalgebra_presentation)
 from .invariants import (QuotientPresentation, ehk_estimate, fpt_estimate,
@@ -84,10 +84,6 @@ def _check_keys(obj: dict, allowed: set, where: str):
 
 
 # -- value checks: each takes (value, what) and returns the value or fails ----
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_int(value, what: str, minimum: int | None = None) -> int:

@@ -33,6 +33,7 @@ from fractions import Fraction
 
 from .discriminant import FiniteExtensionPresentation, disc_congruence_check
 from .errors import CharplabError, InputError, InternalError, TimeLimitError
+from .field import _is_int
 from .groebner import ideal_equal, is_squarefree_hypersurface, m_power_in
 from .invariants import (QuotientPresentation, _bracket_gens, ehk_estimate,
                          fsig_estimate, hk_series, parameter_check,
@@ -69,11 +70,6 @@ def stream_for_sample(seed: int, index: int) -> SplitMix64:
     return SplitMix64((seed ^ ((index + 1) * GOLDEN & MASK64)) & MASK64)
 
 
-MODES = ("hk-continuity", "fsig-continuity", "splitting-constancy",
-         "splitting-monotonicity", "sop-stability", "open-question-probe",
-         "dis-congruence")
-
-
 @dataclass(frozen=True)
 class PerturbationPlan:
     presentation: QuotientPresentation
@@ -91,19 +87,19 @@ class PerturbationPlan:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InputError(f"unknown experiment mode '{self.mode}'")
-        if not isinstance(self.N, int) or self.N < 1:
+        if not _is_int(self.N) or self.N < 1:
             raise InputError("neighborhood exponent N must be >= 1")
-        if not isinstance(self.degree_cap, int) or self.degree_cap < self.N:
+        if not _is_int(self.degree_cap) or self.degree_cap < self.N:
             raise InputError("degree cap must be at least N")
-        if not isinstance(self.samples, int) or self.samples < 1:
+        if not _is_int(self.samples) or self.samples < 1:
             raise InputError("need at least one sample")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= MASK64:
+        if not _is_int(self.seed) or not 0 <= self.seed <= MASK64:
             raise InputError("seed must be a 64-bit unsigned integer")
         tol = self.tolerance
-        if tol is not None and (isinstance(tol, bool)
-                                or not isinstance(tol, (int, Fraction))
-                                or tol < 0):
-            raise InputError("tolerance must be an int or a Fraction >= 0")
+        if tol is not None:
+            if not (_is_int(tol) or isinstance(tol, Fraction)) or tol < 0:
+                raise InputError("tolerance must be an int or a Fraction >= 0")
+            object.__setattr__(self, "tolerance", Fraction(tol))
         e_range = tuple(self.e_range)
         object.__setattr__(self, "e_range", e_range)
         if not e_range:
@@ -111,7 +107,7 @@ class PerturbationPlan:
         for a, b in zip(e_range, e_range[1:]):
             if b <= a:
                 raise InputError("e_range must be strictly increasing")
-        if any(not isinstance(e, int) or e < 1 for e in e_range):
+        if any(not _is_int(e) or e < 1 for e in e_range):
             raise InputError("e_range entries must be positive integers")
         targets = tuple(self.targets)
         object.__setattr__(self, "targets", targets)
@@ -120,7 +116,7 @@ class PerturbationPlan:
             if self.extension is None:
                 raise InputError("dis-congruence needs an extension "
                                  "presentation")
-            if self.n_target is None or self.n_target < 1:
+            if not _is_int(self.n_target) or self.n_target < 1:
                 raise InputError("dis-congruence needs a positive n_target")
         else:
             if not targets:
@@ -200,14 +196,10 @@ def sample_epsilons(plan: PerturbationPlan) -> list:
     return [next(_sample_draws(plan, i)) for i in range(plan.samples)]
 
 
-def stability_threshold(R: QuotientPresentation, fs, e: int) -> int:
-    """Smallest certified N: perturbing the listed elements by anything
-    supported in degrees >= N leaves the ideal they generate together with
-    J and the e-th bracket power of the maximal ideal unchanged.  One more
-    than the minimal all-monomials-inside degree, which buys the Nakayama
-    margin that makes the guarantee an actual ideal equality."""
+def _threshold(R: QuotientPresentation, fs, e: int) -> tuple:
+    """The ideal J + (fs) + m^[p^e] and its stability threshold."""
     fs = list(fs)
-    if not isinstance(e, int) or e < 1:
+    if not _is_int(e) or e < 1:
         raise InputError("Frobenius level e must be a positive integer")
     for f in fs:
         if not isinstance(f, Polynomial) or f.ring != R.ring:
@@ -215,7 +207,16 @@ def stability_threshold(R: QuotientPresentation, fs, e: int) -> int:
         if f.constant_code() != 0:
             raise InputError("elements must lie in the maximal ideal")
     handle = R.defining.with_polys(fs + _bracket_gens(R.ring, e))
-    return m_power_in(handle) + 1
+    return handle, m_power_in(handle) + 1
+
+
+def stability_threshold(R: QuotientPresentation, fs, e: int) -> int:
+    """Smallest certified N: perturbing the listed elements by anything
+    supported in degrees >= N leaves the ideal they generate together with
+    J and the e-th bracket power of the maximal ideal unchanged.  One more
+    than the minimal all-monomials-inside degree, which buys the Nakayama
+    margin that makes the guarantee an actual ideal equality."""
+    return _threshold(R, fs, e)[1]
 
 
 @dataclass(frozen=True)
@@ -241,16 +242,14 @@ class PerturbationReport:
     reproducibility: dict
 
 
-def _run_samples(plan: PerturbationPlan, measure, error_bases) -> tuple:
+def _run_samples(plan: PerturbationPlan, bases: dict, measure) -> tuple:
     """Every sample in order: measure(i, eps), with eps the sample's
-    perturbations, returns its rows as (e, base, perturbed, delta, verdict)
-    cells plus an outcome.  A CharplabError becomes one error row per
-    (e, base) pair of error_bases, a failure line and the outcome None, and
-    the run goes on; only a TimeLimitError ends the run.  Returns the rows,
-    failures and outcomes."""
-    rows: list = []
-    failures: list = []
-    outcomes: list = []
+    perturbations, returns one (perturbed, delta, verdict) cell per level
+    of `bases`, the runner's level -> base value table, plus an outcome.  A
+    CharplabError becomes an error cell at every level, a failure line and
+    the outcome None, and the run goes on; only a TimeLimitError ends the
+    run.  Returns the rows, failures and outcomes."""
+    rows, failures, outcomes = [], [], []
     for i in range(plan.samples):
         eps = tuple(_sample_draws(plan, i))
         text = "; ".join(e.text() for e in eps)
@@ -259,18 +258,17 @@ def _run_samples(plan: PerturbationPlan, measure, error_bases) -> tuple:
         except TimeLimitError:
             raise
         except CharplabError as err:
-            cells = [(e, base, None, None, f"error:{err.kind}")
-                     for e, base in error_bases]
+            cells = [(None, None, f"error:{err.kind}")] * len(bases)
             failures.append(f"sample {i}: {err}")
             outcome = None
-        rows.extend(PerturbationRow(i, text, *c) for c in cells)
+        rows.extend(PerturbationRow(i, text, e, base, *cell)
+                    for (e, base), cell in zip(bases.items(), cells,
+                                               strict=True))
         outcomes.append(outcome)
     return rows, failures, outcomes
 
 
 def _hypothesis_notes(plan: PerturbationPlan) -> list:
-    if plan.mode not in ("hk-continuity", "fsig-continuity"):
-        return []
     J = plan.presentation.defining
     if not J.generators and len(plan.targets) == 1:
         if is_squarefree_hypersurface(plan.targets[0]):
@@ -283,17 +281,8 @@ def _hypothesis_notes(plan: PerturbationPlan) -> list:
 
 
 def run_experiment(plan: PerturbationPlan) -> PerturbationReport:
-    dispatch = {
-        "hk-continuity": _run_series_mode,
-        "fsig-continuity": _run_series_mode,
-        "splitting-constancy": _run_splitting_mode,
-        "splitting-monotonicity": _run_splitting_mode,
-        "sop-stability": _run_sop_mode,
-        "open-question-probe": _run_probe_mode,
-        "dis-congruence": _run_dis_mode,
-    }
     rows, verdicts, thresholds, notes, failures, observations = \
-        dispatch[plan.mode](plan)
+        _RUNNERS[plan.mode](plan)
     repro = {
         "seed": plan.seed,
         "prng": "splitmix64",
@@ -302,24 +291,19 @@ def run_experiment(plan: PerturbationPlan) -> PerturbationReport:
         "degree_cap": plan.degree_cap,
         "samples": plan.samples,
         "e_range": list(plan.e_range),
-        "tolerance": None if plan.tolerance is None else plan.tolerance,
+        "tolerance": plan.tolerance,
     }
     return PerturbationReport(plan.mode, tuple(rows), verdicts, thresholds,
                               tuple(notes), tuple(failures),
                               tuple(observations), repro)
 
 
-def _perturbed_presentation(plan: PerturbationPlan, eps_tuple):
-    gens = [f + eps for f, eps in zip(plan.targets, eps_tuple)]
-    return QuotientPresentation(
-        plan.presentation.ring,
-        plan.presentation.defining.with_polys(gens))
-
-
-def _base_presentation(plan: PerturbationPlan) -> QuotientPresentation:
-    return QuotientPresentation(
-        plan.presentation.ring,
-        plan.presentation.defining.with_polys(list(plan.targets)))
+def _presentation(plan: PerturbationPlan, eps=None) -> QuotientPresentation:
+    """J plus the targets, each perturbed by its entry of eps if given."""
+    gens = plan.targets if eps is None else \
+        [f + ee for f, ee in zip(plan.targets, eps)]
+    return QuotientPresentation(plan.presentation.ring,
+                                plan.presentation.defining.with_polys(gens))
 
 
 def _run_series_mode(plan: PerturbationPlan):
@@ -328,25 +312,25 @@ def _run_series_mode(plan: PerturbationPlan):
     hk = plan.mode == "hk-continuity"
     series_of = hk_series if hk else splitting_series
     e_max = plan.e_range[-1]
-    base_series = series_of(_base_presentation(plan), e_max)
+    base_series = series_of(_presentation(plan), e_max)
     base_est = (ehk_estimate if hk else fsig_estimate)(base_series)
-    base_by_e = {r.e: r.normalized for r in base_series.rows}
+    bases = {r.e: r.normalized for r in base_series.rows
+             if r.e in plan.e_range}
     tol = plan.tolerance if plan.tolerance is not None \
         else 4 * base_est.spread
 
     def measure(i: int, eps: tuple):
-        series = series_of(_perturbed_presentation(plan, eps), e_max)
+        series = series_of(_presentation(plan, eps), e_max)
         pert_by_e = {r.e: r.normalized for r in series.rows}
         cells = []
-        for e in plan.e_range:
-            delta = pert_by_e[e] - base_by_e[e]
+        for e, base in bases.items():
+            delta = pert_by_e[e] - base
             verdict = "observed" if e < e_max else \
                 "pass" if abs(delta) <= tol else "fail"
-            cells.append((e, base_by_e[e], pert_by_e[e], delta, verdict))
+            cells.append((pert_by_e[e], delta, verdict))
         return cells, verdict == "pass"
 
-    rows, failures, outcomes = _run_samples(
-        plan, measure, [(e, base_by_e.get(e)) for e in plan.e_range])
+    rows, failures, outcomes = _run_samples(plan, bases, measure)
     verdict = "pass" if all(outcomes) else "fail"
     return (rows, {plan.mode: verdict}, {}, _hypothesis_notes(plan),
             failures, ())
@@ -357,32 +341,26 @@ def _run_splitting_mode(plan: PerturbationPlan):
     constancy = plan.mode == "splitting-constancy"
     ring = plan.presentation.ring
     e_max = plan.e_range[-1]
-    base_series = splitting_series(_base_presentation(plan), e_max)
-    base_by_e = {r.e: r.a for r in base_series.rows}
+    base_series = splitting_series(_presentation(plan), e_max)
+    bases = {r.e: r.a for r in base_series.rows if r.e in plan.e_range}
     thresholds: dict = {}
-    asserted: dict = {}
-    base_ideals: dict = {}
+    certified: dict = {}    # level -> threshold ideal, where N reaches it
     if constancy:
         for e in plan.e_range:
-            q = ring.field.p ** e
-            certified = max(
-                stability_threshold(plan.presentation, plan.targets, e),
-                ring.n * (q - 1) + 1)
-            thresholds[e] = certified
-            asserted[e] = plan.N >= certified
-            if asserted[e]:
-                base_ideals[e] = plan.presentation.defining.with_polys(
-                    list(plan.targets) + _bracket_gens(ring, e))
+            ideal, least = _threshold(plan.presentation, plan.targets, e)
+            thresholds[e] = max(least, ring.n * (ring.field.p ** e - 1) + 1)
+            if plan.N >= thresholds[e]:
+                certified[e] = ideal
 
     def measure(i: int, eps: tuple):
-        pres = _perturbed_presentation(plan, eps)
+        pres = _presentation(plan, eps)
         series = splitting_series(pres, e_max)
         pert_by_e = {r.e: r.a for r in series.rows}
         sample_ok = all_equal = True
         cells = []
-        for e in plan.e_range:
-            b, a = base_by_e[e], pert_by_e[e]
-            if constancy and not asserted[e]:
+        for e, b in bases.items():
+            a = pert_by_e[e]
+            if constancy and e not in certified:
                 verdict = "unasserted"
             else:
                 ok = a == b if constancy else a <= b
@@ -391,19 +369,18 @@ def _run_splitting_mode(plan: PerturbationPlan):
                 if constancy:
                     pert_ideal = pres.defining.with_polys(
                         _bracket_gens(ring, e))
-                    all_equal = ideal_equal(base_ideals[e], pert_ideal) \
+                    all_equal = ideal_equal(certified[e], pert_ideal) \
                         and all_equal
-            cells.append((e, b, a, a - b, verdict))
+            cells.append((a, a - b, verdict))
         return cells, (sample_ok, all_equal)
 
-    rows, failures, outcomes = _run_samples(
-        plan, measure, [(e, base_by_e.get(e)) for e in plan.e_range])
+    rows, failures, outcomes = _run_samples(plan, bases, measure)
     all_ok = all(o is not None and o[0] for o in outcomes)
     notes: list = []
     verdicts = {}
     if not constancy:
         verdicts["splitting-monotonicity"] = "pass" if all_ok else "fail"
-    elif not any(asserted.values()):
+    elif not certified:
         verdicts["splitting-constancy"] = "indeterminate"
         notes.append("neighborhood below every certified threshold; "
                      "equalities recorded but not asserted")
@@ -429,9 +406,9 @@ def _run_sop_mode(plan: PerturbationPlan):
     def measure(i: int, eps: tuple):
         ok = parameter_check(plan.presentation,
                              [f + ee for f, ee in zip(plan.targets, eps)])
-        return [(0, base_ok, ok, None, "pass" if ok else "fail")], ok
+        return [(ok, None, "pass" if ok else "fail")], ok
 
-    rows, failures, outcomes = _run_samples(plan, measure, [(0, base_ok)])
+    rows, failures, outcomes = _run_samples(plan, {0: base_ok}, measure)
     verdict = "indeterminate" if not base_ok else (
         "pass" if all(outcomes) else "fail")
     return rows, {"parameter-stability": verdict}, {}, notes, failures, ()
@@ -440,21 +417,22 @@ def _run_sop_mode(plan: PerturbationPlan):
 def _run_probe_mode(plan: PerturbationPlan):
     """open-question-probe: record both conjectured inequalities between
     the base and perturbed limit estimates; never a failing verdict."""
-    base_pres = _base_presentation(plan)
+    base_pres = _presentation(plan)
     e_max = plan.e_range[-1]
     base_hk = ehk_estimate(hk_series(base_pres, e_max))
     base_split_series = splitting_series(base_pres, e_max)
     base_fsig = fsig_estimate(base_split_series)
-    base_by_e = {r.e: r.normalized for r in base_split_series.rows}
+    bases = {r.e: r.normalized for r in base_split_series.rows
+             if r.e in plan.e_range}
 
     def measure(i: int, eps: tuple):
-        pres = _perturbed_presentation(plan, eps)
+        pres = _presentation(plan, eps)
         pert_hk = ehk_estimate(hk_series(pres, e_max))
         split = splitting_series(pres, e_max)
         pert_fsig = fsig_estimate(split)
         pert_by_e = {r.e: r.normalized for r in split.rows}
-        cells = [(e, base_by_e[e], pert_by_e[e], pert_by_e[e] - base_by_e[e],
-                  "observed") for e in plan.e_range]
+        cells = [(pert_by_e[e], pert_by_e[e] - base, "observed")
+                 for e, base in bases.items()]
         return cells, {
             "sample": i,
             "ehk_base": base_hk.value,
@@ -465,8 +443,7 @@ def _run_probe_mode(plan: PerturbationPlan):
             "fsig_not_decreasing": base_fsig.value <= pert_fsig.value,
         }
 
-    rows, failures, outcomes = _run_samples(
-        plan, measure, [(e, base_by_e.get(e)) for e in plan.e_range])
+    rows, failures, outcomes = _run_samples(plan, bases, measure)
     observations = [obs for obs in outcomes if obs is not None]
     notes: list = []
     for obs in observations:
@@ -492,9 +469,22 @@ def _run_dis_mode(plan: PerturbationPlan):
         order = rep.order
         delta = None if order is None else order - plan.n_target
         verdict = "pass" if rep.verdict else "fail"
-        return [(0, plan.n_target, order, delta, verdict)], rep.verdict
+        return [(order, delta, verdict)], rep.verdict
 
-    rows, failures, outcomes = _run_samples(plan, measure,
-                                            [(0, plan.n_target)])
+    rows, failures, outcomes = _run_samples(plan, {0: plan.n_target},
+                                            measure)
     verdict = "pass" if all(outcomes) else "fail"
     return rows, {"discriminant-congruence": verdict}, {}, [], failures, ()
+
+
+# the experiment modes, each with its runner
+_RUNNERS = {
+    "hk-continuity": _run_series_mode,
+    "fsig-continuity": _run_series_mode,
+    "splitting-constancy": _run_splitting_mode,
+    "splitting-monotonicity": _run_splitting_mode,
+    "sop-stability": _run_sop_mode,
+    "open-question-probe": _run_probe_mode,
+    "dis-congruence": _run_dis_mode,
+}
+MODES = tuple(_RUNNERS)

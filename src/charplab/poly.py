@@ -24,7 +24,7 @@ import re
 from typing import Iterable
 
 from .errors import InputError, LimitError, ParseError
-from .field import Field, FieldElement
+from .field import Field, FieldElement, _is_int
 from .orders import GREVLEX, MonomialOrder
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -33,7 +33,7 @@ _INT63 = 1 << 63
 
 def _exponents(exps: Iterable[int]) -> tuple[int, ...]:
     t = tuple(exps)
-    if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in t):
+    if any(not _is_int(e) or e < 0 for e in t):
         raise InputError(f"exponents must be nonnegative integers, got {t}")
     return t
 
@@ -44,12 +44,15 @@ class Ring:
     __slots__ = ("field", "variables", "n", "_index")
 
     def __init__(self, field: Field, variables: Iterable[str]):
+        if isinstance(variables, str):
+            raise InputError(f"variables must be a list of names, not the "
+                             f"string {variables!r}")
         names = tuple(variables)
         if not names:
             raise InputError("a ring needs at least one variable")
         seen = set()
         for name in names:
-            if not _NAME_RE.fullmatch(name):
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
                 raise InputError(f"bad variable name {name!r}")
             if name in seen:
                 raise InputError(f"duplicate variable name {name!r}")
@@ -76,12 +79,11 @@ class Ring:
         return Polynomial(self, {(0,) * self.n: self.field.element(value).code})
 
     def variable(self, i) -> "Polynomial":
-        if isinstance(i, str):
-            if i not in self._index:
-                raise InputError(f"unknown variable {i!r}")
-            i = self._index[i]
+        at = self._index.get(i) if isinstance(i, str) else i
+        if not _is_int(at) or not 0 <= at < self.n:
+            raise InputError(f"unknown variable {i!r}")
         exps = [0] * self.n
-        exps[i] = 1
+        exps[at] = 1
         return Polynomial(self, {tuple(exps): 1})
 
     def gens(self) -> list["Polynomial"]:
@@ -232,7 +234,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, t: int):
-        if not isinstance(t, int) or t < 0:
+        if not _is_int(t) or t < 0:
             raise InputError("polynomial powers take nonnegative integer exponents")
         out = self.ring.one
         base = self
@@ -246,7 +248,7 @@ class Polynomial:
 
     def frobenius_pow(self, e: int) -> "Polynomial":
         """f^(p^e) by coefficientwise Frobenius and exponent scaling."""
-        if not isinstance(e, int) or e < 0:
+        if not _is_int(e) or e < 0:
             raise InputError("Frobenius iterate count must be nonnegative")
         if e == 0 or not self.terms:
             return self
@@ -362,7 +364,7 @@ class Polynomial:
         return self.text()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, FieldElement)):
+        if _is_int(other) or isinstance(other, FieldElement):
             other = self.ring.constant(other)
         return (isinstance(other, Polynomial)
                 and self.ring == other.ring and self.terms == other.terms)

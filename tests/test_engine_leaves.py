@@ -6,7 +6,9 @@ layouts narrower and wider than 62 bits; the divisor searches against an
 exponent-wise scan for bases on both sides of the cutoff between the
 leading-key scan and the per-variable bitmask index, built at once or one
 `append` at a time across the cutoff, with query keys and later leading
-exponents past the ends of the index tables; the list-table field
+exponents past the ends of the index tables, and with keys of lower
+degree than every leading term, which the searches alone turn away; the
+list-table field
 operations against digit arithmetic for every pair of codes.
 """
 
@@ -81,7 +83,7 @@ def context_of(n, order, w, lts):
     for exps in lts:
         elems.append(GPoly([spec.pack(exps)], [1], exps, sum(exps)))
     ring = Ring(Field(5), tuple(f"x{i}" for i in range(n)))
-    return BasisContext(ring, order, spec, elems)
+    return BasisContext(ring, spec, elems)
 
 
 def brute_divisors(elems, key, spec):
@@ -91,12 +93,10 @@ def brute_divisors(elems, key, spec):
 
 
 def assert_searches_match(ctx, key, brute):
-    spec = ctx.spec
     got = ctx.divisor_indices(key)
     assert got == brute
     assert all(type(i) is int for i in got)
-    assert ctx.find_reducer(key, spec.key_degree(key)) == \
-        (brute[0] if brute else None)
+    assert ctx.find_reducer(key) == (brute[0] if brute else None)
 
 
 @pytest.mark.parametrize("size", [1, SCAN_MAX_BASIS // 2, SCAN_MAX_BASIS,
@@ -114,14 +114,13 @@ def test_divisor_searches_match_brute_force(size, w):
                    for j in range(size)]
             ctx = context_of(n, order, w, lts)
             spec = ctx.spec
-            grown = BasisContext(ctx.ring, order, spec, [])
+            grown = BasisContext(ctx.ring, spec, [])
             for g in ctx.elems:
                 grown.append(g)
                 extra = spec.pack(random_exps(rng, n, 16))
                 for key in (g.lt_key, extra):
                     assert_searches_match(
                         grown, key, brute_divisors(grown.elems, key, spec))
-            assert grown.min_lt_deg == ctx.min_lt_deg
             if size > 2 * SCAN_MAX_BASIS:
                 # some element after the cutoff has an exponent above every
                 # earlier one in some variable
@@ -145,7 +144,24 @@ def test_empty_basis_has_no_divisors():
     ctx = context_of(3, GREVLEX, 8, [])
     key = ctx.spec.pack((1, 2, 3))
     assert ctx.divisor_indices(key) == []
-    assert ctx.find_reducer(key, 6) is None
+    assert ctx.find_reducer(key) is None
+
+
+@pytest.mark.parametrize("size", [SCAN_MAX_BASIS, 4 * SCAN_MAX_BASIS])
+def test_a_key_below_every_leading_degree_finds_no_reducer(size):
+    # every leading term has degree at least 3, so no key of degree 2 or
+    # less has a divisor; the leading-key scan and the bitmask index each
+    # answer on their own
+    rng = random.Random(size)
+    lts = [tuple(e + 1 for e in random_exps(rng, 3, 9)) for _ in range(size)]
+    for order in orders_for(3):
+        ctx = context_of(3, order, 8, lts)
+        assert (ctx._index is None) == (size <= SCAN_MAX_BASIS)
+        for low in itertools.product(range(3), repeat=3):
+            if sum(low) <= 2:
+                key = ctx.spec.pack(low)
+                assert ctx.find_reducer(key) is None
+                assert ctx.divisor_indices(key) == []
 
 
 LEAF_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2)]

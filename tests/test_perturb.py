@@ -11,12 +11,13 @@ import pytest
 
 from charplab import (
     Field, IdealHandle, InputError, LimitError, Limits, PerturbationPlan,
-    Polynomial, QuotientPresentation, Ring, ideal_equal, m_power_in,
+    Polynomial, QuotientPresentation, ReportDocument, Ring, ideal_equal,
+    m_power_in,
     parse_poly,
     run_experiment, sample_epsilons, stability_threshold,
     FiniteExtensionPresentation,
 )
-from charplab import perturb
+from charplab import groebner as groebner_module, perturb
 from charplab.errors import InternalError
 from charplab.perturb import SplitMix64, stream_for_sample, _draw_epsilon
 from oracles import splitmix64_reference
@@ -296,6 +297,32 @@ def test_constancy_asserts_only_the_certified_levels():
     assert rep.verdicts["perturbed-ideal-equality"] == "pass"
 
 
+def test_constancy_builds_each_threshold_basis_once(monkeypatch):
+    # the README's plan certifies both levels; the threshold ideal
+    # J + (f) + m^[q] of each gives the threshold and then every equality
+    # check against it, on one engine run
+    real = groebner_module.groebner
+    runs = []
+
+    def counting(gens, *args, **kwargs):
+        runs.append(list(gens))
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner_module, "groebner", counting)
+    F2 = Ring(Field(2), ("x", "y"))
+    node = parse_poly("x^2 + x*y", F2)
+    plane = QuotientPresentation(F2, IdealHandle(F2, []))
+    plan = PerturbationPlan(plane, (node,), 7, 8, 3, 7, (1, 2),
+                            "splitting-constancy")
+    rep = run_experiment(plan)
+    assert rep.thresholds == {1: 3, 2: 7}
+    assert rep.verdicts == {"splitting-constancy": "pass",
+                            "perturbed-ideal-equality": "pass"}
+    for q in (2, 4):
+        ideal = [node, parse_poly(f"x^{q}", F2), parse_poly(f"y^{q}", F2)]
+        assert sum(gens == ideal for gens in runs) == 1
+
+
 def test_two_runs_of_one_plan_give_identical_reports():
     a = run_experiment(node_plan(7, samples=6))
     b = run_experiment(node_plan(7, samples=6))
@@ -361,6 +388,15 @@ def test_continuity_with_two_levels_has_zero_default_tolerance():
     ]
     assert rep.notes == \
         ("hypothesis verified: target is a squarefree hypersurface",)
+
+
+def test_an_int_tolerance_is_reported_as_a_fraction():
+    # a job file passes a Fraction; a library caller's int renders the same
+    a = run_experiment(hk_node_plan(tolerance=1))
+    b = run_experiment(hk_node_plan(tolerance=Fraction(1)))
+    assert type(a.reproducibility["tolerance"]) is Fraction
+    assert ReportDocument("perturb", a, {}).to_json() == \
+        ReportDocument("perturb", b, {}).to_json()
 
 
 def test_continuity_passes_under_an_explicit_tolerance():

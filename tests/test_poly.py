@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charplab import (
-    GREVLEX, LEX, Field, InputError, Monomial, ParseError, Polynomial, Ring,
-    block_order, order_from_string, parse_poly,
+    GREVLEX, LEX, Field, InputError, Limits, Monomial, ParseError, Polynomial,
+    Ring, block_order, order_from_string, parse_poly,
 )
 from oracles import block_greater, grevlex_greater, lex_greater
 
@@ -352,3 +352,54 @@ def test_exponents_must_be_nonnegative_integers():
             Monomial(exps)
     assert R.monomial((1, 0)) == R.variable("x")
     assert Monomial((2, 1)).degree == 3
+
+
+def test_a_string_is_not_a_list_of_variable_names():
+    with pytest.raises(InputError):
+        Ring(Field(3), "xy")      # not GF(3)[x, y]
+    assert Ring(Field(3), ["x", "y"]) == ring(3, 1, "x", "y")
+
+
+def test_a_variable_name_must_be_a_string():
+    for names in ((1,), ("x", None), ("x", b"y")):
+        with pytest.raises(InputError):
+            Ring(Field(3), names)
+
+
+# calls that take an integer from a caller, with a bool, a float or a
+# string in its place; F = GF(3), R = F[x, y, t], x its first variable
+NOT_INTEGERS = [
+    ("element-bool", lambda F, R, x: F.element(True)),
+    ("constant-bool", lambda F, R, x: R.constant(True)),
+    ("pow-bool", lambda F, R, x: x ** True),
+    ("pow-float", lambda F, R, x: x ** 2.0),
+    ("frobenius-bool", lambda F, R, x: x.frobenius_pow(True)),
+    ("field-pow-float", lambda F, R, x: F.one ** 1.5),
+    ("code-float", lambda F, R, x: F.from_code(1.5)),
+    ("code-bool", lambda F, R, x: F.from_code(True)),
+    ("variable-negative", lambda F, R, x: R.variable(-1)),
+    ("variable-past-end", lambda F, R, x: R.variable(3)),
+    ("variable-bool", lambda F, R, x: R.variable(True)),
+    ("variable-float", lambda F, R, x: R.variable(1.0)),
+    ("limits-float", lambda F, R, x: Limits(max_basis=2.5)),
+    ("limits-string", lambda F, R, x: Limits(max_basis="5")),
+    ("limits-bool", lambda F, R, x: Limits(max_degree=True)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in NOT_INTEGERS],
+                         ids=[name for name, _ in NOT_INTEGERS])
+def test_integers_from_callers_are_ints(call):
+    F = Field(3)
+    R = Ring(F, ("x", "y", "t"))
+    with pytest.raises(InputError):
+        call(F, R, R.variable(0))
+
+
+def test_comparison_with_a_bool_is_false_and_does_not_raise():
+    F = Field(3)
+    R = Ring(F, ("x", "y", "t"))
+    assert (R.one == True) is False       # noqa: E712
+    assert (F.one == True) is False       # noqa: E712
+    assert (R.one == 1) is True and (F.one == 1) is True
+    assert R.variable(2) == R.variable("t")
