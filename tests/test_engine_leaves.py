@@ -8,8 +8,8 @@ leading-key scan and the per-variable bitmask index, built at once or one
 `append` at a time across the cutoff, with query keys and later leading
 exponents past the ends of the index tables, and with keys of lower
 degree than every leading term, which the searches alone turn away; the
-list-table field
-operations against digit arithmetic for every pair of codes.
+list-table field operations against digit arithmetic for every pair of
+codes.
 """
 
 import itertools

@@ -12,8 +12,7 @@ import pytest
 from charplab import (
     Field, IdealHandle, InputError, LimitError, Limits, PerturbationPlan,
     Polynomial, QuotientPresentation, ReportDocument, Ring, ideal_equal,
-    m_power_in,
-    parse_poly,
+    m_power_in, parse_poly,
     run_experiment, sample_epsilons, stability_threshold,
     FiniteExtensionPresentation,
 )
