@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .field import _is_int
+from .field import _at_least
 from .groebner import GroebnerBasis, divide_exact
 from .orders import GREVLEX
 from .poly import Polynomial, Ring
@@ -183,8 +183,7 @@ def disc_congruence_check(P: FiniteExtensionPresentation, eps: Polynomial,
                           n_target: int) -> CongruenceReport:
     """Compare the discriminants of f and f + eps T-adically; pass when the
     congruence order reaches n_target."""
-    if not _is_int(n_target) or n_target < 1:
-        raise InputError("congruence target must be a positive integer")
+    _at_least(n_target, 1, "n_target")
     if eps.ring != P.ring:
         raise InputError("perturbation must live in the extension ring")
     if not eps.is_zero():

@@ -49,7 +49,7 @@ from operator import or_
 import numpy  # noqa: F401
 
 from .errors import InputError, InternalError, LimitError, TimeLimitError
-from .field import Field, _is_int
+from .field import Field, _at_least
 from .orders import MonomialOrder
 from .poly import Polynomial, Ring
 
@@ -67,13 +67,11 @@ class Limits:
     def __init__(self, max_basis: int = DEFAULT_MAX_BASIS,
                  max_degree: int = DEFAULT_MAX_DEGREE,
                  max_seconds: float | None = None):
-        if not all(_is_int(v) and v > 0 for v in (max_basis, max_degree)):
-            raise InputError("limits must be positive integers")
+        self.max_basis = _at_least(max_basis, 1, "max_basis")
+        self.max_degree = _at_least(max_degree, 1, "max_degree")
         if max_seconds is not None and \
                 not 0 <= max_seconds <= sys.float_info.max:
             raise InputError("max_seconds must be finite and nonnegative")
-        self.max_basis = max_basis
-        self.max_degree = max_degree
         self.max_seconds = None if max_seconds is None else float(max_seconds)
 
     def deadline(self) -> float | None:

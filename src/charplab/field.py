@@ -30,6 +30,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _at_least(value, least: int, what: str) -> int:
+    """The rule for an integer bound taken from a caller: `value` when it
+    is an int, not a bool, and at least `least`; InputError otherwise."""
+    if not _is_int(value) or value < least:
+        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -112,8 +120,7 @@ class Field:
             raise InputError(f"characteristic {p} exceeds the supported bound {MAX_Q}")
         if not _is_int(p) or _prime_factors(p) != [p]:
             raise InputError(f"characteristic must be a prime, got {p!r}")
-        if not _is_int(m) or m < 1:
-            raise InputError(f"extension degree must be a positive integer, got {m!r}")
+        _at_least(m, 1, "extension degree")
         if m > 16:  # p**m >= 2**17
             raise InputError(f"field size {p}^{m} exceeds the supported bound {MAX_Q}")
         q = p**m
@@ -268,8 +275,7 @@ class Field:
 
     def frobenius(self, a: int, e: int = 1) -> int:
         """e-fold Frobenius a |-> a^(p^e) on codes."""
-        if e < 0:
-            raise InputError("Frobenius iterate count must be nonnegative")
+        _at_least(e, 0, "Frobenius iterate count")
         if a == 0:
             return 0
         return self.pow(a, pow(self.p, e, self.q - 1) if self.q > 2 else 1)
@@ -292,7 +298,7 @@ class Field:
 
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if value.field is not self:
+            if value.field is not self and value.field != self:
                 raise InputError("element belongs to a different field")
             return value
         if _is_int(value):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
                      _to_dict, groebner, make_context, power_scan)
 from .errors import InputError, InternalError
-from .field import _is_int
+from .field import _at_least, _is_int
 from .orders import GREVLEX, MonomialOrder, block_order
 from .poly import Polynomial, Ring
 
@@ -140,12 +140,11 @@ def ideal_equal(I: IdealHandle, J: IdealHandle,
 
 # -- intersection, colon, elimination -----------------------------------------
 
-def _tag_name(ring: Ring) -> str:
-    name = "_w"
-    k = 0
-    while name in ring.variables:
-        name = f"_w{k}"
-        k += 1
+def _fresh_name(name: str, taken) -> str:
+    """`name` with underscores prefixed until it is not in `taken`: the
+    one rule for the names of variables the library adds to a ring."""
+    while name in taken:
+        name = "_" + name
     return name
 
 
@@ -185,7 +184,7 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
         return I
     if not J.generators:
         return J
-    ext = ring.extend_front([_tag_name(ring)])
+    ext = ring.extend_front([_fresh_name("_w", ring.variables)])
     w = ext.variable(0)
     gens = [w * _lift_front(f, ext) for f in I.generators]
     gens += [(ext.one - w) * _lift_front(g, ext) for g in J.generators]
@@ -233,7 +232,7 @@ def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
     f = GroebnerBasis(ring, GREVLEX, list(gb_elements)).normal_form(f)
     if f.is_zero():
         return [ring.one]
-    ext = ring.extend_front([_tag_name(ring)])
+    ext = ring.extend_front([_fresh_name("_w", ring.variables)])
     w = ext.variable(0)
     lifted = _lift_front(f, ext)
     gens = [w * _lift_front(g, ext) for g in gb_elements]
@@ -264,8 +263,7 @@ def colon(I: IdealHandle, J: IdealHandle) -> IdealHandle:
 
 def frobenius_power(I: IdealHandle, e: int) -> IdealHandle:
     """The ideal generated by the p^e-th powers of the generators."""
-    if not _is_int(e) or e < 0:
-        raise InputError("Frobenius power index must be nonnegative")
+    _at_least(e, 0, "Frobenius power index")
     return IdealHandle(I.ring, [f.frobenius_pow(e) for f in I.generators],
                        I.limits)
 
@@ -381,7 +379,10 @@ class Staircase:
         return got
 
     def count_degree(self, k: int) -> int:
-        """Standard monomials of total degree exactly k (any dimension)."""
+        """Standard monomials of total degree exactly k (any dimension);
+        0 for a negative k."""
+        if not _is_int(k):
+            raise InputError(f"degree must be an integer, got {k!r}")
         return self._count_degree(self._given, self.n, k)
 
     def _count_degree(self, corners: frozenset, n: int, k: int) -> int:
@@ -471,7 +472,8 @@ def subalgebra_presentation(gens: list[Polynomial],
                             names: list[str] | None = None,
                             limits: Limits = DEFAULT_LIMITS) -> IdealHandle:
     """Relations among the given ring elements: the kernel of the map
-    sending fresh variables onto them, by eliminating the ambient ring."""
+    sending fresh variables onto them, by eliminating the ambient ring.
+    Default names are a1, a2, ..., with underscores prefixed until free."""
     if not gens:
         raise InputError("need at least one subalgebra generator")
     ring = gens[0].ring
@@ -482,15 +484,10 @@ def subalgebra_presentation(gens: list[Polynomial],
             raise InputError("subalgebra generators must be nonconstant")
     s = len(gens)
     if names is None:
-        names = []
-        for i in range(1, s + 1):
-            base = f"a{i}"
-            while base in ring.variables:
-                base = "_" + base
-            names.append(base)
-    elif len(names) != s:
+        names = [_fresh_name(f"a{i}", ring.variables) for i in range(1, s + 1)]
+    big = Ring(ring.field, names).extend_front(ring.variables)
+    if big.n != ring.n + s:
         raise InputError("need exactly one name per generator")
-    big = Ring(ring.field, ring.variables + tuple(names))
 
     def lift_back(f: Polynomial) -> Polynomial:
         return Polynomial(big, {e + (0,) * s: c for e, c in f.terms.items()})

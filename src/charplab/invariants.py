@@ -29,12 +29,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError, LimitError
-from .field import _is_int
+from .field import _at_least
 from .groebner import (GroebnerBasis, IdealHandle, Limits, colon,
                        colon_by_basis, frobenius_power, krull_dim,
                        staircase_of)
 from .orders import GREVLEX
 from .poly import Polynomial, Ring
+
+
+def _maximal_elements(ring: Ring, fs, what: str) -> list:
+    """fs as a list, after checking that each is a polynomial of `ring`
+    with constant code 0: the one rule for the elements of a presentation's
+    maximal ideal at the origin that a caller hands in."""
+    fs = list(fs)
+    if not all(isinstance(f, Polynomial) and f.ring == ring
+               and not f.constant_code() for f in fs):
+        raise InputError(f"{what} must be polynomials of {ring!r} in the "
+                         "maximal ideal at the origin")
+    return fs
 
 
 class QuotientPresentation:
@@ -45,15 +57,13 @@ class QuotientPresentation:
 
     def __init__(self, ring: Ring, defining):
         if isinstance(defining, IdealHandle):
-            handle = defining
-            if handle.ring != ring:
+            if defining.ring != ring:
                 raise InputError("defining ideal lives in a different ring")
+            _maximal_elements(ring, defining.generators, "defining generators")
+            handle = defining
         else:
-            handle = IdealHandle(ring, list(defining))
-        for g in handle.generators:
-            if g.constant_code() != 0:
-                raise InputError("defining ideal is not contained in the "
-                                 "maximal ideal at the origin")
+            handle = IdealHandle(ring, _maximal_elements(
+                ring, defining, "defining generators"))
         self.ring = ring
         self.defining = handle
         self.dim = krull_dim(handle)
@@ -131,15 +141,13 @@ def _bracket_gens(ring: Ring, e: int) -> list[Polynomial]:
 
 def hk_length(R: QuotientPresentation, e: int) -> int:
     """Colength of J + the e-th bracket power of the maximal ideal."""
-    if not _is_int(e) or e < 1:
-        raise InputError("Frobenius level e must be a positive integer")
+    _at_least(e, 1, "Frobenius level e")
     return staircase_of(R.defining.basis(GREVLEX).extend(
         _bracket_gens(R.ring, e), R.limits)).count()
 
 
 def hk_series(R: QuotientPresentation, e_max: int) -> HKSeries:
-    if not _is_int(e_max) or e_max < 2:
-        raise InputError("series needs e_max >= 2")
+    _at_least(e_max, 2, "e_max")
     p = R.ring.field.p
     d = R.dim
     rows = []
@@ -253,14 +261,12 @@ def _splitting_values(R: QuotientPresentation, first: int,
 
 def splitting_number(R: QuotientPresentation, e: int) -> int:
     """Rank of the largest free summand of the e-th Frobenius pushforward."""
-    if not _is_int(e) or e < 1:
-        raise InputError("Frobenius level e must be a positive integer")
+    _at_least(e, 1, "Frobenius level e")
     return _splitting_values(R, e, e)[0]
 
 
 def splitting_series(R: QuotientPresentation, e_max: int) -> SplittingSeries:
-    if not _is_int(e_max) or e_max < 1:
-        raise InputError("series needs e_max >= 1")
+    _at_least(e_max, 1, "e_max")
     p = R.ring.field.p
     d = R.dim
     rows = []
@@ -328,8 +334,7 @@ def _outside_box(f: Polynomial, t: int, q: int) -> bool:
 
 def nu_series(f: Polynomial, e_max: int) -> NuSeries:
     """nu_e = max t with f^t outside m^[p^e], for e = 1..e_max."""
-    if not _is_int(e_max) or e_max < 1:
-        raise InputError("series needs e_max >= 1")
+    _at_least(e_max, 1, "e_max")
     if f.is_zero():
         raise InputError("nu is undefined for the zero polynomial")
     if f.constant_code() != 0:
@@ -366,17 +371,10 @@ def fpt_estimate(series: NuSeries) -> tuple:
 
 
 def parameter_check(R: QuotientPresentation, fs) -> bool:
-    """True when each successive element drops the dimension strictly."""
-    fs = list(fs)
-    for f in fs:
-        if not isinstance(f, Polynomial) or f.ring != R.ring:
-            raise InputError("parameter candidates must live in the "
-                             "presentation ring")
-        if f.is_constant() and not f.is_zero():
-            raise InputError("a unit cannot be part of a parameter sequence")
-        if f.constant_code() != 0:
-            raise InputError("parameter candidates must lie in the "
-                             "maximal ideal")
+    """True when each successive element drops the dimension strictly.
+    The candidates must be elements of the presentation ring's maximal
+    ideal at the origin, which rules out units."""
+    fs = _maximal_elements(R.ring, fs, "parameter candidates")
     handle = R.defining
     prev = R.dim
     for f in fs:

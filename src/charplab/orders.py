@@ -11,7 +11,7 @@ this module is the semantic ground truth the fast path is tested against.
 from __future__ import annotations
 
 from .errors import InputError
-from .field import _is_int
+from .field import _at_least
 
 
 def _grevlex_key(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -29,8 +29,7 @@ class MonomialOrder:
         if kind not in ("grevlex", "lex", "block"):
             raise InputError(f"unknown monomial order kind {kind!r}")
         if kind == "block":
-            if not _is_int(block) or block < 1:
-                raise InputError("block order needs a positive block size")
+            _at_least(block, 1, "block size")
         elif block is not None:
             raise InputError(f"{kind} order takes no block size")
         object.__setattr__(self, "kind", kind)

@@ -33,11 +33,11 @@ from fractions import Fraction
 
 from .discriminant import FiniteExtensionPresentation, disc_congruence_check
 from .errors import CharplabError, InputError, InternalError, TimeLimitError
-from .field import _is_int
+from .field import _at_least, _is_int
 from .groebner import ideal_equal, is_squarefree_hypersurface, m_power_in
-from .invariants import (QuotientPresentation, _bracket_gens, ehk_estimate,
-                         fsig_estimate, hk_series, parameter_check,
-                         splitting_series)
+from .invariants import (QuotientPresentation, _bracket_gens,
+                         _maximal_elements, ehk_estimate, fsig_estimate,
+                         hk_series, parameter_check, splitting_series)
 from .poly import Polynomial, Ring
 
 MASK64 = (1 << 64) - 1
@@ -87,12 +87,9 @@ class PerturbationPlan:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InputError(f"unknown experiment mode '{self.mode}'")
-        if not _is_int(self.N) or self.N < 1:
-            raise InputError("neighborhood exponent N must be >= 1")
-        if not _is_int(self.degree_cap) or self.degree_cap < self.N:
-            raise InputError("degree cap must be at least N")
-        if not _is_int(self.samples) or self.samples < 1:
-            raise InputError("need at least one sample")
+        _at_least(self.N, 1, "neighborhood exponent N")
+        _at_least(self.degree_cap, self.N, "degree cap")
+        _at_least(self.samples, 1, "samples")
         if not _is_int(self.seed) or not 0 <= self.seed <= MASK64:
             raise InputError("seed must be a 64-bit unsigned integer")
         tol = self.tolerance
@@ -100,15 +97,14 @@ class PerturbationPlan:
             if not (_is_int(tol) or isinstance(tol, Fraction)) or tol < 0:
                 raise InputError("tolerance must be an int or a Fraction >= 0")
             object.__setattr__(self, "tolerance", Fraction(tol))
-        e_range = tuple(self.e_range)
+        e_range = tuple(_at_least(e, 1, "e_range entry")
+                        for e in self.e_range)
         object.__setattr__(self, "e_range", e_range)
         if not e_range:
             raise InputError("e_range must be nonempty")
         for a, b in zip(e_range, e_range[1:]):
             if b <= a:
                 raise InputError("e_range must be strictly increasing")
-        if any(not _is_int(e) or e < 1 for e in e_range):
-            raise InputError("e_range entries must be positive integers")
         targets = tuple(self.targets)
         object.__setattr__(self, "targets", targets)
         ring = self.presentation.ring
@@ -116,18 +112,13 @@ class PerturbationPlan:
             if self.extension is None:
                 raise InputError("dis-congruence needs an extension "
                                  "presentation")
-            if not _is_int(self.n_target) or self.n_target < 1:
-                raise InputError("dis-congruence needs a positive n_target")
+            _at_least(self.n_target, 1, "n_target")
         else:
             if not targets:
                 raise InputError("this mode needs at least one target")
-            for f in targets:
-                if not isinstance(f, Polynomial) or f.ring != ring:
-                    raise InputError("targets must live in the presentation "
-                                     "ring")
-                if f.is_zero() or f.constant_code() != 0:
-                    raise InputError("targets must be nonzero elements of "
-                                     "the maximal ideal")
+            _maximal_elements(ring, targets, "targets")
+            if any(f.is_zero() for f in targets):
+                raise InputError("targets must be nonzero")
         if self.mode in ("hk-continuity", "fsig-continuity",
                          "open-question-probe"):
             if len(self.e_range) < 2:
@@ -198,14 +189,8 @@ def sample_epsilons(plan: PerturbationPlan) -> list:
 
 def _threshold(R: QuotientPresentation, fs, e: int) -> tuple:
     """The ideal J + (fs) + m^[p^e] and its stability threshold."""
-    fs = list(fs)
-    if not _is_int(e) or e < 1:
-        raise InputError("Frobenius level e must be a positive integer")
-    for f in fs:
-        if not isinstance(f, Polynomial) or f.ring != R.ring:
-            raise InputError("elements must live in the presentation ring")
-        if f.constant_code() != 0:
-            raise InputError("elements must lie in the maximal ideal")
+    _at_least(e, 1, "Frobenius level e")
+    fs = _maximal_elements(R.ring, fs, "elements")
     handle = R.defining.with_polys(fs + _bracket_gens(R.ring, e))
     return handle, m_power_in(handle) + 1
 

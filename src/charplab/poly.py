@@ -24,7 +24,7 @@ import re
 from typing import Iterable
 
 from .errors import InputError, LimitError, ParseError
-from .field import Field, FieldElement, _is_int
+from .field import Field, FieldElement, _at_least, _is_int
 from .orders import GREVLEX, MonomialOrder
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -78,12 +78,17 @@ class Ring:
     def constant(self, value) -> "Polynomial":
         return Polynomial(self, {(0,) * self.n: self.field.element(value).code})
 
-    def variable(self, i) -> "Polynomial":
-        at = self._index.get(i) if isinstance(i, str) else i
+    def _position(self, var) -> int:
+        """The index of a variable given by name or by index: the one rule
+        for every method that takes a variable from a caller."""
+        at = self._index.get(var) if isinstance(var, str) else var
         if not _is_int(at) or not 0 <= at < self.n:
-            raise InputError(f"unknown variable {i!r}")
+            raise InputError(f"unknown variable {var!r}")
+        return at
+
+    def variable(self, i) -> "Polynomial":
         exps = [0] * self.n
-        exps[at] = 1
+        exps[self._position(i)] = 1
         return Polynomial(self, {tuple(exps): 1})
 
     def gens(self) -> list["Polynomial"]:
@@ -234,8 +239,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, t: int):
-        if not _is_int(t) or t < 0:
-            raise InputError("polynomial powers take nonnegative integer exponents")
+        _at_least(t, 0, "polynomial exponent")
         out = self.ring.one
         base = self
         while t:
@@ -248,8 +252,7 @@ class Polynomial:
 
     def frobenius_pow(self, e: int) -> "Polynomial":
         """f^(p^e) by coefficientwise Frobenius and exponent scaling."""
-        if not _is_int(e) or e < 0:
-            raise InputError("Frobenius iterate count must be nonnegative")
+        _at_least(e, 0, "Frobenius iterate count")
         if e == 0 or not self.terms:
             return self
         f = self.ring.field
@@ -263,9 +266,10 @@ class Polynomial:
             {tuple(x * scale for x in k): f.frobenius(v, e)
              for k, v in self.terms.items()})
 
-    def partial(self, i: int) -> "Polynomial":
-        """Formal partial derivative with respect to the i-th variable;
-        distinct terms have distinct derivative keys."""
+    def partial(self, i) -> "Polynomial":
+        """Formal partial derivative with respect to a variable, given by
+        name or by index; distinct terms have distinct derivative keys."""
+        i = self.ring._position(i)
         f = self.ring.field
         return Polynomial(self.ring, {
             k[:i] + (k[i] - 1,) + k[i + 1:]: f.mul(f.from_int(k[i]), v)
@@ -273,10 +277,10 @@ class Polynomial:
 
     def evaluate(self, codes: Iterable[int]) -> int:
         """Value at a point given by coefficient codes; returns a code."""
-        pt = list(codes)
+        f = self.ring.field
+        pt = [f.from_code(c).code for c in codes]
         if len(pt) != self.ring.n:
             raise InputError(f"expected {self.ring.n} coordinates")
-        f = self.ring.field
         total = 0
         for k, v in self.terms.items():
             acc = v
@@ -289,43 +293,30 @@ class Polynomial:
         return total
 
     def substitute(self, images: dict) -> "Polynomial":
-        """Substitute polynomials for variables (by index or name)."""
+        """Substitute polynomials for variables, each given by name or by
+        index.  The images share one ring over this field; a variable with
+        no image stays itself, which needs that ring to be this one."""
         ring = self.ring
-        sub: dict[int, Polynomial] = {}
-        target: Ring | None = None
-        for key, val in images.items():
-            i = ring._index[key] if isinstance(key, str) else key
-            if not isinstance(val, Polynomial):
-                raise InputError("substitution images must be polynomials")
-            if target is None:
-                target = val.ring
-            elif val.ring != target:
-                raise InputError("substitution images live in different rings")
-            sub[i] = val
-        if target is None:
-            target = ring
-        if target == ring:
-            pass
-        elif target.field != ring.field:
+        sub = {ring._position(key): val for key, val in images.items()}
+        if not all(isinstance(val, Polynomial) for val in images.values()):
+            raise InputError("substitution images must be polynomials")
+        targets = {val.ring for val in images.values()} or {ring}
+        if len(targets) > 1:
+            raise InputError("substitution images live in different rings")
+        target = targets.pop()
+        if target.field != ring.field:
             raise InputError("substitution cannot change the coefficient field")
+        if target == ring:
+            sub = {i: sub.get(i, ring.variable(i)) for i in range(ring.n)}
         out = target.zero
-        pows: dict[tuple[int, int], Polynomial] = {}
         for k, v in self.terms.items():
-            piece = target.constant(self.ring.field.from_code(v))
+            piece = target.constant(ring.field.from_code(v))
             for i, e in enumerate(k):
-                if not e:
-                    continue
-                if i in sub:
-                    key = (i, e)
-                    if key not in pows:
-                        pows[key] = sub[i] ** e
-                    piece = piece * pows[key]
-                else:
-                    if target != ring:
+                if e:
+                    if i not in sub:
                         raise InputError(
                             f"variable {ring.variables[i]!r} has no image")
-                    piece = piece * target.monomial(
-                        tuple(e if j == i else 0 for j in range(ring.n)))
+                    piece = piece * sub[i] ** e
             out = out + piece
         return out
 

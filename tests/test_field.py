@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from charplab import Field, GF, InputError
+from charplab import Field, GF, InputError, Ring
 
 # one field per construction shape we support; q <= 64 throughout
 AXIOM_FIELDS = [
@@ -166,3 +166,18 @@ def test_bad_construction_rejected():
         Field(2305843009213693951)
     with pytest.raises(InputError, match="exceeds the supported bound"):
         Field(3, 200000000)
+
+
+def test_equal_fields_accept_each_others_elements():
+    assert Field(3).one + Field(3).one == 2
+    # equal rings on separate field objects: substitution reads each
+    # coefficient into the target's field
+    x, y = Ring(Field(3), ("x", "y")).gens()
+    u, v = Ring(Field(3), ("u", "v")).gens()
+    assert (x * x + 2 * y).substitute({0: u, 1: v}) == u * u + 2 * v
+    assert x + Ring(Field(3), ("x", "y")).variable(0) == 2 * x
+    # GF(9) under another modulus is another field
+    other = Field(3, 2, (2, 2, 1))
+    assert other != Field(3, 2)
+    with pytest.raises(InputError, match="different field"):
+        Field(3, 2).one + other.one

@@ -1080,6 +1080,36 @@ def test_subalgebra_presentation_name_control():
         subalgebra_presentation([x**2], names=["u", "v"])
     with pytest.raises(InputError):
         subalgebra_presentation([R.one])
+    # names follow Ring's rule for a list of names
+    for names, message in (("uv", "not the string 'uv'"),
+                           (["u", 5], "bad variable name 5"),
+                           (["u", "x"], "duplicate variable name 'x'")):
+        with pytest.raises(InputError, match=message):
+            subalgebra_presentation([x**2, x**3], names=names)
+
+
+def test_added_variables_skip_names_already_in_the_ring():
+    """The tag variable of intersect and colon_by_basis, and the default
+    subalgebra names, step around ring variables called _w and a1."""
+    plain, clash = ring(5, "u", "v", "y"), ring(5, "_w", "a1", "y")
+
+    def moved(polys):
+        return [Polynomial(clash, f.terms) for f in polys]
+
+    def terms(polys):
+        return [f.terms for f in polys]
+
+    I = ideal(plain, "u^2 - v*y", "v^3")
+    J = ideal(plain, "u*v - y^2", "y^3")
+    I2, J2 = (IdealHandle(clash, moved(K.generators)) for K in (I, J))
+    assert terms(intersect(I2, J2).basis()) == terms(intersect(I, J).basis())
+    assert terms(eliminate(I2, 1).basis()) == terms(eliminate(I, 1).basis())
+    gb = list(I.basis())
+    f = parse_poly("u*y + v", plain)
+    assert terms(colon_by_basis(moved(gb), clash, moved([f])[0])) == \
+        terms(colon_by_basis(gb, plain, f))
+    P = subalgebra_presentation([clash.variable(0) ** 2, clash.variable(1)])
+    assert P.ring.variables == ("_a1", "a2")
 
 
 # -- squarefreeness -----------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from charplab import (
     Field, IdealHandle, InputError, LimitError, Limits, PerturbationPlan,
     Polynomial, QuotientPresentation, ReportDocument, Ring, ideal_equal,
-    m_power_in, parse_poly,
+    m_power_in, parameter_check, parse_poly,
     run_experiment, sample_epsilons, stability_threshold,
     FiniteExtensionPresentation,
 )
@@ -254,6 +254,32 @@ def test_threshold_ignores_zero_padding_and_validates_input():
     other = Ring(Field(3), ("x", "z"))
     with pytest.raises(InputError):
         stability_threshold(R, (parse_poly("z", other),), 1)
+
+
+ELEMENT_ENTRY_POINTS = [
+    ("presentation", "defining generators",
+     lambda R, f: QuotientPresentation(R.ring, [f])),
+    ("parameter-check", "parameter candidates",
+     lambda R, f: parameter_check(R, [f])),
+    ("threshold", "elements", lambda R, f: stability_threshold(R, [f], 1)),
+    ("plan-targets", "targets",
+     lambda R, f: PerturbationPlan(R, (f,), 2, 3, 1, 1, (1,),
+                                   "splitting-monotonicity")),
+]
+
+
+@pytest.mark.parametrize("what,call", [e[1:] for e in ELEMENT_ENTRY_POINTS],
+                         ids=[e[0] for e in ELEMENT_ENTRY_POINTS])
+def test_elements_of_the_maximal_ideal_follow_one_rule(what, call):
+    R = presentation(3, ("x", "y"))
+    want = (f"{what} must be polynomials of GF(3)[x, y] in the maximal "
+            "ideal at the origin")
+    unit_offset = parse_poly("x + 1", R.ring)
+    foreign = parse_poly("x*z", Ring(Field(3), ("x", "z")))
+    for f in (unit_offset, foreign):
+        with pytest.raises(InputError) as err:
+            call(R, f)
+        assert str(err.value) == want
 
 
 # -- splitting-constancy ----------------------------------------------------------

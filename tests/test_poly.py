@@ -15,6 +15,7 @@ from charplab import (
     GREVLEX, LEX, Field, InputError, Limits, Monomial, ParseError, Polynomial,
     Ring, block_order, order_from_string, parse_poly,
 )
+from charplab.groebner import Staircase
 from oracles import block_greater, grevlex_greater, lex_greater
 
 
@@ -384,6 +385,17 @@ NOT_INTEGERS = [
     ("limits-float", lambda F, R, x: Limits(max_basis=2.5)),
     ("limits-string", lambda F, R, x: Limits(max_basis="5")),
     ("limits-bool", lambda F, R, x: Limits(max_degree=True)),
+    ("partial-bool", lambda F, R, x: (x * x).partial(True)),
+    ("partial-negative", lambda F, R, x: (x * x).partial(-1)),
+    ("partial-past-end", lambda F, R, x: (x * x).partial(3)),
+    ("substitute-past-end", lambda F, R, x: x.substitute({3: x})),
+    ("substitute-unknown-name", lambda F, R, x: x.substitute({"z": x})),
+    ("field-frobenius-float", lambda F, R, x: F.frobenius(2, 1.5)),
+    ("element-frobenius-bool", lambda F, R, x: F.one.frobenius(True)),
+    ("count-degree-bool",
+     lambda F, R, x: Staircase([(2, 0), (0, 2)], 2).count_degree(True)),
+    ("count-degree-float",
+     lambda F, R, x: Staircase([(2, 0), (0, 2)], 2).count_degree(1.5)),
 ]
 
 
@@ -394,6 +406,16 @@ def test_integers_from_callers_are_ints(call):
     R = Ring(F, ("x", "y", "t"))
     with pytest.raises(InputError):
         call(F, R, R.variable(0))
+
+
+@pytest.mark.parametrize("point", [[5, 0], [-1, 0], [1.5, 0], [True, 0]],
+                         ids=["past-q", "negative", "float", "bool"])
+def test_evaluate_reads_each_coordinate_as_a_field_code(point):
+    R = ring(3, 1, "x", "y")
+    f = parse_poly("x^2 + y", R)
+    assert f.evaluate([2, 0]) == 1
+    with pytest.raises(InputError, match="out of range for GF"):
+        f.evaluate(point)
 
 
 def test_comparison_with_a_bool_is_false_and_does_not_raise():
