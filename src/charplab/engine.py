@@ -33,7 +33,9 @@ term-by-term division loop is BasisContext.reduce_dict.  Exact division
 reduces against a one-element basis through it and collects the quotient:
 groebner.divide_exact does so on a context of its own, and the final pass
 of a groebner() run given a divisor (a colon step, or 1 for an
-elimination) on the run's own keys.
+elimination) on the run's own keys.  One Buchberger run ends at the
+minimal basis: groebner() then divides and reduces tails, while
+initial_exponents() stops there.
 """
 
 from __future__ import annotations
@@ -501,7 +503,9 @@ class _Buchberger:
     leave the active set, which S-polynomials reduce against.  The first
     `gb_prefix` generators join it without pairs.  The criteria run on
     exponent keys (direct form, degree fields cleared): an lcm is a
-    fieldwise maximum and a | t one guarded subtraction."""
+    fieldwise maximum and a | t one guarded subtraction.  `run` ends at the
+    minimal basis: the active elements that are their own only divisor (no
+    two leading terms are equal), sorted; `_reduce_final` reduces it."""
 
     def __init__(self, ring: Ring, spec: PackSpec, limits: Limits,
                  deadline: float | None):
@@ -581,8 +585,7 @@ class _Buchberger:
                 del work[k]     # v == 0 only where work held c != 0
         return work
 
-    def run(self, gens: list[dict[int, int]], gb_prefix: int,
-            divisor: dict[int, int] | None) -> list[GPoly]:
+    def run(self, gens: list[dict[int, int]], gb_prefix: int) -> list[GPoly]:
         for j, d in enumerate(gens):
             self._add(_freeze(d, self.spec, self.field), j >= gb_prefix)
         while self.pairs:
@@ -602,21 +605,21 @@ class _Buchberger:
                 raise LimitError(
                     f"basis size exceeds the limit {self.limits.max_basis}")
             self._add(g, True)
-        return self._reduce_final(divisor)
-
-    def _reduce_final(self, divisor: dict[int, int] | None) -> list[GPoly]:
-        """Minimalize (no two active leading terms are equal, so an element
-        stays when it is its own only divisor), then reduce each tail once
-        against the minimal basis: a leading term divides no smaller
-        monomial, so one pass is enough.  Given a divisor (see groebner),
-        only the elements free of the first block stay, and it divides them
-        first: lt(g/f) = lt(g)/lt(f) keeps them minimal and sorted."""
-        kept = sorted((g for i, g in enumerate(self.ctx.elems)
+        return sorted((g for i, g in enumerate(self.ctx.elems)
                        if self.ctx.divisor_indices(g.lt_key) == [i]),
                       key=lambda g: g.lt_key)
+
+    def _reduce_final(self, kept: list[GPoly],
+                      divisor: Polynomial | None) -> list[Polynomial]:
+        """The reduced basis from the minimal one: reduce each tail once
+        against it, since a leading term divides no smaller monomial.
+        Given a divisor (see groebner), only the elements free of the first
+        block stay, and it divides them first: lt(g/f) = lt(g)/lt(f) keeps
+        them minimal and sorted."""
         if divisor is not None:
             div = BasisContext(self.ring, self.spec,
-                               [_freeze(divisor, self.spec, self.field)])
+                               [_freeze(_to_dict(divisor, self.spec),
+                                        self.spec, self.field)])
             kept = [g for g in kept
                     if not any(g.lt_exps[:self.spec.order.block])]
             quots: list[dict[int, int]] = [{} for _ in kept]
@@ -625,11 +628,35 @@ class _Buchberger:
                 raise InternalError("inexact polynomial division")
             kept = [_freeze(q, self.spec, self.field) for q in quots]
         ctx = BasisContext(self.ring, self.spec, kept)
-        out = []
-        for g in kept:
-            rem = ctx.reduce_dict(dict(zip(g.keys[1:], g.coeffs[1:])))
-            out.append(_freeze({g.lt_key: 1, **rem}, self.spec, self.field))
-        return out
+        return [_to_poly({g.lt_key: 1, **ctx.reduce_dict(
+            dict(zip(g.keys[1:], g.coeffs[1:])))}, self.spec, self.ring)
+            for g in kept]
+
+
+def _minimal_run(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
+                 limits: Limits, gb_prefix: int, finish):
+    """finish(engine, minimal basis) of a run on (gens), [] for no nonzero
+    generator; a KeyOverflow, in finish too, restarts on wider keys."""
+    nz = [f for f in gens if not f.is_zero()]
+    for f in nz:
+        if f.ring != ring:
+            raise InputError("generators live in different rings")
+    if not nz:
+        return []
+    deadline = limits.deadline()
+    w = _initial_width(nz)
+    while True:
+        spec = PackSpec(ring.n, order, w)
+        try:
+            eng = _Buchberger(ring, spec, limits, deadline)
+            return finish(eng, eng.run([_to_dict(f, spec) for f in nz],
+                                       gb_prefix))
+        except KeyOverflow as o:
+            if o.needed_degree > 2 * limits.max_degree:
+                raise LimitError(
+                    f"degree {o.needed_degree} exceeds the limit "
+                    f"{limits.max_degree}") from None
+            w = _wider(o.needed_degree)
 
 
 def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
@@ -647,27 +674,16 @@ def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
     final pass divides (see groebner.colon_by_basis).  With f = 1 the
     answer is the elimination ideal J itself (groebner.eliminate).
     """
-    nz = [f for f in gens if not f.is_zero()]
-    for f in nz:
-        if f.ring != ring:
-            raise InputError("generators live in different rings")
     if divisor is not None and order.kind != "block":
         raise InputError("a divisor needs a block order")
-    if not nz:
-        return []
-    deadline = limits.deadline()
-    w = _initial_width(nz)
-    while True:
-        spec = PackSpec(ring.n, order, w)
-        try:
-            eng = _Buchberger(ring, spec, limits, deadline)
-            out = eng.run([_to_dict(f, spec) for f in nz], gb_prefix,
-                          None if divisor is None else _to_dict(divisor, spec))
-            return [_to_poly({k: c for k, c in zip(g.keys, g.coeffs)},
-                             spec, ring) for g in out]
-        except KeyOverflow as o:
-            if o.needed_degree > 2 * limits.max_degree:
-                raise LimitError(
-                    f"degree {o.needed_degree} exceeds the limit "
-                    f"{limits.max_degree}") from None
-            w = _wider(o.needed_degree)
+    return _minimal_run(gens, ring, order, limits, gb_prefix,
+                        lambda eng, kept: eng._reduce_final(kept, divisor))
+
+
+def initial_exponents(gens: list[Polynomial], ring: Ring,
+                      order: MonomialOrder, limits: Limits = DEFAULT_LIMITS,
+                      gb_prefix: int = 0) -> list[tuple[int, ...]]:
+    """Sorted leading exponents of the minimal basis of (gens): the same
+    corners as the reduced basis of groebner(), with no tail pass."""
+    return _minimal_run(gens, ring, order, limits, gb_prefix,
+                        lambda eng, kept: [g.lt_exps for g in kept])

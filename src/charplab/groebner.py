@@ -24,7 +24,8 @@ the final pass divides the tag-free basis elements by the multiplier.
 from __future__ import annotations
 
 from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
-                     _to_dict, groebner, make_context, power_scan)
+                     _to_dict, groebner, initial_exponents, make_context,
+                     power_scan)
 from .errors import InputError, InternalError
 from .field import _at_least, _is_int
 from .orders import GREVLEX, MonomialOrder, block_order
@@ -69,6 +70,14 @@ class GroebnerBasis:
         return GroebnerBasis(self.ring, self.order, groebner(
             elems + list(extra), self.ring, self.order, limits,
             gb_prefix=len(elems)))
+
+    def extend_staircase(self, extra,
+                         limits: Limits = DEFAULT_LIMITS) -> Staircase:
+        """Staircase of `extend(extra)`, read off the minimal basis."""
+        elems = list(self.elements)
+        return Staircase(initial_exponents(
+            elems + list(extra), self.ring, self.order, limits,
+            gb_prefix=len(elems)), self.ring.n)
 
     def leading_exponents(self) -> list[tuple[int, ...]]:
         return [max(g.terms, key=self.order.key) for g in self.elements]
@@ -161,9 +170,6 @@ def eliminate(I: IdealHandle, k: int) -> IdealHandle:
     """I intersected with the subring on the last n-k variables: one
     engine run under block_order(k), whose final pass keeps the part of
     the reduced basis free of the first k variables."""
-    n = I.ring.n
-    if not 1 <= k < n:
-        raise InputError(f"cannot eliminate {k} of {n} variables")
     target = I.ring.drop_front(k)
     kept = [_drop_front(g, target, k) for g in groebner(
         list(I.generators), I.ring, block_order(k), I.limits,

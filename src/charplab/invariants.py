@@ -18,7 +18,8 @@ which keeps the Groebner workload flat as e grows.  The last level needs
 only a length: A/(0 : f) is isomorphic to fA in the artinian A = S/I, so
 l(S/(I : f)) = l(S/I) - l(S/(I + (f))), and l(S/C^[p]) = p^n l(S/C) by
 Kunz's flatness theorem (Amer. J. Math. 91, 1969).  So for I = C_{e-1}^[p]
-a_e = p^n a_{e-1} - l(S/(I + (r))), r = g^(p-1) mod I: one grevlex basis.
+a_e = p^n a_{e-1} - l(S/(I + (r))), r = g^(p-1) mod I: the leading
+exponents of one grevlex run, stopped at the minimal basis.
 When g has a term of degree 1, S/(g) is regular at the origin, so F_*^e is
 free of rank q^(n-1) there (Kunz, loc. cit.): a_e = q^(n-1), no basis needed.
 """
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .errors import InputError, InternalError, LimitError
 from .field import _at_least
-from .groebner import (GroebnerBasis, IdealHandle, Limits, colon,
+from .groebner import (GroebnerBasis, IdealHandle, Limits, Staircase, colon,
                        colon_by_basis, frobenius_power, krull_dim,
                        staircase_of)
 from .orders import GREVLEX
@@ -142,8 +143,8 @@ def _bracket_gens(ring: Ring, e: int) -> list[Polynomial]:
 def hk_length(R: QuotientPresentation, e: int) -> int:
     """Colength of J + the e-th bracket power of the maximal ideal."""
     _at_least(e, 1, "Frobenius level e")
-    return staircase_of(R.defining.basis(GREVLEX).extend(
-        _bracket_gens(R.ring, e), R.limits)).count()
+    return R.defining.basis(GREVLEX).extend_staircase(
+        _bracket_gens(R.ring, e), R.limits).count()
 
 
 def hk_series(R: QuotientPresentation, e_max: int) -> HKSeries:
@@ -207,9 +208,8 @@ def convergence_diagnostic(series, d: int) -> ConvergenceDiagnostic:
 
 # -- splitting numbers ---------------------------------------------------------
 
-def _count_or_zero(elems, ring: Ring) -> int:
-    """Staircase count of a reduced basis, 0 for the unit ideal."""
-    st = staircase_of(GroebnerBasis(ring, GREVLEX, elems))
+def _count_or_zero(st: Staircase) -> int:
+    """Count of a splitting step's staircase, 0 for the unit ideal."""
     if st.dimension() > 0:
         raise InternalError("splitting colon failed to be zero-dimensional")
     return st.count()
@@ -228,11 +228,12 @@ def _principal_splitting_chain(R: QuotientPresentation,
     out = [1]
     for _ in range(e_max - 1):
         elems = colon_by_basis(current, ring, mult, R.limits)
-        out.append(_count_or_zero(elems, ring))
+        out.append(_count_or_zero(staircase_of(
+            GroebnerBasis(ring, GREVLEX, elems))))
         current = [h.frobenius_pow(1) for h in elems]
     base = GroebnerBasis(ring, GREVLEX, current)
-    ext = base.extend([base.normal_form(mult)], R.limits)
-    out.append(p ** ring.n * out[-1] - _count_or_zero(ext.elements, ring))
+    st = base.extend_staircase([base.normal_form(mult)], R.limits)
+    out.append(p ** ring.n * out[-1] - _count_or_zero(st))
     return out[1:]
 
 
@@ -240,8 +241,9 @@ def _colon_splitting_count(R: QuotientPresentation, e: int) -> int:
     """a_e by the literal colon formula for arbitrary J."""
     ring = R.ring
     quotient = colon(frobenius_power(R.defining, e), R.defining)
-    ext = quotient.basis(GREVLEX).extend(_bracket_gens(ring, e), R.limits)
-    return ring.field.p ** (e * ring.n) - _count_or_zero(ext.elements, ring)
+    st = quotient.basis(GREVLEX).extend_staircase(_bracket_gens(ring, e),
+                                                  R.limits)
+    return ring.field.p ** (e * ring.n) - _count_or_zero(st)
 
 
 def _splitting_values(R: QuotientPresentation, first: int,
@@ -312,8 +314,8 @@ def hs_multiplicity(R: QuotientPresentation) -> int:
             lengths.append((lengths[-1] if lengths else 0)
                            + st.count_degree(s - 1))
         else:
-            lengths.append(staircase_of(base.extend(
-                _ordinary_power_monomials(R.ring, s), R.limits)).count())
+            lengths.append(base.extend_staircase(
+                _ordinary_power_monomials(R.ring, s), R.limits).count())
         diffs = lengths
         for _ in range(d):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]

@@ -102,11 +102,12 @@ class Ring:
 
     def extend_front(self, names: Iterable[str]) -> "Ring":
         """New ring with extra variables prepended (they become largest)."""
-        return Ring(self.field, tuple(names) + self.variables)
+        return Ring(self.field, Ring(self.field, names).variables
+                    + self.variables)
 
     def drop_front(self, k: int) -> "Ring":
         """Subring on the last n-k variables."""
-        if not 0 < k < self.n:
+        if _at_least(k, 1, "variable count") >= self.n:
             raise InputError(f"cannot drop {k} of {self.n} variables")
         return Ring(self.field, self.variables[k:])
 

@@ -213,6 +213,71 @@ def test_extend_gives_the_basis_of_the_elements_plus_the_extra(order):
                 R, list(G.elements) + extra).basis(order).elements
 
 
+@st.composite
+def staircase_extensions(draw):
+    """(known basis, extra) over F2, F3, F5 or GF(4) in 2-3 variables,
+    under grevlex or lex: the known basis is that of 0-2 polynomials with
+    no constant term, extra holds 0-2 more, and the pure powers
+    x_i^(b_i), which make the sum zero-dimensional, join one side."""
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)]))
+    order = draw(st.sampled_from([GREVLEX, LEX]))
+    n = draw(st.integers(2, 3))
+    R = ring(p, *("x", "y", "t")[:n], m=m)
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(n)]).filter(
+        lambda e: 1 <= sum(e) <= 3)
+    polys = st.lists(st.dictionaries(
+        exps, st.integers(1, R.field.q - 1), min_size=1, max_size=3).map(
+            lambda terms: Polynomial(R, terms)), max_size=2)
+    known, extra = draw(polys), draw(polys)
+    bounds = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
+    pure = [R.monomial(tuple(b if j == i else 0 for j in range(n)))
+            for i, b in enumerate(bounds)]
+    if draw(st.booleans()):
+        known += pure
+    else:
+        extra += pure
+    return IdealHandle(R, known).basis(order), extra
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(staircase_extensions())
+def test_extend_staircase_reads_the_corners_of_extend(case):
+    # the run stopped at the minimal basis gives the leading exponents of
+    # the reduced basis, in the same order, so the same staircase
+    G, extra = case
+    full = G.extend(extra)
+    elems = list(G.elements) + extra
+    assert engine.initial_exponents(elems, G.ring, G.order,
+                                    gb_prefix=len(G)) == \
+        full.leading_exponents()
+    new, old = G.extend_staircase(extra), staircase_of(full)
+    assert new.corners == old.corners
+    assert (new.count(), new.max_degree()) == (old.count(), old.max_degree())
+
+
+@pytest.mark.parametrize("order", [GREVLEX, block_order(1)],
+                         ids=["grevlex", "block1"])
+def test_extend_staircase_restarts_on_wider_keys(order, monkeypatch):
+    R = ring(5, "x", "y", "t")
+    gens = [parse_poly(t, R)
+            for t in ("x^3*y + t^4", "y^5 - x*t^2", "x^2*t^3 + y")]
+    G = GroebnerBasis(R, order, groebner(gens[:1], R, order))
+    expected = staircase_of(G.extend(gens[1:]))
+    with pytest.raises(LimitError):
+        G.extend_staircase(gens[1:], Limits(max_degree=3))
+    # as in test_groebner_restarts_on_wider_keys: one restart, on 5 bits
+    monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
+    steps = []
+    wider = engine._wider
+
+    def spy(needed):
+        steps.append(wider(needed))
+        return steps[-1]
+    monkeypatch.setattr("charplab.engine._wider", spy)
+    assert G.extend_staircase(gens[1:]).corners == expected.corners
+    assert steps == [5]
+
+
 def test_only_the_ideal_layer_imports_the_engine():
     # every other module reaches engine.groebner through groebner.py
     src = os.path.dirname(charplab_groebner.__file__)

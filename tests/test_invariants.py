@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from charplab import (
     GREVLEX, Field, GroebnerBasis, HKRow, HKSeries, IdealHandle, InputError,
-    InternalError, Polynomial, QuotientPresentation, Ring, colength,
+    InternalError, LimitError, Limits, Polynomial, QuotientPresentation, Ring,
+    TimeLimitError, colength,
     convergence_diagnostic, ehk_estimate, fpt_estimate, fsig_estimate,
     hk_length, hk_series, hs_multiplicity, nu_series, parameter_check,
     parse_poly, splitting_number, splitting_series, staircase_of,
@@ -364,13 +365,45 @@ def test_a_regular_hypersurface_takes_no_basis_computation():
     assert time.perf_counter() - start < 1
 
 
+def test_lengths_never_grow_a_reduced_basis(monkeypatch):
+    # hk_length and the last chain level read only leading exponents, so
+    # once the defining basis is cached neither calls GroebnerBasis.extend
+    R = ring(3, "x", "y", "t")
+    P = present(R, "x^2 + y^2 + t^2")
+
+    def refuse(self, extra, limits=None):
+        raise AssertionError("a length asked for a reduced basis")
+    monkeypatch.setattr(GroebnerBasis, "extend", refuse)
+    assert hk_length(P, 2) == dense_colength_box(
+        [parse_poly("x^2 + y^2 + t^2", R)], 9)
+    assert [r.a for r in splitting_series(P, 3).rows] == [5, 41, 365]
+
+
+def test_lengths_keep_the_limits():
+    # a principal J has no pairs, so its basis fits any limit; the runs
+    # that add the brackets (hk_length) or r (the last and here only
+    # chain level) do not
+    R = ring(3, "x", "y", "t")
+    g = parse_poly("x^2 + y^2 + t^2", R)
+    for limits, error in ((Limits(max_seconds=0), TimeLimitError),
+                          (Limits(max_basis=2), LimitError)):
+        P = QuotientPresentation(R, IdealHandle(R, [g], limits))
+        with pytest.raises(error):
+            hk_length(P, 1)
+        with pytest.raises(error):
+            splitting_series(P, 1)
+
+
 def test_colon_step_count_needs_a_finite_staircase():
     R = ring(3, "x", "y")
     x, y = R.gens()
+
+    def count(*elems):
+        return _count_or_zero(staircase_of(GroebnerBasis(R, GREVLEX, elems)))
     with pytest.raises(InternalError):
-        _count_or_zero([x], R)
-    assert _count_or_zero([R.one], R) == 0
-    assert _count_or_zero([x**2, y], R) == 2
+        count(x)
+    assert count(R.one) == 0
+    assert count(x**2, y) == 2
 
 
 def test_splitting_bounds_multigenerator():

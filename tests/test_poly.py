@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charplab import (
-    GREVLEX, LEX, Field, InputError, Limits, Monomial, ParseError, Polynomial,
-    Ring, block_order, order_from_string, parse_poly,
+    GREVLEX, LEX, Field, IdealHandle, InputError, Limits, Monomial,
+    ParseError, Polynomial, Ring, block_order, eliminate, order_from_string,
+    parse_poly,
 )
 from charplab.groebner import Staircase
 from oracles import block_greater, grevlex_greater, lex_greater
@@ -358,6 +359,8 @@ def test_exponents_must_be_nonnegative_integers():
 def test_a_string_is_not_a_list_of_variable_names():
     with pytest.raises(InputError):
         Ring(Field(3), "xy")      # not GF(3)[x, y]
+    with pytest.raises(InputError):
+        Ring(Field(3), ["t"]).extend_front("xy")      # not GF(3)[x, y, t]
     assert Ring(Field(3), ["x", "y"]) == ring(3, 1, "x", "y")
 
 
@@ -396,6 +399,10 @@ NOT_INTEGERS = [
      lambda F, R, x: Staircase([(2, 0), (0, 2)], 2).count_degree(True)),
     ("count-degree-float",
      lambda F, R, x: Staircase([(2, 0), (0, 2)], 2).count_degree(1.5)),
+    ("drop-front-float", lambda F, R, x: R.drop_front(1.5)),
+    ("drop-front-bool", lambda F, R, x: R.drop_front(True)),
+    ("eliminate-float", lambda F, R, x: eliminate(IdealHandle(R, [x]), 1.5)),
+    ("eliminate-bool", lambda F, R, x: eliminate(IdealHandle(R, [x]), True)),
 ]
 
 
