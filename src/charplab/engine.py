@@ -71,9 +71,12 @@ class Limits:
                  max_seconds: float | None = None):
         self.max_basis = _at_least(max_basis, 1, "max_basis")
         self.max_degree = _at_least(max_degree, 1, "max_degree")
-        if max_seconds is not None and \
-                not 0 <= max_seconds <= sys.float_info.max:
-            raise InputError("max_seconds must be finite and nonnegative")
+        if max_seconds is not None and (
+                isinstance(max_seconds, bool)
+                or not isinstance(max_seconds, (int, float))
+                or not 0 <= max_seconds <= sys.float_info.max):
+            raise InputError("max_seconds must be an int or a float, "
+                             "finite and >= 0")
         self.max_seconds = None if max_seconds is None else float(max_seconds)
 
     def deadline(self) -> float | None:
@@ -111,23 +114,20 @@ class PackSpec:
         #   ('dir', i)          exponent of variable i, direct
         #   ('comp', i)         exponent of variable i, complemented
         fields: list[tuple[str, object]] = []
-
-        def grevlex_block(lo: int, hi: int) -> None:
+        # every order is a run of grevlex blocks lo..hi-1, and a block of
+        # one variable is a bare exponent field: lex is n such blocks
+        if order.kind == "grevlex":
+            bounds = (0, n)
+        elif order.kind == "lex":
+            bounds = range(n + 1)
+        else:
+            bounds = (0, order.block, n)
+        for lo, hi in zip(bounds, bounds[1:]):
             if hi - lo == 1:
                 fields.append(("dir", lo))
-                return
-            fields.append(("deg", (lo, hi)))
-            for i in range(hi - 1, lo - 1, -1):
-                fields.append(("comp", i))
-
-        if order.kind == "grevlex":
-            grevlex_block(0, n)
-        elif order.kind == "lex":
-            for i in range(n):
-                fields.append(("dir", i))
-        else:
-            grevlex_block(0, order.block)
-            grevlex_block(order.block, n)
+            else:
+                fields.append(("deg", (lo, hi)))
+                fields.extend(("comp", i) for i in range(hi - 1, lo - 1, -1))
         zero = g_all = g_exp = 0
         # the non-complement fields sum to the total degree: one degree
         # field for grevlex, one field per block, one per variable for lex

@@ -38,6 +38,17 @@ def _at_least(value, least: int, what: str) -> int:
     return value
 
 
+def _as_list(value, what: str) -> tuple:
+    """The rule for a list taken from a caller: any iterable but a string,
+    as a tuple; InputError otherwise."""
+    if isinstance(value, str):
+        raise InputError(f"{what} must be a list, not the string {value!r}")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InputError(f"{what} must be a list, got {value!r}") from None
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -87,8 +98,6 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] % p != 1:
         return False
-    if coeffs[0] % p == 0:
-        return m == 1
     for d in range(1, m // 2 + 1):
         for den in _all_monic(d, p):
             _, rem = _poly_divmod(list(coeffs), den, p)
@@ -127,7 +136,7 @@ class Field:
         if q > MAX_Q:
             raise InputError(f"field size {q} exceeds the supported bound {MAX_Q}")
         if modulus is not None:
-            modulus = tuple(modulus)
+            modulus = _as_list(modulus, "modulus")
             if not all(map(_is_int, modulus)):
                 raise InputError(f"modulus coefficients must be integers, got {modulus!r}")
             modulus = tuple(c % p for c in modulus)
@@ -289,7 +298,7 @@ class Field:
         return tuple((a // p**i) % p for i in range(self.m))
 
     def from_coords(self, coords: Iterable[int]) -> int:
-        cs = list(coords)
+        cs = _as_list(coords, "coordinates")
         if len(cs) != self.m:
             raise InputError(f"expected {self.m} coordinates, got {len(cs)}")
         return sum((c % self.p) * self.p**i for i, c in enumerate(cs))

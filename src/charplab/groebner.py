@@ -27,7 +27,7 @@ from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
                      _to_dict, groebner, initial_exponents, make_context,
                      power_scan)
 from .errors import InputError, InternalError
-from .field import _at_least, _is_int
+from .field import _as_list, _at_least, _is_int
 from .orders import GREVLEX, MonomialOrder, block_order
 from .poly import Polynomial, Ring
 
@@ -96,7 +96,7 @@ class IdealHandle:
 
     def __init__(self, ring: Ring, generators, limits: Limits = DEFAULT_LIMITS):
         gens = []
-        for f in generators:
+        for f in _as_list(generators, "ideal generators"):
             if not isinstance(f, Polynomial):
                 raise InputError("ideal generators must be polynomials")
             if f.ring != ring:
@@ -157,9 +157,12 @@ def _fresh_name(name: str, taken) -> str:
     return name
 
 
-def _lift_front(f: Polynomial, target: Ring) -> Polynomial:
-    pad = target.n - f.ring.n
-    return Polynomial(target, {(0,) * pad + e: c for e, c in f.terms.items()})
+def _lift(f: Polynomial, target: Ring, front: bool = True) -> Polynomial:
+    """f in a ring with more variables, its exponents padded with zeros in
+    front or at the back."""
+    pad = (0,) * (target.n - f.ring.n)
+    return Polynomial(target, {pad + e if front else e + pad: c
+                               for e, c in f.terms.items()})
 
 
 def _drop_front(f: Polynomial, target: Ring, k: int) -> Polynomial:
@@ -192,8 +195,8 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
         return J
     ext = ring.extend_front([_fresh_name("_w", ring.variables)])
     w = ext.variable(0)
-    gens = [w * _lift_front(f, ext) for f in I.generators]
-    gens += [(ext.one - w) * _lift_front(g, ext) for g in J.generators]
+    gens = [w * _lift(f, ext) for f in I.generators]
+    gens += [(ext.one - w) * _lift(g, ext) for g in J.generators]
     inner = IdealHandle(ext, gens, I.limits)
     return eliminate(inner, 1)
 
@@ -240,8 +243,8 @@ def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
         return [ring.one]
     ext = ring.extend_front([_fresh_name("_w", ring.variables)])
     w = ext.variable(0)
-    lifted = _lift_front(f, ext)
-    gens = [w * _lift_front(g, ext) for g in gb_elements]
+    lifted = _lift(f, ext)
+    gens = [w * _lift(g, ext) for g in gb_elements]
     gens.append(lifted - w * lifted)
     return [_drop_front(g, ring, 1) for g in groebner(
         gens, ext, block_order(1), limits, gb_prefix=len(gb_elements),
@@ -303,7 +306,7 @@ class Staircase:
     __slots__ = ("n", "_given", "_corners", "_memo")
 
     def __init__(self, corners, n: int):
-        corners = list(corners)
+        corners = _as_list(corners, "corners")
         if n < 1 or not all(type(c) is tuple and len(c) == n and all(
                 type(e) is int and e >= 0 for e in c) for c in corners):
             raise InputError(f"corners must be {n}-tuples of nonnegative ints")
@@ -480,6 +483,7 @@ def subalgebra_presentation(gens: list[Polynomial],
     """Relations among the given ring elements: the kernel of the map
     sending fresh variables onto them, by eliminating the ambient ring.
     Default names are a1, a2, ..., with underscores prefixed until free."""
+    gens = _as_list(gens, "subalgebra generators")
     if not gens:
         raise InputError("need at least one subalgebra generator")
     ring = gens[0].ring
@@ -494,14 +498,8 @@ def subalgebra_presentation(gens: list[Polynomial],
     big = Ring(ring.field, names).extend_front(ring.variables)
     if big.n != ring.n + s:
         raise InputError("need exactly one name per generator")
-
-    def lift_back(f: Polynomial) -> Polynomial:
-        return Polynomial(big, {e + (0,) * s: c for e, c in f.terms.items()})
-
-    rel = []
-    for i, f in enumerate(gens):
-        a = big.variable(ring.n + i)
-        rel.append(a - lift_back(f))
+    rel = [big.variable(ring.n + i) - _lift(f, big, front=False)
+           for i, f in enumerate(gens)]
     inner = IdealHandle(big, rel, limits)
     return eliminate(inner, ring.n)
 

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .errors import InputError, InternalError, LimitError
-from .field import _at_least
+from .field import _as_list, _at_least
 from .groebner import (GroebnerBasis, IdealHandle, Limits, Staircase, colon,
                        colon_by_basis, frobenius_power, krull_dim,
                        staircase_of)
@@ -38,11 +39,11 @@ from .orders import GREVLEX
 from .poly import Polynomial, Ring
 
 
-def _maximal_elements(ring: Ring, fs, what: str) -> list:
-    """fs as a list, after checking that each is a polynomial of `ring`
+def _maximal_elements(ring: Ring, fs, what: str) -> tuple:
+    """fs as a tuple, after checking that each is a polynomial of `ring`
     with constant code 0: the one rule for the elements of a presentation's
     maximal ideal at the origin that a caller hands in."""
-    fs = list(fs)
+    fs = _as_list(fs, what)
     if not all(isinstance(f, Polynomial) and f.ring == ring
                and not f.constant_code() for f in fs):
         raise InputError(f"{what} must be polynomials of {ring!r} in the "
@@ -181,16 +182,17 @@ def _richardson(pairs: list, p: int) -> Estimate:
     return Estimate(value, Fraction(0), True)
 
 
-def ehk_estimate(series: HKSeries) -> Estimate:
+def ehk_estimate(series: HKSeries | SplittingSeries) -> Estimate:
+    """The limit estimate of an HK or a splitting series."""
     return _richardson([(r.e, r.normalized) for r in series.rows], series.p)
 
 
-def fsig_estimate(series: SplittingSeries) -> Estimate:
-    return _richardson([(r.e, r.normalized) for r in series.rows], series.p)
+fsig_estimate = ehk_estimate
 
 
 def convergence_diagnostic(series, d: int) -> ConvergenceDiagnostic:
     """Per-step deviations |v_{e+1} - p^d v_e| / p^{e(d-1)} and their max."""
+    _at_least(d, 0, "dimension d")
     rows = series.rows
     if len(rows) < 2:
         raise InputError("diagnostic needs at least two rows")
@@ -283,16 +285,10 @@ def splitting_series(R: QuotientPresentation, e_max: int) -> SplittingSeries:
 # -- Hilbert-Samuel multiplicity -----------------------------------------------
 
 def _ordinary_power_monomials(ring: Ring, s: int) -> list[Polynomial]:
-    out = []
-    stack = [(s, ())]
-    while stack:
-        left, prefix = stack.pop()
-        if len(prefix) == ring.n - 1:
-            out.append(ring.monomial(prefix + (left,)))
-            continue
-        for e in range(left + 1):
-            stack.append((left - e, prefix + (e,)))
-    return out
+    """The monomials of degree s: each a choice of s variables with
+    repetition."""
+    return [ring.monomial(tuple(map(choice.count, range(ring.n))))
+            for choice in combinations_with_replacement(range(ring.n), s)]
 
 
 def hs_multiplicity(R: QuotientPresentation) -> int:

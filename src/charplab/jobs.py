@@ -52,7 +52,7 @@ from functools import partial
 from .discriminant import (FiniteExtensionPresentation, disc_congruence_check,
                            discriminant)
 from .errors import InputError, ParseError
-from .field import Field, _is_int
+from .field import Field, _as_list, _is_int
 from .groebner import (IdealHandle, Limits, colength, krull_dim,
                        subalgebra_presentation)
 from .invariants import (QuotientPresentation, ehk_estimate, fpt_estimate,
@@ -66,6 +66,7 @@ from .report import ReportDocument
 _TOP_KEYS = {"field", "variables", "defining", "task", "params", "limits",
              "subalgebra", "expect"}
 _FIELD_KEYS = {"p", "m", "modulus"}
+_LIMIT_KEYS = {"basis", "degree", "seconds"}
 
 _ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 _REQUIRED = object()
@@ -131,21 +132,8 @@ def _order_name(value, what: str) -> str:
     return value
 
 
-def _as_number(value, what: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{what} must be a number")
-    return value
-
-
-# limits key -> check, in checking order; each feeds Limits(max_<key>=...)
-_LIMITS = {"basis": partial(_as_int, minimum=1),
-           "degree": partial(_as_int, minimum=1),
-           "seconds": _as_number}
-
-
 @dataclass(frozen=True)
 class Job:
-    raw: dict
     ring: Ring
     defining_texts: tuple
     task: str
@@ -196,12 +184,12 @@ def parse_job(raw: dict, overrides: dict | None = None) -> Job:
     _check_keys(fld, _FIELD_KEYS, "field")
     if "p" not in fld:
         _fail("field.p is required")
-    p = _as_int(fld["p"], "field.p", 2)
-    m = _as_int(fld["m"], "field.m", 1) if "m" in fld else 1
-    modulus = None
-    if "modulus" in fld:
-        modulus = tuple(_int_list(fld["modulus"], "field.modulus"))
-    field = Field(p, m, modulus=modulus)
+    try:
+        # a present null modulus is not Field's default
+        field = Field(fld["p"], fld.get("m", 1), None if "modulus" not in fld
+                      else _as_list(fld["modulus"], "modulus"))
+    except InputError as err:
+        _fail(f"field: {err}")
 
     variables = _str_list(raw["variables"], "variables")
     ring = Ring(field, variables)
@@ -211,11 +199,10 @@ def parse_job(raw: dict, overrides: dict | None = None) -> Job:
         _fail(f"unknown task '{task}'; expected one of {', '.join(TASKS)}")
     params = _section(raw, "params", overrides, _TASKS[task][1])
 
-    limits_raw = _section(raw, "limits", overrides, set(_LIMITS))
-    limit_args = {f"max_{key}": check(limits_raw[key], f"limits.{key}")
-                  for key, check in _LIMITS.items() if key in limits_raw}
+    limits_raw = _section(raw, "limits", overrides, _LIMIT_KEYS)
     try:
-        limits = Limits(**limit_args)
+        limits = Limits(**{f"max_{key}": value
+                           for key, value in limits_raw.items()})
     except InputError as err:
         _fail(f"limits: {err}")
 
@@ -228,7 +215,7 @@ def parse_job(raw: dict, overrides: dict | None = None) -> Job:
     if not isinstance(expect, dict):
         _fail("expect must be a JSON object")
 
-    return Job(raw, ring, defining, task, params, limits, sub, expect)
+    return Job(ring, defining, task, params, limits, sub, expect)
 
 
 def _param(job: Job, key: str, check, default=_REQUIRED):

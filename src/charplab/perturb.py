@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .discriminant import FiniteExtensionPresentation, disc_congruence_check
 from .errors import CharplabError, InputError, InternalError, TimeLimitError
-from .field import _at_least, _is_int
+from .field import _as_list, _at_least, _is_int
 from .groebner import ideal_equal, is_squarefree_hypersurface, m_power_in
 from .invariants import (QuotientPresentation, _bracket_gens,
                          _maximal_elements, ehk_estimate, fsig_estimate,
@@ -98,14 +98,14 @@ class PerturbationPlan:
                 raise InputError("tolerance must be an int or a Fraction >= 0")
             object.__setattr__(self, "tolerance", Fraction(tol))
         e_range = tuple(_at_least(e, 1, "e_range entry")
-                        for e in self.e_range)
+                        for e in _as_list(self.e_range, "e_range"))
         object.__setattr__(self, "e_range", e_range)
         if not e_range:
             raise InputError("e_range must be nonempty")
         for a, b in zip(e_range, e_range[1:]):
             if b <= a:
                 raise InputError("e_range must be strictly increasing")
-        targets = tuple(self.targets)
+        targets = _as_list(self.targets, "targets")
         object.__setattr__(self, "targets", targets)
         ring = self.presentation.ring
         if self.mode == "dis-congruence":
@@ -191,7 +191,7 @@ def _threshold(R: QuotientPresentation, fs, e: int) -> tuple:
     """The ideal J + (fs) + m^[p^e] and its stability threshold."""
     _at_least(e, 1, "Frobenius level e")
     fs = _maximal_elements(R.ring, fs, "elements")
-    handle = R.defining.with_polys(fs + _bracket_gens(R.ring, e))
+    handle = R.defining.with_polys([*fs, *_bracket_gens(R.ring, e)])
     return handle, m_power_in(handle) + 1
 
 

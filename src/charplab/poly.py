@@ -21,10 +21,11 @@ so that output always re-parses to the same polynomial.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from typing import Iterable
 
 from .errors import InputError, LimitError, ParseError
-from .field import Field, FieldElement, _at_least, _is_int
+from .field import Field, FieldElement, _as_list, _at_least, _is_int
 from .orders import GREVLEX, MonomialOrder
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -32,7 +33,7 @@ _INT63 = 1 << 63
 
 
 def _exponents(exps: Iterable[int]) -> tuple[int, ...]:
-    t = tuple(exps)
+    t = _as_list(exps, "exponents")
     if any(not _is_int(e) or e < 0 for e in t):
         raise InputError(f"exponents must be nonnegative integers, got {t}")
     return t
@@ -44,10 +45,7 @@ class Ring:
     __slots__ = ("field", "variables", "n", "_index")
 
     def __init__(self, field: Field, variables: Iterable[str]):
-        if isinstance(variables, str):
-            raise InputError(f"variables must be a list of names, not the "
-                             f"string {variables!r}")
-        names = tuple(variables)
+        names = _as_list(variables, "variable names")
         if not names:
             raise InputError("a ring needs at least one variable")
         seen = set()
@@ -279,7 +277,7 @@ class Polynomial:
     def evaluate(self, codes: Iterable[int]) -> int:
         """Value at a point given by coefficient codes; returns a code."""
         f = self.ring.field
-        pt = [f.from_code(c).code for c in codes]
+        pt = [f.from_code(c).code for c in _as_list(codes, "point")]
         if len(pt) != self.ring.n:
             raise InputError(f"expected {self.ring.n} coordinates")
         total = 0
@@ -298,6 +296,9 @@ class Polynomial:
         index.  The images share one ring over this field; a variable with
         no image stays itself, which needs that ring to be this one."""
         ring = self.ring
+        if not isinstance(images, Mapping):
+            raise InputError(f"substitution images must be a mapping, "
+                             f"got {images!r}")
         sub = {ring._position(key): val for key, val in images.items()}
         if not all(isinstance(val, Polynomial) for val in images.values()):
             raise InputError("substitution images must be polynomials")
@@ -386,6 +387,8 @@ def _integer(digits: str, pos: int) -> int:
 
 def parse_poly(text: str, ring: Ring) -> Polynomial:
     """Parse the ASCII grammar; raises ParseError with a 1-based position."""
+    if not isinstance(text, str):
+        raise InputError(f"polynomial text must be a string, got {text!r}")
     toks = []
     for m in _TOKEN_RE.finditer(text):
         if m.lastgroup == "bad":

@@ -47,9 +47,6 @@ def _csv_cell(value) -> str:
         text = ""
     elif isinstance(value, bool):
         text = "true" if value else "false"
-    elif isinstance(value, Fraction):
-        text = (str(value.numerator) if value.denominator == 1
-                else f"{value.numerator}/{value.denominator}")
     else:
         text = str(value)
     if any(c in text for c in (",", '"', "\n", "\r")):

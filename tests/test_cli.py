@@ -143,8 +143,10 @@ def test_seed_override_changes_sampled_epsilons(capsys):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (("--limit-basis", "0"), "limits.basis must be >= 1"),
-    (("--limit-degree", "0"), "limits.degree must be >= 1"),
+    (("--limit-basis", "0"),
+     "limits: max_basis must be an integer >= 1, got 0"),
+    (("--limit-degree", "0"),
+     "limits: max_degree must be an integer >= 1, got 0"),
     (("--emax", "1"), "params.e_max must be >= 2"),
     (("--seed", "-1"), "unknown params key(s): seed"),
 ])
@@ -300,6 +302,36 @@ def test_a_bad_tolerance_is_an_input_error(capsys, tmp_path, tolerance):
                          write_job(tmp_path, "tolerance.json", doc))
     assert code == 1 and out == ""
     assert err.startswith("error: input: ") and "tolerance" in err
+
+
+_SECONDS_RULE = "max_seconds must be an int or a float, finite and >= 0"
+
+
+@pytest.mark.parametrize("section,value,message", [
+    ("field", {"p": 1}, "characteristic must be a prime, got 1"),
+    ("field", {"p": 4}, "characteristic must be a prime, got 4"),
+    ("field", {"p": 3, "m": 0},
+     "extension degree must be an integer >= 1, got 0"),
+    ("field", {"p": 3, "m": 2, "modulus": 5}, "modulus must be a list, got 5"),
+    ("field", {"p": 3, "m": 2, "modulus": [1, 0, 0]},
+     "modulus must be monic"),
+    ("field", {"p": 3, "m": 2, "modulus": None},
+     "modulus must be a list, got None"),
+    ("limits", {"basis": 0}, "max_basis must be an integer >= 1, got 0"),
+    ("limits", {"seconds": True}, _SECONDS_RULE),
+    ("limits", {"seconds": "5"}, _SECONDS_RULE),
+    ("limits", {"seconds": -1}, _SECONDS_RULE),
+], ids=["p-1", "p-4", "m-0", "modulus-5", "modulus-not-monic",
+        "modulus-null", "basis-0", "seconds-true", "seconds-string",
+        "seconds-negative"])
+def test_field_and_limits_values_are_checked_by_field_and_limits(
+        capsys, tmp_path, section, value, message):
+    doc = _shipped("06-length-quadric-13.json")
+    doc[section] = value
+    code, out, err = run(capsys, "length", "--job",
+                         write_job(tmp_path, "bad.json", doc))
+    assert code == 1 and out == ""
+    assert err == f"error: input: bad job: {section}: {message}\n"
 
 
 def test_exhausted_limits_exit_with_code_two(capsys):

@@ -64,6 +64,17 @@ def test_widths_reach_past_62_bits():
     assert PackSpec(1, LEX, 70).g_all.bit_length() > 62
 
 
+def test_a_lex_key_is_one_bare_exponent_field_per_variable():
+    # lex is n one-variable grevlex blocks; 4-bit fields with a guard bit
+    spec = PackSpec(3, LEX, 4)
+    assert spec.var_shifts == (10, 5, 0)
+    assert spec.var_steps == (1024, 32, 1)
+    assert spec.deg_shifts == (10, 5, 0)
+    assert spec.zero_key == 0
+    assert spec.g_all == spec.g_exp == 0x4210
+    assert spec.pack((1, 2, 3)) == 1024 + 2 * 32 + 3
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_frozen_maxdeg_is_the_largest_term_degree(n):
     rng = random.Random(n)

@@ -928,8 +928,9 @@ def test_groebner_restarts_on_wider_keys(order, monkeypatch):
     expected = groebner(gens, R, order)
     with pytest.raises(LimitError):
         groebner(gens, R, order, Limits(max_degree=3))
-    # 3-bit keys hold degree 7 at most: the first S-polynomial overflows,
-    # and the run restarts once, on 5-bit keys
+    # 3-bit keys hold degree 7 at most: the lcm of the first pair, degree
+    # 8, overflows in PackSpec.pack when _add queues the pair, and the run
+    # restarts once, on 5-bit keys
     monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
     steps = []
     wider = engine._wider
@@ -942,6 +943,57 @@ def test_groebner_restarts_on_wider_keys(order, monkeypatch):
     assert steps == [5]
     with pytest.raises(LimitError):
         groebner(gens, R, order, Limits(max_degree=3))
+
+
+def test_an_s_polynomial_too_wide_for_its_keys_restarts_the_run(
+        monkeypatch):
+    R = ring(3, "x", "y", "z")
+    gens = [parse_poly(t, R) for t in ("x + y^6", "x*z^2")]
+    expected = groebner(gens, R, LEX)
+    assert [g.text(LEX) for g in expected] == ["y^6*z^2", "x + y^6"]
+    # on 3-bit keys (C = 7) the pair's lcm x*z^2 packs, but its shifted
+    # tail y^6*z^2 has degree 8: _spoly asks for degree 3 + 6 = 9
+    monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
+    asked, steps = [], []
+    spoly, wider = engine._Buchberger._spoly, engine._wider
+
+    def spy_spoly(self, *args):
+        try:
+            return spoly(self, *args)
+        except KeyOverflow as o:
+            asked.append(o.needed_degree)
+            raise
+
+    def spy_wider(needed):
+        steps.append(wider(needed))
+        return steps[-1]
+    monkeypatch.setattr(engine._Buchberger, "_spoly", spy_spoly)
+    monkeypatch.setattr("charplab.engine._wider", spy_wider)
+    assert groebner(gens, R, LEX) == expected
+    assert asked == [9] and steps == [5]
+
+
+def test_a_basis_takes_only_polynomials_of_its_ring():
+    R, S = ring(5, "x", "y"), ring(5, "x", "t")
+    G = ideal(R, "x^2", "y^3").basis()
+    stranger = parse_poly("x*t", S)
+    with pytest.raises(InputError, match="different ring"):
+        G.normal_form(stranger)
+    with pytest.raises(InputError, match="different rings"):
+        G.extend([stranger])
+
+
+def test_intersect_and_colon_edge_ideals():
+    R, S = ring(5, "x", "y"), ring(5, "x", "t")
+    I, zero = ideal(R, "x^2", "x*y"), IdealHandle(R, [])
+    assert intersect(I, zero) is zero and intersect(zero, I) is zero
+    assert colon(zero, I) is zero
+    with pytest.raises(InputError, match="zero ideal"):
+        colon(I, zero)
+    other = ideal(S, "x")
+    for construction in (intersect, colon):
+        with pytest.raises(InputError, match="different rings"):
+            construction(I, other)
 
 
 @pytest.mark.parametrize("max_degree", [6, 10, 20, 40, 100])

@@ -151,6 +151,18 @@ def test_convergence_diagnostic_regular_and_family():
     assert diag.constant == 0
 
 
+def test_estimates_and_diagnostic_need_two_consecutive_levels():
+    R = ring(3, "x", "y")
+    rows = hk_series(present(R, "x*y"), 3).rows
+    for kept, message in ((rows[:1], "at least two rows"),
+                          ((rows[0], rows[2]), "consecutive levels")):
+        series = HKSeries(3, 1, kept)
+        with pytest.raises(InputError, match=message):
+            ehk_estimate(series)
+        with pytest.raises(InputError, match=message):
+            convergence_diagnostic(series, 1)
+
+
 def test_family_oracle_self_agreement():
     for q in (2, 3, 4, 5, 9, 27):
         for n in (2, 3, 4):
@@ -181,6 +193,12 @@ def test_hs_multiplicity_inhomogeneous_route():
     R = ring(5, "x", "y")
     assert hs_multiplicity(present(R, "x^2 + y^3")) == 2
     assert hs_multiplicity(present(R, "y^2 + x^5")) == 2
+
+
+def test_hs_multiplicity_gives_up_at_s_60():
+    # the lengths of (x^70) + m^s are s for every s <= 60: no plateau
+    with pytest.raises(LimitError, match="s = 60"):
+        hs_multiplicity(present(ring(5, "x"), "x^70"))
 
 
 def test_hs_multiplicity_regular():

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from charplab import (
     GREVLEX, LEX, Field, IdealHandle, InputError, Limits, Monomial,
-    ParseError, Polynomial, Ring, block_order, eliminate, order_from_string,
-    parse_poly,
+    ParseError, PerturbationPlan, Polynomial, QuotientPresentation, Ring,
+    block_order, convergence_diagnostic, eliminate, hk_series,
+    order_from_string, parameter_check, parse_poly, stability_threshold,
+    subalgebra_presentation,
 )
 from charplab.groebner import Staircase
 from oracles import block_greater, grevlex_greater, lex_greater
@@ -403,7 +405,17 @@ NOT_INTEGERS = [
     ("drop-front-bool", lambda F, R, x: R.drop_front(True)),
     ("eliminate-float", lambda F, R, x: eliminate(IdealHandle(R, [x]), 1.5)),
     ("eliminate-bool", lambda F, R, x: eliminate(IdealHandle(R, [x]), True)),
+    ("diagnostic-float", lambda F, R, x: xy_diagnostic(R, x, 1.5)),
+    ("diagnostic-negative", lambda F, R, x: xy_diagnostic(R, x, -1)),
+    ("diagnostic-bool", lambda F, R, x: xy_diagnostic(R, x, True)),
+    ("diagnostic-string", lambda F, R, x: xy_diagnostic(R, x, "1")),
 ]
+
+
+def xy_diagnostic(R, x, d):
+    """The convergence diagnostic of the hk series of (xy) to e = 3."""
+    P = QuotientPresentation(R, [x * R.variable(1)])
+    return convergence_diagnostic(hk_series(P, 3), d)
 
 
 @pytest.mark.parametrize("call", [c for _, c in NOT_INTEGERS],
@@ -413,6 +425,53 @@ def test_integers_from_callers_are_ints(call):
     R = Ring(F, ("x", "y", "t"))
     with pytest.raises(InputError):
         call(F, R, R.variable(0))
+
+
+def test_limits_take_seconds_as_a_finite_number():
+    for seconds in (True, "5", -1, float("nan"), float("inf"), 10 ** 400):
+        with pytest.raises(InputError, match="max_seconds"):
+            Limits(max_seconds=seconds)
+    assert [Limits(max_seconds=s).max_seconds for s in (0, 2, 0.5, None)] \
+        == [0.0, 2.0, 0.5, None]
+
+
+def plan_with(P, targets=None, e_range=(1, 2)):
+    return PerturbationPlan(P, targets, 2, 4, 1, 0, e_range,
+                            "splitting-constancy")
+
+
+# calls that take a list from a caller, with 5 or a string in its place;
+# F = GF(3), R = F[x, y, t], x its first variable, P = R with J = 0
+NOT_LISTS = [
+    ("ring", lambda F, R, P, x: Ring(F, 5)),
+    ("ideal", lambda F, R, P, x: IdealHandle(R, 5)),
+    ("ideal-string", lambda F, R, P, x: IdealHandle(R, "x")),
+    ("presentation", lambda F, R, P, x: QuotientPresentation(R, 5)),
+    ("parameter-check", lambda F, R, P, x: parameter_check(P, 5)),
+    ("stability-threshold", lambda F, R, P, x: stability_threshold(P, 5, 1)),
+    ("plan-targets", lambda F, R, P, x: plan_with(P, targets=5)),
+    ("plan-e-range", lambda F, R, P, x: plan_with(P, (x,), e_range=5)),
+    ("staircase", lambda F, R, P, x: Staircase(5, 1)),
+    ("subalgebra", lambda F, R, P, x: subalgebra_presentation(5)),
+    ("monomial", lambda F, R, P, x: R.monomial(5)),
+    ("monomial-type", lambda F, R, P, x: Monomial(5)),
+    ("coordinates", lambda F, R, P, x: F.from_coords(5)),
+    ("evaluate", lambda F, R, P, x: x.evaluate(5)),
+    ("substitute", lambda F, R, P, x: x.substitute(5)),
+    ("parse", lambda F, R, P, x: parse_poly(5, R)),
+    ("modulus", lambda F, R, P, x: Field(3, 2, modulus=5)),
+    ("modulus-string", lambda F, R, P, x: Field(3, 2, modulus="112")),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in NOT_LISTS],
+                         ids=[name for name, _ in NOT_LISTS])
+def test_lists_from_callers_are_iterables_but_not_strings(call):
+    F = Field(3)
+    R = Ring(F, ("x", "y", "t"))
+    P = QuotientPresentation(R, [])
+    with pytest.raises(InputError):
+        call(F, R, P, R.variable(0))
 
 
 @pytest.mark.parametrize("point", [[5, 0], [-1, 0], [1.5, 0], [True, 0]],

@@ -2,12 +2,17 @@
 
 Every ```python block of README.md is executed in order in one namespace,
 as a reader pasting them into one session would; the assertions repeat
-the values the README comments show.
+the values the README comments show.  Every `charplab` line of the
+command-line block runs from the repository root, with its output paths
+moved into a temporary directory, and exits 0.
 """
 
 import pathlib
 import re
+import shlex
 from fractions import Fraction
+
+import charplab.cli as cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +35,19 @@ def test_readme_examples_show_their_values():
     assert report.verdicts == {"splitting-constancy": "pass",
                                "perturbed-ideal-equality": "pass"}
     assert report.thresholds == {1: 3, 2: 7}
+
+
+def test_readme_command_lines_exit_zero(monkeypatch, tmp_path, capsys):
+    blocks = re.findall(r"```\n((?:charplab [^\n]*\n)+)```",
+                        README.read_text())
+    assert len(blocks) == 1
+    lines = blocks[0].splitlines()
+    assert len(lines) == 4
+    monkeypatch.chdir(README.parent)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        for flag in ("--out", "--out-dir"):
+            if flag in argv:
+                at = argv.index(flag) + 1
+                argv[at] = str(tmp_path / argv[at])
+        assert cli.main(argv) == 0, (line, capsys.readouterr().err)
