@@ -149,6 +149,13 @@ def test_seed_override_changes_sampled_epsilons(capsys):
      "limits: max_degree must be an integer >= 1, got 0"),
     (("--emax", "1"), "params.e_max must be >= 2"),
     (("--seed", "-1"), "unknown params key(s): seed"),
+], ids=[
+    # Ids name the rule each flag breaks, so they stay fixed when the
+    # wording of the message changes.
+    "flags0-limits.basis must be >= 1",
+    "flags1-limits.degree must be >= 1",
+    "flags2-params.e_max must be >= 2",
+    "flags3-unknown params key(s): seed",
 ])
 def test_override_flags_are_checked_like_job_values(capsys, flags, message):
     code, out, err = run(capsys, "hk", "--job",
