@@ -61,8 +61,7 @@ DEFAULT_MAX_DEGREE = 1 << 20
 
 class Limits:
     """Resource caps for basis computations; shared across the package.
-    `max_seconds` is a wall-clock budget for each basis computation and
-    for each m-power scan (see power_scan)."""
+    `max_seconds` is a wall-clock budget for each basis computation."""
 
     __slots__ = ("max_basis", "max_degree", "max_seconds")
 
@@ -377,92 +376,6 @@ class BasisContext:
             raise InputError("polynomial lives in a different ring")
         work = _to_dict(f, self.spec)
         return _to_poly(self.reduce_dict(work), self.spec, self.ring)
-
-
-def power_scan(ctx: BasisContext, length: int,
-               deadline: float | None = None) -> int | None:
-    """Smallest N with every monomial of total degree N in the ideal.
-
-    The ideal has colength `length`, and `ctx` holds its grevlex basis;
-    keys reach one degree past the top of the staircase, and KeyOverflow
-    is raised when the fields are too narrow for that.
-
-    Normal forms are dicts over standard keys.  NF(x_i h) is the sum of
-    c * T_i[s] over the terms c*s of NF(h), where the multiplication table
-    T_i is filled on first use: T_i[s] is x_i s (key s plus a fixed delta)
-    when that monomial is standard, else one reduction of the border
-    monomial x_i s.  Those border reductions are the only ones made.
-
-    Returns None when some x_i^length has a nonzero normal form: a primary
-    ideal of colength L contains m^L, so the ideal then has a component
-    away from the origin.  Raises TimeLimitError when a step of the
-    pure-power loop or a layer starts past `deadline` (a time.monotonic()
-    value).
-    """
-    spec, field = ctx.spec, ctx.field
-    mul, add = field.mul, field.add
-    key_degree, find_reducer = spec.key_degree, ctx.find_reducer
-    n, C = spec.n, spec.C
-    one, deltas = spec.zero_key, spec.var_steps
-    tables: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
-
-    def check_deadline() -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeLimitError("time limit exceeded in m-power scan")
-
-    def times(v: dict[int, int], i: int) -> dict[int, int]:
-        table, delta = tables[i], deltas[i]
-        out: dict[int, int] = {}
-        for s, c in v.items():
-            row = table.get(s)
-            if row is None:
-                kdeg = key_degree(s) + 1
-                if kdeg > C:
-                    raise KeyOverflow(kdeg)
-                k = s + delta
-                if find_reducer(k) is None:
-                    row = {k: 1}
-                else:
-                    row = ctx.reduce_dict({k: 1})
-                table[s] = row
-            for k, d in row.items():
-                nv = add(out.get(k, 0), c if d == 1 else mul(c, d))
-                if nv:
-                    out[k] = nv
-                else:
-                    del out[k]
-        return out
-
-    # primary to the origin: NF(x_i^k) = NF(x_i NF(x_i^(k-1))) must reach
-    # zero by k = length.  With x_i^(b_i) in the ideal, every monomial of
-    # degree sum(b_i - 1) + 1 lies in it, which bounds the layer scan below
-    bound = 1
-    for i in range(n):
-        v = {one: 1}
-        for k in range(1, length + 1):
-            check_deadline()
-            v = times(v, i)
-            if not v:
-                bound += k - 1
-                break
-        else:
-            return None
-    # layer N: the degree-N monomials with nonzero normal form, each as
-    # (top, NF) with top its first variable.  A monomial of degree N >= 1 is
-    # reached once, as x_i h with i its first variable and h in layer N-1
-    # with top >= i; when h is not in layer N-1, NF(h) = 0 and so
-    # NF(x_i h) = 0.  Only two layers are alive at a time.
-    layer = [(n - 1, {one: 1})]
-    degree = 0
-    while layer:
-        check_deadline()
-        if degree == bound:
-            raise InternalError("a monomial past the pure-power bound has a "
-                                "nonzero normal form")
-        degree += 1
-        layer = [(i, w) for top, v in layer for i in range(top + 1)
-                 if (w := times(v, i))]
-    return degree
 
 
 def _initial_width(polys: list[Polynomial]) -> int:

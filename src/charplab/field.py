@@ -38,6 +38,15 @@ def _at_least(value, least: int, what: str) -> int:
     return value
 
 
+def _of_type(value, what: str, *kinds: type):
+    """The rule for an object taken from a caller: `value` when it is an
+    instance of one of `kinds`; InputError otherwise."""
+    if not isinstance(value, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise InputError(f"{what} must be of type {names}, got {value!r}")
+    return value
+
+
 def _as_list(value, what: str) -> tuple:
     """The rule for a list taken from a caller: any iterable but a string,
     as a tuple; InputError otherwise."""

@@ -19,15 +19,27 @@ construction marks the inner ideal's basis as a known-basis prefix so
 Buchberger skips every pair inside it (their S-polynomials already have
 standard representations after multiplication by the tag variable), and
 the final pass divides the tag-free basis elements by the multiplier.
+
+The minimal N with m^N inside an ideal I primary to the origin is the
+Loewy length of S/I, one past the top degree of its tangent cone gr_m(S/I)
+(Nakayama: that ring is generated in degree 1).  The tangent cone's
+staircase is the staircase of I under a local degree order, which is read
+off one ordinary engine run by Lazard's homogenization: with a variable h
+in front, block_order(1) compares two homogeneous polynomials' terms by
+the power of h first, that is by the lowest x-degree, and then by grevlex
+on x, so on the homogenized generators it is the homogenized local order
+and their basis dehomogenizes to a standard basis of I (Greuel-Pfister, A
+Singular Introduction to Commutative Algebra, ch. 1).  Its staircase
+counts the length of S/I at the origin alone, which equals the colength
+exactly when the origin is I's only point.
 """
 
 from __future__ import annotations
 
 from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
-                     _to_dict, groebner, initial_exponents, make_context,
-                     power_scan)
+                     _to_dict, groebner, initial_exponents, make_context)
 from .errors import InputError, InternalError
-from .field import _as_list, _at_least, _is_int
+from .field import _as_list, _at_least, _is_int, _of_type
 from .orders import GREVLEX, MonomialOrder, block_order
 from .poly import Polynomial, Ring
 
@@ -97,9 +109,7 @@ class IdealHandle:
     def __init__(self, ring: Ring, generators, limits: Limits = DEFAULT_LIMITS):
         gens = []
         for f in _as_list(generators, "ideal generators"):
-            if not isinstance(f, Polynomial):
-                raise InputError("ideal generators must be polynomials")
-            if f.ring != ring:
+            if _of_type(f, "ideal generator", Polynomial).ring != ring:
                 raise InputError("generator lives in a different ring")
             if not f.is_zero():
                 gens.append(f)
@@ -429,7 +439,7 @@ def _dim_or_unit(I: IdealHandle) -> int:
 def _zero_dim_staircase(I: IdealHandle) -> tuple[GroebnerBasis, Staircase]:
     """The grevlex basis of I and its staircase, which must be finite and
     nonempty."""
-    gb = I.basis(GREVLEX)
+    gb = _of_type(I, "ideal", IdealHandle).basis(GREVLEX)
     st = staircase_of(gb)
     d = st.dimension()
     if d < 0:
@@ -445,36 +455,39 @@ def colength(I: IdealHandle) -> int:
 
 
 def m_power_in(I: IdealHandle) -> int:
-    """Minimal N with every monomial of total degree N inside I."""
+    """Minimal N with every monomial of total degree N inside I: the Loewy
+    length of S/I, which for I primary to the origin is one past the top
+    degree of the tangent cone gr_m(S/I), since that ring is generated in
+    degree 1.  The tangent cone's Hilbert function is read off a standard
+    basis of I for a local degree order, found by Lazard's homogenization
+    (see the module docstring)."""
     gb, st = _zero_dim_staircase(I)
-    top = st.max_degree()
-    # homogeneous shortcut: the degree-N graded piece of the quotient is
-    # spanned by the degree-N standard monomials, so every degree-N
-    # monomial is a member exactly when none of them is standard.  Skipping
-    # the "primary to the origin" check of the scan below hides no error: a
-    # homogeneous zero-dimensional ideal cuts out a finite cone, which is
-    # the origin
+    # homogeneous shortcut: I is its own tangent cone, so the grevlex
+    # staircase already has the tangent cone's degrees.  A homogeneous
+    # zero-dimensional ideal cuts out a finite cone, which is the origin,
+    # so it is primary to the origin
     if all(len({sum(k) for k in g.terms}) == 1 for g in gb.elements):
-        return top + 1
-    # inhomogeneous ideals: one upward scan of the layers m^N mod I (see
-    # engine.power_scan).  It needs no enumeration of all degree-N
-    # monomials: a monomial whose normal form is zero has only zero
-    # multiples, so each layer is built from the nonzero entries of the one
-    # below, and it stops at the first empty layer, which exists because a
-    # primary ideal of colength L contains m^L.  Its keys reach one degree
-    # past the top of the staircase (the border monomials x_i s)
-    length = st.count()
-    deadline = I.limits.deadline()
-    N = gb.with_context(lambda ctx: power_scan(ctx, length, deadline),
-                        degree=top + 1)
-    if N is None:
+        return st.max_degree() + 1
+    ring = I.ring
+    ext = ring.extend_front([_fresh_name("_h", ring.variables)])
+    homs = []
+    for f in I.generators:
+        d = f.total_degree()
+        homs.append(Polynomial(ext, {(d - sum(e),) + e: c
+                                     for e, c in f.terms.items()}))
+    loc = Staircase([e[1:] for e in initial_exponents(
+        homs, ext, block_order(1), I.limits)], ring.n)
+    # the local staircase counts the length of S/I at the origin alone,
+    # and the grevlex one the length summed over all points of I
+    if loc.count() != st.count():
         raise InputError(
             "no bounded power of a variable lies in the ideal: the "
             "ideal is zero-dimensional but not primary to the origin")
-    if N <= top:
+    top = loc.max_degree()
+    if top < st.max_degree():
         raise InternalError("a standard monomial lies above the m-power "
                             "inclusion degree")
-    return N
+    return top + 1
 
 
 def subalgebra_presentation(gens: list[Polynomial],
@@ -483,7 +496,8 @@ def subalgebra_presentation(gens: list[Polynomial],
     """Relations among the given ring elements: the kernel of the map
     sending fresh variables onto them, by eliminating the ambient ring.
     Default names are a1, a2, ..., with underscores prefixed until free."""
-    gens = _as_list(gens, "subalgebra generators")
+    gens = [_of_type(f, "subalgebra generator", Polynomial)
+            for f in _as_list(gens, "subalgebra generators")]
     if not gens:
         raise InputError("need at least one subalgebra generator")
     ring = gens[0].ring

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import InputError, InternalError, LimitError
-from .field import _as_list, _at_least
+from .field import _as_list, _at_least, _of_type
 from .groebner import (GroebnerBasis, IdealHandle, Limits, Staircase, colon,
                        colon_by_basis, frobenius_power, krull_dim,
                        staircase_of)
@@ -58,6 +58,7 @@ class QuotientPresentation:
     __slots__ = ("ring", "defining", "dim")
 
     def __init__(self, ring: Ring, defining):
+        _of_type(ring, "ring", Ring)
         if isinstance(defining, IdealHandle):
             if defining.ring != ring:
                 raise InputError("defining ideal lives in a different ring")
@@ -184,6 +185,7 @@ def _richardson(pairs: list, p: int) -> Estimate:
 
 def ehk_estimate(series: HKSeries | SplittingSeries) -> Estimate:
     """The limit estimate of an HK or a splitting series."""
+    _of_type(series, "series", HKSeries, SplittingSeries)
     return _richardson([(r.e, r.normalized) for r in series.rows], series.p)
 
 
@@ -193,7 +195,7 @@ fsig_estimate = ehk_estimate
 def convergence_diagnostic(series, d: int) -> ConvergenceDiagnostic:
     """Per-step deviations |v_{e+1} - p^d v_e| / p^{e(d-1)} and their max."""
     _at_least(d, 0, "dimension d")
-    rows = series.rows
+    rows = _of_type(series, "series", HKSeries, SplittingSeries).rows
     if len(rows) < 2:
         raise InputError("diagnostic needs at least two rows")
     p = series.p
@@ -333,7 +335,7 @@ def _outside_box(f: Polynomial, t: int, q: int) -> bool:
 def nu_series(f: Polynomial, e_max: int) -> NuSeries:
     """nu_e = max t with f^t outside m^[p^e], for e = 1..e_max."""
     _at_least(e_max, 1, "e_max")
-    if f.is_zero():
+    if _of_type(f, "f", Polynomial).is_zero():
         raise InputError("nu is undefined for the zero polynomial")
     if f.constant_code() != 0:
         raise InputError("nu needs an element of the maximal ideal")

@@ -25,7 +25,8 @@ from collections.abc import Mapping
 from typing import Iterable
 
 from .errors import InputError, LimitError, ParseError
-from .field import Field, FieldElement, _as_list, _at_least, _is_int
+from .field import (Field, FieldElement, _as_list, _at_least, _is_int,
+                    _of_type)
 from .orders import GREVLEX, MonomialOrder
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -296,12 +297,10 @@ class Polynomial:
         index.  The images share one ring over this field; a variable with
         no image stays itself, which needs that ring to be this one."""
         ring = self.ring
-        if not isinstance(images, Mapping):
-            raise InputError(f"substitution images must be a mapping, "
-                             f"got {images!r}")
-        sub = {ring._position(key): val for key, val in images.items()}
-        if not all(isinstance(val, Polynomial) for val in images.values()):
-            raise InputError("substitution images must be polynomials")
+        images = _of_type(images, "substitution images", Mapping)
+        sub = {ring._position(key): _of_type(val, "substitution image",
+                                             Polynomial)
+               for key, val in images.items()}
         targets = {val.ring for val in images.values()} or {ring}
         if len(targets) > 1:
             raise InputError("substitution images live in different rings")

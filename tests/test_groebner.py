@@ -24,7 +24,7 @@ from charplab import (
 )
 from charplab import engine
 from charplab import groebner as charplab_groebner
-from charplab.engine import KeyOverflow, groebner, make_context, power_scan
+from charplab.engine import KeyOverflow, groebner
 from charplab.groebner import Staircase, colon_by_basis, divide_exact
 from oracles import block_greater, box_monomial_member, box_monomials, \
     dense_colength_box, dense_membership, grevlex_greater, lex_greater, \
@@ -844,11 +844,17 @@ def test_m_power_in_examples():
     # inhomogeneous: x^41 = x(x^40 + y^50) - y^49 (xy) is in, x^40 is not,
     # and y^50 = -x^40 is not, so the last power to land is y^51
     assert m_power_in(ideal(R, "x^40 + y^50", "x*y")) == 51
+    # a stability threshold's ideal (f) + m^[81]: the initial forms x^2,
+    # y^81 and t^81 span a tangent cone of length 2 * 81^2, the colength,
+    # so they cut it out, and its top degree is 1 + 80 + 80
+    R3 = ring(3, "x", "y", "t")
+    assert m_power_in(ideal(R3, "x^2 + y^3 + t^3", "x^81", "y^81",
+                            "t^81")) == 162
 
 
 def test_m_power_in_boundary_property():
     # every monomial of degree N is a member, some monomial of degree N-1
-    # is not; exercised on an inhomogeneous ideal to hit the layer scan
+    # is not; exercised on an inhomogeneous ideal to hit the homogenized run
     R = ring(5, "x", "y")
     I = ideal(R, "x^2 + y^3", "y^4")
     N = m_power_in(I)
@@ -908,15 +914,19 @@ def test_power_scan_overflow_widens_the_context_and_retries(monkeypatch):
     I = ideal(R, "x^5 + x*y^3", "y^6")
     assert m_power_in(I) == 11
     assert colength(I) == 30
-    # 3-bit keys hold the basis (degree 6) but not the border monomials
-    # of the staircase, which reach degree 10
-    monkeypatch.setattr("charplab.engine._initial_width",
-                        lambda polys, floor=0: 3)
-    elements = list(I.basis().elements)
-    with pytest.raises(KeyOverflow):
-        power_scan(make_context(elements, R, GREVLEX), 30)
-    gb = GroebnerBasis(R, GREVLEX, elements)
-    assert gb.with_context(lambda ctx: power_scan(ctx, 30)) == 11
+    # 3-bit keys hold the grevlex basis, the generators of degree 6, but
+    # not the homogenized run's pair x*y^3*h, y^6 of degree 8: that run
+    # restarts once, on 5 bits
+    monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
+    steps = []
+    wider = engine._wider
+
+    def spy(needed):
+        steps.append(wider(needed))
+        return steps[-1]
+    monkeypatch.setattr("charplab.engine._wider", spy)
+    assert m_power_in(ideal(R, "x^5 + x*y^3", "y^6")) == 11
+    assert steps == [5]
 
 
 @pytest.mark.parametrize("order", [GREVLEX, block_order(1)],
@@ -1052,7 +1062,7 @@ def primary_ideals(draw):
                                  min_size=n, max_size=n)))
     # terms of degree 2-4 inside the box, at least two degrees per
     # polynomial: lower degrees or terms on the pure powers mostly leave a
-    # homogeneous basis, which the scan never sees
+    # homogeneous basis, which never reaches the homogenized run
     exps = st.tuples(*[st.integers(0, b - 1) for b in bounds]).filter(
         lambda e: 2 <= sum(e) <= 4)
     terms = st.dictionaries(exps, st.integers(1, R.field.q - 1), min_size=2,
@@ -1074,6 +1084,27 @@ def test_m_power_in_matches_the_box_oracle(case):
     assert all(member(m) for m in monomials_up_to(R.n, N) if sum(m) == N)
     assert not all(member(m) for m in monomials_up_to(R.n, N - 1)
                    if sum(m) == N - 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(primary_ideals(), st.data())
+def test_m_power_in_needs_the_origin_as_the_only_point(case, data):
+    # the value does not depend on the generators that are homogenized,
+    # and one more point P != 0 leaves the local length at the origin
+    # short of the colength, which m_power_in reports as not primary
+    R, bounds, polys = case
+    pure = [R.monomial(tuple(b if j == i else 0 for j in range(R.n)))
+            for i, b in enumerate(bounds)]
+    I = IdealHandle(R, pure + polys)
+    N = m_power_in(I)
+    assert m_power_in(IdealHandle(R, I.basis().elements)) == N
+    p = R.field.p
+    point = data.draw(st.tuples(*[st.integers(0, p - 1)] * R.n).filter(any))
+    at_point = IdealHandle(R, [R.variable(i) - a for i, a in enumerate(point)])
+    J = intersect(I, at_point)
+    assert colength(J) == colength(I) + 1
+    with pytest.raises(InputError, match="not primary to the origin"):
+        m_power_in(J)
 
 
 PIN_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
@@ -1281,7 +1312,7 @@ def test_seconds_limit_bounds_the_m_power_scan():
     R = ring(5, "x", "y")
     gens = [parse_poly(t, R) for t in ("x^5 + x*y^3", "y^6")]
     gb = IdealHandle(R, gens).basis()
-    # an inhomogeneous basis, so m_power_in runs the layer scan
+    # an inhomogeneous basis, so m_power_in runs the homogenized basis run
     assert any(len({sum(e) for e in g.terms}) > 1 for g in gb.elements)
     spent = IdealHandle(R, gens, limits=Limits(max_seconds=0))
     spent.seed_cache(gb)
@@ -1290,12 +1321,17 @@ def test_seconds_limit_bounds_the_m_power_scan():
     roomy = IdealHandle(R, gens, limits=Limits(max_seconds=60))
     roomy.seed_cache(gb)
     assert m_power_in(roomy) == 11
-    # not primary to the origin: the pure-power loop runs to the colength
-    # and no layer is ever reached
+    # not primary to the origin: the local count falls short of the
+    # colength.  The homogenized generators x^2 - x*h and y^2 have coprime
+    # leading terms x*h and y^2, so that run has no pair to time out on
     R3 = ring(3, "x", "y")
     gens = [parse_poly(t, R3) for t in ("x^2 - x", "y^2")]
     with pytest.raises(InputError, match="not primary"):
         m_power_in(IdealHandle(R3, gens))
+    # x*h and y*h share h, so this run has a pair for the budget to stop
+    gens = [parse_poly(t, R3) for t in ("x^2 - x", "y^2 - y")]
+    with pytest.raises(InputError, match="not primary"):
+        m_power_in(IdealHandle(R3, gens, limits=Limits(max_seconds=60)))
     spent = IdealHandle(R3, gens, limits=Limits(max_seconds=0))
     spent.seed_cache(IdealHandle(R3, gens).basis())
     with pytest.raises(TimeLimitError, match="time limit"):

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from charplab import (
     GREVLEX, LEX, Field, IdealHandle, InputError, Limits, Monomial,
     ParseError, PerturbationPlan, Polynomial, QuotientPresentation, Ring,
-    block_order, convergence_diagnostic, eliminate, hk_series,
-    order_from_string, parameter_check, parse_poly, stability_threshold,
+    block_order, colength, convergence_diagnostic, ehk_estimate, eliminate,
+    fsig_estimate, hk_series, m_power_in, nu_series, order_from_string,
+    parameter_check, parse_poly, stability_threshold,
     subalgebra_presentation,
 )
 from charplab.groebner import Staircase
@@ -472,6 +473,42 @@ def test_lists_from_callers_are_iterables_but_not_strings(call):
     P = QuotientPresentation(R, [])
     with pytest.raises(InputError):
         call(F, R, P, R.variable(0))
+
+
+# calls that take an object of one type from a caller, given 5 (or a list
+# holding 5) in its place, and the error each one raises
+NOT_TYPED = [
+    ("subalgebra", lambda R, x: subalgebra_presentation([x, 5]),
+     "subalgebra generator must be of type Polynomial"),
+    ("diagnostic", lambda R, x: convergence_diagnostic(5, 1),
+     "series must be of type HKSeries or SplittingSeries"),
+    ("ehk-estimate", lambda R, x: ehk_estimate(5),
+     "series must be of type HKSeries or SplittingSeries"),
+    ("fsig-estimate", lambda R, x: fsig_estimate(5),
+     "series must be of type HKSeries or SplittingSeries"),
+    ("nu-series", lambda R, x: nu_series(5, 1),
+     "f must be of type Polynomial"),
+    ("presentation", lambda R, x: QuotientPresentation(5, []),
+     "ring must be of type Ring"),
+    ("m-power-in", lambda R, x: m_power_in(5),
+     "ideal must be of type IdealHandle"),
+    ("colength", lambda R, x: colength(5),
+     "ideal must be of type IdealHandle"),
+    ("ideal", lambda R, x: IdealHandle(R, [x, 5]),
+     "ideal generator must be of type Polynomial"),
+    ("substitute", lambda R, x: x.substitute(5),
+     "substitution images must be of type Mapping"),
+    ("substitute-image", lambda R, x: x.substitute({"x": 5}),
+     "substitution image must be of type Polynomial"),
+]
+
+
+@pytest.mark.parametrize("call, message", [(c, m) for _, c, m in NOT_TYPED],
+                         ids=[name for name, _, _ in NOT_TYPED])
+def test_objects_from_callers_have_their_type(call, message):
+    R = Ring(Field(3), ("x", "y", "t"))
+    with pytest.raises(InputError, match=f"^{message}, got 5$"):
+        call(R, R.variable(0))
 
 
 @pytest.mark.parametrize("point", [[5, 0], [-1, 0], [1.5, 0], [True, 0]],
