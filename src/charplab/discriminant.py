@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .field import _at_least
+from .field import _at_least, _of_type
 from .groebner import GroebnerBasis, divide_exact
 from .orders import GREVLEX
 from .poly import Polynomial, Ring
@@ -158,7 +158,8 @@ def discriminant(P: FiniteExtensionPresentation) -> Polynomial:
     """Determinant of the trace pairing on the power basis; an element of
     the base ring, zero exactly when the extension is generically
     inseparable."""
-    return bareiss_determinant(trace_matrix(P), P.base)
+    return bareiss_determinant(trace_matrix(_of_type(
+        P, "extension", FiniteExtensionPresentation)), P.base)
 
 
 @dataclass(frozen=True)

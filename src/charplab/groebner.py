@@ -20,18 +20,16 @@ Buchberger skips every pair inside it (their S-polynomials already have
 standard representations after multiplication by the tag variable), and
 the final pass divides the tag-free basis elements by the multiplier.
 
-The minimal N with m^N inside an ideal I primary to the origin is the
-Loewy length of S/I, one past the top degree of its tangent cone gr_m(S/I)
-(Nakayama: that ring is generated in degree 1).  The tangent cone's
-staircase is the staircase of I under a local degree order, which is read
-off one ordinary engine run by Lazard's homogenization: with a variable h
-in front, block_order(1) compares two homogeneous polynomials' terms by
-the power of h first, that is by the lowest x-degree, and then by grevlex
-on x, so on the homogenized generators it is the homogenized local order
-and their basis dehomogenizes to a standard basis of I (Greuel-Pfister, A
-Singular Introduction to Commutative Algebra, ch. 1).  Its staircase
-counts the length of S/I at the origin alone, which equals the colength
-exactly when the origin is I's only point.
+One tangent cone gr_m(S/I) serves m_power_in and the multiplicity.  Its
+staircase is I's under a local degree order, read off one ordinary engine
+run by Lazard's homogenization: with a variable h in front, block_order(1)
+compares two homogeneous polynomials' terms by the power of h first, that
+is by the lowest x-degree, and then by grevlex on x, so the basis of the
+homogenized generators dehomogenizes to a standard basis of I
+(Greuel-Pfister, A Singular Introduction to Commutative Algebra, ch. 1, 5).
+The cone's count is the length of S/I at the origin alone, and the Loewy
+length of an I primary to the origin is one past its top degree (Nakayama:
+gr_m(S/I) is generated in degree 1).
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ class GroebnerBasis:
     """A reduced basis frozen together with a reduction context; `extend`
     is the only way to grow it."""
 
-    __slots__ = ("ring", "order", "elements", "_ctx")
+    __slots__ = ("ring", "order", "elements", "_ctx", "_staircase")
 
     def __init__(self, ring: Ring, order: MonomialOrder,
                  elements: list[Polynomial]):
@@ -56,6 +54,7 @@ class GroebnerBasis:
         self.order = order
         self.elements = tuple(elements)
         self._ctx: BasisContext | None = None
+        self._staircase: Staircase | None = None
 
     def with_context(self, work, degree: int = 0):
         """work(ctx) on the reduction context, which is first built, or
@@ -72,8 +71,8 @@ class GroebnerBasis:
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Fully reduced remainder of f; zero iff f lies in the ideal."""
-        return self.with_context(lambda ctx: ctx.normal_form(f),
-                                 f.total_degree())
+        return self.with_context(lambda ctx: ctx.normal_form(f), _of_type(
+            f, "polynomial", Polynomial).total_degree())
 
     def extend(self, extra, limits: Limits = DEFAULT_LIMITS) -> GroebnerBasis:
         """Reduced basis of these elements plus `extra`: one engine run
@@ -143,17 +142,24 @@ class IdealHandle:
 
 
 def groebner_basis(I: IdealHandle, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    return I.basis(order)
+    return _of_type(I, "ideal", IdealHandle).basis(order)
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
-    return G.normal_form(f)
+    return _of_type(G, "basis", GroebnerBasis).normal_form(f)
+
+
+def _common_ring(I: IdealHandle, J: IdealHandle) -> Ring:
+    """The ring of two ideals a caller hands in, which must be one ring."""
+    if _of_type(I, "ideal", IdealHandle).ring != _of_type(
+            J, "ideal", IdealHandle).ring:
+        raise InputError("ideals live in different rings")
+    return I.ring
 
 
 def ideal_equal(I: IdealHandle, J: IdealHandle,
                 order: MonomialOrder = GREVLEX) -> bool:
-    if I.ring != J.ring:
-        raise InputError("ideals live in different rings")
+    _common_ring(I, J)
     return I.basis(order).elements == J.basis(order).elements
 
 
@@ -183,7 +189,7 @@ def eliminate(I: IdealHandle, k: int) -> IdealHandle:
     """I intersected with the subring on the last n-k variables: one
     engine run under block_order(k), whose final pass keeps the part of
     the reduced basis free of the first k variables."""
-    target = I.ring.drop_front(k)
+    target = _of_type(I, "ideal", IdealHandle).ring.drop_front(k)
     kept = [_drop_front(g, target, k) for g in groebner(
         list(I.generators), I.ring, block_order(k), I.limits,
         divisor=I.ring.one)]
@@ -196,9 +202,7 @@ def eliminate(I: IdealHandle, k: int) -> IdealHandle:
 
 def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """I and J meet, by eliminating a tag variable from w I + (1-w) J."""
-    if I.ring != J.ring:
-        raise InputError("ideals live in different rings")
-    ring = I.ring
+    ring = _common_ring(I, J)
     if not I.generators:
         return I
     if not J.generators:
@@ -263,13 +267,11 @@ def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
 
 def colon(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """I : J = {g : gJ inside I}, via intersections of single colons."""
-    if I.ring != J.ring:
-        raise InputError("ideals live in different rings")
+    ring = _common_ring(I, J)
     if not J.generators:
         raise InputError("colon by the zero ideal")
     if not I.generators:
         return I
-    ring = I.ring
     result: IdealHandle | None = None
     base = I.basis(GREVLEX)
     for f in J.generators:
@@ -283,6 +285,7 @@ def colon(I: IdealHandle, J: IdealHandle) -> IdealHandle:
 def frobenius_power(I: IdealHandle, e: int) -> IdealHandle:
     """The ideal generated by the p^e-th powers of the generators."""
     _at_least(e, 0, "Frobenius power index")
+    _of_type(I, "ideal", IdealHandle)
     return IdealHandle(I.ring, [f.frobenius_pow(e) for f in I.generators],
                        I.limits)
 
@@ -310,8 +313,9 @@ class Staircase:
     generators; `corners`, their minimal set, is found on first read, since
     a divisible corner changes no slice and no dimension.  `dimension` is
     the Krull dimension of the quotient, and one memoized fold over the
-    slices gives both `count` and `max_degree`: the fold is where an
-    infinite staircase raises InputError, and the unit ideal gives (0, -1)."""
+    slices gives `count`, `max_degree` and the terms of `multiplicity`: the
+    fold is where an infinite staircase raises InputError, and the unit
+    ideal gives (0, -1)."""
 
     __slots__ = ("n", "_given", "_corners", "_memo")
 
@@ -333,17 +337,34 @@ class Staircase:
             self._corners = _minimalize(self._given)
         return self._corners
 
-    def dimension(self) -> int:
-        """Size of the largest set of variables that contains no corner's
-        support; -1 for the unit ideal (its zero corner has none)."""
+    def _free_sets(self) -> list[int]:
+        """The sets of variables, as bit masks, that contain no corner's
+        support; none for the unit ideal (its zero corner has none)."""
         supports = {sum(1 << i for i, e in enumerate(c) if e)
                     for c in self._given}
-        return max((mask.bit_count() for mask in range(1 << self.n)
-                    if all(s & ~mask for s in supports)), default=-1)
+        return [mask for mask in range(1 << self.n)
+                if all(s & ~mask for s in supports)]
 
-    def zero_dimensional(self) -> bool:
-        """Each variable has a pure power among the corners."""
-        return self.dimension() == 0
+    def dimension(self) -> int:
+        """Size of the largest free set; -1 for the unit ideal."""
+        return max((mask.bit_count() for mask in self._free_sets()),
+                   default=-1)
+
+    def multiplicity(self) -> int:
+        """e(S/L) by the associativity formula (Bruns-Herzog, Cor. 4.7.8):
+        each free set of size d, a minimal prime of top dimension, adds the
+        count of the staircase left in the other n - d variables after its
+        own are set to 1, which is finite as no larger set is free; 0 for
+        the unit ideal, which has no free set."""
+        d = self.dimension()
+        total = 0
+        for mask in self._free_sets():
+            if mask.bit_count() == d:
+                rest = frozenset(tuple(e for i, e in enumerate(c)
+                                       if not mask >> i & 1)
+                                 for c in self._given)
+                total += self._fold(rest, self.n - d)[0]
+        return total
 
     def _slices(self, corners: frozenset, n: int) -> list:
         """The runs lo <= x_n < hi of one slice, as (lo, hi, rest): rest is
@@ -420,12 +441,15 @@ class Staircase:
 
 
 def staircase_of(gb: GroebnerBasis) -> Staircase:
-    return Staircase(gb.leading_exponents(), gb.ring.n)
+    """The staircase of gb's leading terms, built once per basis."""
+    if _of_type(gb, "basis", GroebnerBasis)._staircase is None:
+        gb._staircase = Staircase(gb.leading_exponents(), gb.ring.n)
+    return gb._staircase
 
 
 def krull_dim(I: IdealHandle) -> int:
     """Dimension of the quotient by I, combinatorially from leading terms."""
-    d = _dim_or_unit(I)
+    d = _dim_or_unit(_of_type(I, "ideal", IdealHandle))
     if d < 0:
         raise InputError("the unit ideal presents the empty scheme")
     return d
@@ -436,38 +460,30 @@ def _dim_or_unit(I: IdealHandle) -> int:
     return staircase_of(I.basis(GREVLEX)).dimension()
 
 
-def _zero_dim_staircase(I: IdealHandle) -> tuple[GroebnerBasis, Staircase]:
-    """The grevlex basis of I and its staircase, which must be finite and
+def _zero_dim_staircase(I: IdealHandle) -> Staircase:
+    """The staircase of I's grevlex basis, which must be finite and
     nonempty."""
-    gb = _of_type(I, "ideal", IdealHandle).basis(GREVLEX)
-    st = staircase_of(gb)
+    st = staircase_of(_of_type(I, "ideal", IdealHandle).basis(GREVLEX))
     d = st.dimension()
     if d < 0:
         raise InputError("ideal is not contained in the maximal ideal")
     if d > 0:
         raise InputError("ideal is not zero-dimensional")
-    return gb, st
+    return st
 
 
 def colength(I: IdealHandle) -> int:
     """Vector-space dimension of the quotient by I, by staircase count."""
-    return _zero_dim_staircase(I)[1].count()
+    return _zero_dim_staircase(I).count()
 
 
-def m_power_in(I: IdealHandle) -> int:
-    """Minimal N with every monomial of total degree N inside I: the Loewy
-    length of S/I, which for I primary to the origin is one past the top
-    degree of the tangent cone gr_m(S/I), since that ring is generated in
-    degree 1.  The tangent cone's Hilbert function is read off a standard
-    basis of I for a local degree order, found by Lazard's homogenization
+def _tangent_cone(I: IdealHandle) -> Staircase:
+    """The staircase of the tangent cone gr_m(S/I): the grevlex one when
+    that basis is homogeneous, else one run on the homogenized generators
     (see the module docstring)."""
-    gb, st = _zero_dim_staircase(I)
-    # homogeneous shortcut: I is its own tangent cone, so the grevlex
-    # staircase already has the tangent cone's degrees.  A homogeneous
-    # zero-dimensional ideal cuts out a finite cone, which is the origin,
-    # so it is primary to the origin
+    gb = I.basis(GREVLEX)
     if all(len({sum(k) for k in g.terms}) == 1 for g in gb.elements):
-        return st.max_degree() + 1
+        return staircase_of(gb)
     ring = I.ring
     ext = ring.extend_front([_fresh_name("_h", ring.variables)])
     homs = []
@@ -475,15 +491,25 @@ def m_power_in(I: IdealHandle) -> int:
         d = f.total_degree()
         homs.append(Polynomial(ext, {(d - sum(e),) + e: c
                                      for e, c in f.terms.items()}))
-    loc = Staircase([e[1:] for e in initial_exponents(
+    return Staircase([e[1:] for e in initial_exponents(
         homs, ext, block_order(1), I.limits)], ring.n)
-    # the local staircase counts the length of S/I at the origin alone,
-    # and the grevlex one the length summed over all points of I
-    if loc.count() != st.count():
+
+
+def m_power_in(I: IdealHandle) -> int:
+    """Minimal N with every monomial of total degree N inside I: the Loewy
+    length of S/I, which for I primary to the origin is one past the top
+    degree of the tangent cone gr_m(S/I), since that ring is generated in
+    degree 1."""
+    st = _zero_dim_staircase(I)
+    cone = _tangent_cone(I)
+    # the cone counts the length of S/I at the origin alone, and the
+    # grevlex staircase the length summed over all points of I; for a
+    # homogeneous I the two are one staircase
+    if cone.count() != st.count():
         raise InputError(
             "no bounded power of a variable lies in the ideal: the "
             "ideal is zero-dimensional but not primary to the origin")
-    top = loc.max_degree()
+    top = cone.max_degree()
     if top < st.max_degree():
         raise InternalError("a standard monomial lies above the m-power "
                             "inclusion degree")
@@ -521,7 +547,7 @@ def subalgebra_presentation(gens: list[Polynomial],
 def is_squarefree_hypersurface(f: Polynomial) -> bool:
     """Reducedness of a hypersurface over a perfect coefficient field: no
     vanishing total differential, and a singular locus of codimension >= 2."""
-    if f.is_constant():
+    if _of_type(f, "f", Polynomial).is_constant():
         raise InputError("squarefreeness needs a nonconstant polynomial")
     ring = f.ring
     partials = [f.partial(i) for i in range(ring.n)]

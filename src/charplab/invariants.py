@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
-from .errors import InputError, InternalError, LimitError
+from .errors import InputError, InternalError
 from .field import _as_list, _at_least, _of_type
-from .groebner import (GroebnerBasis, IdealHandle, Limits, Staircase, colon,
-                       colon_by_basis, frobenius_power, krull_dim,
-                       staircase_of)
+from .groebner import (GroebnerBasis, IdealHandle, Limits, Staircase,
+                       _tangent_cone, colon, colon_by_basis, frobenius_power,
+                       krull_dim, staircase_of)
 from .orders import GREVLEX
 from .poly import Polynomial, Ring
 
@@ -145,13 +144,14 @@ def _bracket_gens(ring: Ring, e: int) -> list[Polynomial]:
 def hk_length(R: QuotientPresentation, e: int) -> int:
     """Colength of J + the e-th bracket power of the maximal ideal."""
     _at_least(e, 1, "Frobenius level e")
+    _of_type(R, "presentation", QuotientPresentation)
     return R.defining.basis(GREVLEX).extend_staircase(
         _bracket_gens(R.ring, e), R.limits).count()
 
 
 def hk_series(R: QuotientPresentation, e_max: int) -> HKSeries:
     _at_least(e_max, 2, "e_max")
-    p = R.ring.field.p
+    p = _of_type(R, "presentation", QuotientPresentation).ring.field.p
     d = R.dim
     rows = []
     prev = 0
@@ -268,12 +268,13 @@ def _splitting_values(R: QuotientPresentation, first: int,
 def splitting_number(R: QuotientPresentation, e: int) -> int:
     """Rank of the largest free summand of the e-th Frobenius pushforward."""
     _at_least(e, 1, "Frobenius level e")
+    _of_type(R, "presentation", QuotientPresentation)
     return _splitting_values(R, e, e)[0]
 
 
 def splitting_series(R: QuotientPresentation, e_max: int) -> SplittingSeries:
     _at_least(e_max, 1, "e_max")
-    p = R.ring.field.p
+    p = _of_type(R, "presentation", QuotientPresentation).ring.field.p
     d = R.dim
     rows = []
     for e, a in enumerate(_splitting_values(R, 1, e_max), start=1):
@@ -286,40 +287,13 @@ def splitting_series(R: QuotientPresentation, e_max: int) -> SplittingSeries:
 
 # -- Hilbert-Samuel multiplicity -----------------------------------------------
 
-def _ordinary_power_monomials(ring: Ring, s: int) -> list[Polynomial]:
-    """The monomials of degree s: each a choice of s variables with
-    repetition."""
-    return [ring.monomial(tuple(map(choice.count, range(ring.n))))
-            for choice in combinations_with_replacement(range(ring.n), s)]
-
-
 def hs_multiplicity(R: QuotientPresentation) -> int:
-    """Normalized leading coefficient of s -> colength(J + m^s), read off
-    as the stabilized d-th finite difference (window of three).
-
-    Raises LimitError when the differences have not stabilized by s = 60.
-    The cap is fixed; no Limits field controls it."""
-    d = R.dim
-    homogeneous = all(
-        len({sum(e) for e in g.terms}) == 1 for g in R.defining.generators)
-    base = R.defining.basis(GREVLEX)
-    st = staircase_of(base) if homogeneous else None
-    lengths: list[int] = []
-    for s in range(1, 61):
-        if st is not None:
-            # for homogeneous J the standard monomials of degree < s are a
-            # basis of the quotient by J + m^s
-            lengths.append((lengths[-1] if lengths else 0)
-                           + st.count_degree(s - 1))
-        else:
-            lengths.append(base.extend_staircase(
-                _ordinary_power_monomials(R.ring, s), R.limits).count())
-        diffs = lengths
-        for _ in range(d):
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
-            return diffs[-1]
-    raise LimitError("Hilbert function failed to stabilize by s = 60")
+    """The Hilbert-Samuel multiplicity of R at the origin, d! times the
+    leading coefficient of s -> l(R/m^s) for d the local dimension: that of
+    the tangent cone gr_m(R), a sum over its top-dimensional minimal primes
+    by the associativity formula (Staircase.multiplicity)."""
+    _of_type(R, "presentation", QuotientPresentation)
+    return _tangent_cone(R.defining).multiplicity()
 
 
 # -- nu invariants and the splitting-threshold interval ------------------------
@@ -366,7 +340,7 @@ def nu_series(f: Polynomial, e_max: int) -> NuSeries:
 
 def fpt_estimate(series: NuSeries) -> tuple:
     """The bracketing interval [nu_e/q, (nu_e+1)/q] at the deepest level."""
-    last = series.rows[-1]
+    last = _of_type(series, "series", NuSeries).rows[-1]
     return (last.lower, last.upper)
 
 
@@ -374,6 +348,7 @@ def parameter_check(R: QuotientPresentation, fs) -> bool:
     """True when each successive element drops the dimension strictly.
     The candidates must be elements of the presentation ring's maximal
     ideal at the origin, which rules out units."""
+    _of_type(R, "presentation", QuotientPresentation)
     fs = _maximal_elements(R.ring, fs, "parameter candidates")
     handle = R.defining
     prev = R.dim

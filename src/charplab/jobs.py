@@ -12,7 +12,7 @@ Tasks and the parameters each accepts (`?` marks an optional one):
   hk       bracket-power colength series            {e_max}
   fsig     splitting-number series                  {e_max}
   fpt      splitting-threshold bounds               {target, e_max}
-  mult     limit multiplicity from ordinary powers  {generator_names?}
+  mult     multiplicity at the origin               {generator_names?}
   disc     trace-form discriminant                  {extension_variable?,
                                                      epsilon?, n_target?}
   present  subalgebra presentation                  {generator_names?}

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .discriminant import FiniteExtensionPresentation, disc_congruence_check
 from .errors import CharplabError, InputError, InternalError, TimeLimitError
-from .field import _as_list, _at_least, _is_int
+from .field import _as_list, _at_least, _is_int, _of_type
 from .groebner import ideal_equal, is_squarefree_hypersurface, m_power_in
 from .invariants import (QuotientPresentation, _bracket_gens,
                          _maximal_elements, ehk_estimate, fsig_estimate,
@@ -107,7 +107,8 @@ class PerturbationPlan:
                 raise InputError("e_range must be strictly increasing")
         targets = _as_list(self.targets, "targets")
         object.__setattr__(self, "targets", targets)
-        ring = self.presentation.ring
+        ring = _of_type(self.presentation, "presentation",
+                        QuotientPresentation).ring
         if self.mode == "dis-congruence":
             if self.extension is None:
                 raise InputError("dis-congruence needs an extension "
@@ -184,12 +185,14 @@ def sample_epsilons(plan: PerturbationPlan) -> list:
     """The first perturbation of each sample's stream, in sample order.
     Multi-target experiments keep drawing from the same stream, one
     perturbation per target; the first draw is exactly this list."""
-    return [next(_sample_draws(plan, i)) for i in range(plan.samples)]
+    return [next(_sample_draws(plan, i))
+            for i in range(_of_type(plan, "plan", PerturbationPlan).samples)]
 
 
 def _threshold(R: QuotientPresentation, fs, e: int) -> tuple:
     """The ideal J + (fs) + m^[p^e] and its stability threshold."""
     _at_least(e, 1, "Frobenius level e")
+    _of_type(R, "presentation", QuotientPresentation)
     fs = _maximal_elements(R.ring, fs, "elements")
     handle = R.defining.with_polys([*fs, *_bracket_gens(R.ring, e)])
     return handle, m_power_in(handle) + 1
@@ -267,7 +270,7 @@ def _hypothesis_notes(plan: PerturbationPlan) -> list:
 
 def run_experiment(plan: PerturbationPlan) -> PerturbationReport:
     rows, verdicts, thresholds, notes, failures, observations = \
-        _RUNNERS[plan.mode](plan)
+        _RUNNERS[_of_type(plan, "plan", PerturbationPlan).mode](plan)
     repro = {
         "seed": plan.seed,
         "prng": "splitmix64",

@@ -300,6 +300,35 @@ def test_only_the_ideal_layer_imports_the_engine():
                            for t in targets), (name, node.lineno)
 
 
+def test_every_import_in_the_package_is_read():
+    # a name bound by an import is read as a name somewhere in its module,
+    # or exported through __all__; `# noqa: F401` marks a deliberate one
+    src = os.path.dirname(charplab_groebner.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    assert bound in read, (name, alias.lineno, bound)
+
+
 def test_colon_by_basis_rejects_zero_multiplier():
     R = ring(5, "x", "y")
     gb = ideal(R, "x^2").basis()
@@ -655,7 +684,6 @@ def test_dimension_of_a_corner_set_matches_brute_force(case):
     expected = brute_force_dimension(corners, n)
     stair = Staircase(corners, n)
     assert stair.dimension() == expected
-    assert stair.zero_dimensional() == (expected == 0)
     R = ring(2, *("x", "y", "z", "t")[:n])
     I = IdealHandle(R, [R.monomial(c) for c in corners])
     if expected < 0:
@@ -663,6 +691,35 @@ def test_dimension_of_a_corner_set_matches_brute_force(case):
             krull_dim(I)
     else:
         assert krull_dim(I) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[st.integers(0, 3) for _ in range(n)]), max_size=5))))
+@example((1, [(0,)]))
+@example((2, []))
+@example((3, [(2, 0, 0), (0, 3, 0)]))
+@example((4, [(0, 1, 0, 2), (1, 0, 1, 0)]))
+def test_multiplicity_of_a_corner_set_matches_brute_force(case):
+    # past degree D = sum_i max_c c_i the numerator of the Hilbert series
+    # has ended, so s -> sum_{k<s} h(k) is a polynomial of degree d there
+    # and its d-th difference is the multiplicity
+    n, corners = case
+    stair = Staircase(corners, n)
+    d = stair.dimension()
+    if d < 0:
+        assert stair.multiplicity() == 0
+        return
+    top = sum(max((c[i] for c in corners), default=0) for i in range(n))
+    h = [0] * (top + d + 2)
+    for m in itertools.product(range(len(h)), repeat=n):
+        if sum(m) < len(h) and not any(
+                all(a <= b for a, b in zip(c, m)) for c in corners):
+            h[sum(m)] += 1
+    sums = list(itertools.accumulate(h))[top:]
+    for _ in range(d):
+        sums = [b - a for a, b in zip(sums, sums[1:])]
+    assert stair.multiplicity() == sums[0] == sums[1]
 
 
 def test_colength_examples():

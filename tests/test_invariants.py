@@ -195,10 +195,23 @@ def test_hs_multiplicity_inhomogeneous_route():
     assert hs_multiplicity(present(R, "y^2 + x^5")) == 2
 
 
-def test_hs_multiplicity_gives_up_at_s_60():
-    # the lengths of (x^70) + m^s are s for every s <= 60: no plateau
-    with pytest.raises(LimitError, match="s = 60"):
-        hs_multiplicity(present(ring(5, "x"), "x^70"))
+def test_hs_multiplicity_needs_no_cap_on_s():
+    # l(R/m^s) = s for every s <= 70, so the lengths settle only past 70
+    assert hs_multiplicity(present(ring(5, "x"), "x^70")) == 70
+
+
+@pytest.mark.parametrize("p, names, texts, value", [
+    # the d-th differences of s -> l(R/m^s) repeat a wrong value three
+    # times before they settle at the multiplicity
+    (2, ("x", "y"), ("y^2", "x^3*y"), 1),
+    (2, ("x", "y", "z"), ("x^3 + x*y", "x^2*y^2"), 1),
+    (3, ("x", "y"), ("y^3", "x^3*y^2"), 2),
+    # globally of dimension 2 (the plane z = 1), but the ring at the
+    # origin is the regular line x = y = 0, of dimension 1
+    (5, ("x", "y", "z"), ("x*z - x", "y*z - y"), 1),
+], ids=["y2-x3y", "x3+xy-x2y2", "y3-x3y2", "plane-and-line"])
+def test_hs_multiplicity_is_the_local_multiplicity(p, names, texts, value):
+    assert hs_multiplicity(present(ring(p, *names), *texts)) == value
 
 
 def test_hs_multiplicity_regular():

@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 from charplab import (
     GREVLEX, LEX, Field, IdealHandle, InputError, Limits, Monomial,
     ParseError, PerturbationPlan, Polynomial, QuotientPresentation, Ring,
-    block_order, colength, convergence_diagnostic, ehk_estimate, eliminate,
-    fsig_estimate, hk_series, m_power_in, nu_series, order_from_string,
-    parameter_check, parse_poly, stability_threshold,
-    subalgebra_presentation,
+    block_order, colength, colon, convergence_diagnostic, discriminant,
+    ehk_estimate, eliminate, fpt_estimate, frobenius_power, fsig_estimate,
+    groebner_basis, hk_length, hk_series, hs_multiplicity, ideal_equal,
+    intersect, is_squarefree_hypersurface, krull_dim, m_power_in,
+    normal_form, nu_series, order_from_string, parameter_check, parse_poly,
+    run_experiment, sample_epsilons, splitting_number, splitting_series,
+    stability_threshold, staircase_of, subalgebra_presentation,
 )
 from charplab.groebner import Staircase
 from oracles import block_greater, grevlex_greater, lex_greater
@@ -500,6 +503,63 @@ NOT_TYPED = [
      "substitution images must be of type Mapping"),
     ("substitute-image", lambda R, x: x.substitute({"x": 5}),
      "substitution image must be of type Polynomial"),
+    ("krull-dim", lambda R, x: krull_dim(5),
+     "ideal must be of type IdealHandle"),
+    ("groebner-basis", lambda R, x: groebner_basis(5),
+     "ideal must be of type IdealHandle"),
+    ("colon-first", lambda R, x: colon(5, IdealHandle(R, [x])),
+     "ideal must be of type IdealHandle"),
+    ("colon-second", lambda R, x: colon(IdealHandle(R, [x]), 5),
+     "ideal must be of type IdealHandle"),
+    ("intersect-first", lambda R, x: intersect(5, IdealHandle(R, [x])),
+     "ideal must be of type IdealHandle"),
+    ("intersect-second", lambda R, x: intersect(IdealHandle(R, [x]), 5),
+     "ideal must be of type IdealHandle"),
+    ("eliminate", lambda R, x: eliminate(5, 1),
+     "ideal must be of type IdealHandle"),
+    ("frobenius-power", lambda R, x: frobenius_power(5, 1),
+     "ideal must be of type IdealHandle"),
+    ("ideal-equal-first", lambda R, x: ideal_equal(5, IdealHandle(R, [x])),
+     "ideal must be of type IdealHandle"),
+    ("ideal-equal-second", lambda R, x: ideal_equal(IdealHandle(R, [x]), 5),
+     "ideal must be of type IdealHandle"),
+    ("normal-form-first",
+     lambda R, x: normal_form(5, IdealHandle(R, [x]).basis()),
+     "polynomial must be of type Polynomial"),
+    ("normal-form-second", lambda R, x: normal_form(x, 5),
+     "basis must be of type GroebnerBasis"),
+    ("basis-normal-form",
+     lambda R, x: IdealHandle(R, [x]).basis().normal_form(5),
+     "polynomial must be of type Polynomial"),
+    ("staircase-of", lambda R, x: staircase_of(5),
+     "basis must be of type GroebnerBasis"),
+    ("squarefree", lambda R, x: is_squarefree_hypersurface(5),
+     "f must be of type Polynomial"),
+    ("hk-length", lambda R, x: hk_length(5, 1),
+     "presentation must be of type QuotientPresentation"),
+    ("hk-series", lambda R, x: hk_series(5, 2),
+     "presentation must be of type QuotientPresentation"),
+    ("splitting-number", lambda R, x: splitting_number(5, 1),
+     "presentation must be of type QuotientPresentation"),
+    ("splitting-series", lambda R, x: splitting_series(5, 1),
+     "presentation must be of type QuotientPresentation"),
+    ("hs-multiplicity", lambda R, x: hs_multiplicity(5),
+     "presentation must be of type QuotientPresentation"),
+    ("parameter-check", lambda R, x: parameter_check(5, [x]),
+     "presentation must be of type QuotientPresentation"),
+    ("fpt-estimate", lambda R, x: fpt_estimate(5),
+     "series must be of type NuSeries"),
+    ("stability-threshold", lambda R, x: stability_threshold(5, [x], 1),
+     "presentation must be of type QuotientPresentation"),
+    ("discriminant", lambda R, x: discriminant(5),
+     "extension must be of type FiniteExtensionPresentation"),
+    ("plan", lambda R, x: PerturbationPlan(5, (x,), 2, 4, 1, 0, (1, 2),
+                                           "hk-continuity"),
+     "presentation must be of type QuotientPresentation"),
+    ("run-experiment", lambda R, x: run_experiment(5),
+     "plan must be of type PerturbationPlan"),
+    ("sample-epsilons", lambda R, x: sample_epsilons(5),
+     "plan must be of type PerturbationPlan"),
 ]
 
 
