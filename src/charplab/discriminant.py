@@ -29,11 +29,11 @@ class FiniteExtensionPresentation:
     __slots__ = ("base", "zname", "ring", "relation", "n", "zcoeffs")
 
     def __init__(self, base: Ring, zname: str, relation: Polynomial):
-        if zname in base.variables:
+        if zname in _of_type(base, "base ring", Ring).variables:
             raise InputError("extension variable collides with a base "
                              "variable")
         ring = Ring(base.field, base.variables + (zname,))
-        if relation.ring != ring:
+        if _of_type(relation, "relation", Polynomial).ring != ring:
             raise InputError("relation must live in the base ring extended "
                              "by the z variable (z last)")
         if relation.is_zero():
@@ -86,6 +86,7 @@ def _reduce_z(coeffs: dict, P: FiniteExtensionPresentation) -> dict:
 def mult_matrix(P: FiniteExtensionPresentation, g: Polynomial) -> list:
     """Matrix of multiplication by g on the basis 1, z, ..., z^{n-1};
     entry [i][j] is the z^i coordinate of g * z^j reduced modulo f."""
+    _of_type(P, "extension", FiniteExtensionPresentation)
     if g.ring != P.ring:
         raise InputError("multiplier must live in the extension ring")
     n = P.n
@@ -116,7 +117,7 @@ def _power_traces(P: FiniteExtensionPresentation, kmax: int) -> list:
 
 def trace_matrix(P: FiniteExtensionPresentation) -> list:
     """Symmetric matrix with entry (i, j) = Trace(z^{i+j})."""
-    n = P.n
+    n = _of_type(P, "extension", FiniteExtensionPresentation).n
     tr = _power_traces(P, 2 * n - 2)
     return [[tr[i + j] for j in range(n)] for i in range(n)]
 
@@ -124,10 +125,12 @@ def trace_matrix(P: FiniteExtensionPresentation) -> list:
 def bareiss_determinant(rows: list, ring: Ring) -> Polynomial:
     """Fraction-free determinant over a polynomial ring: every division in
     the Bareiss recurrence is exact, so entries stay polynomial."""
+    _of_type(ring, "ring", Ring)
     n = len(rows)
     if n == 0:
         return ring.one
-    m = [[entry for entry in row] for row in rows]
+    m = [[_of_type(entry, "matrix entry", Polynomial) for entry in row]
+         for row in rows]
     sign = 1
     prev = GroebnerBasis(ring, GREVLEX, [ring.one])    # divides one step
     for k in range(n - 1):
@@ -174,7 +177,8 @@ class CongruenceReport:
 def congruence_order(a: Polynomial, b: Polynomial) -> int | None:
     """Largest k with a - b in the k-th power of the irrelevant ideal,
     by minimal total degree; None when a = b."""
-    diff = a - b
+    diff = _of_type(a, "polynomial", Polynomial) - \
+        _of_type(b, "polynomial", Polynomial)
     if diff.is_zero():
         return None
     return min(sum(e) for e in diff.terms)
@@ -185,7 +189,8 @@ def disc_congruence_check(P: FiniteExtensionPresentation, eps: Polynomial,
     """Compare the discriminants of f and f + eps T-adically; pass when the
     congruence order reaches n_target."""
     _at_least(n_target, 1, "n_target")
-    if eps.ring != P.ring:
+    _of_type(P, "extension", FiniteExtensionPresentation)
+    if _of_type(eps, "perturbation", Polynomial).ring != P.ring:
         raise InputError("perturbation must live in the extension ring")
     if not eps.is_zero():
         zdeg = max(e[-1] for e in eps.terms)

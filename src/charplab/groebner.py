@@ -219,11 +219,12 @@ def divide_exact(h: Polynomial, f: Polynomial | GroebnerBasis) -> Polynomial:
     """Quotient h/f when the division is exact: h reduced against the
     one-element basis (f), collecting the multipliers of its steps.  Given
     as GroebnerBasis(ring, GREVLEX, [f]), f keeps its context across calls."""
-    if isinstance(f, Polynomial):
+    ring = _of_type(h, "polynomial", Polynomial).ring
+    if isinstance(_of_type(f, "divisor", Polynomial, GroebnerBasis),
+                  Polynomial):
         if f.is_zero():
             raise InputError("division by the zero polynomial")
-        f = GroebnerBasis(h.ring, GREVLEX, [f])
-    ring = h.ring
+        f = GroebnerBasis(ring, GREVLEX, [f])
     field = ring.field
 
     def divide(ctx: BasisContext) -> Polynomial:
@@ -245,7 +246,7 @@ def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
     gb_elements is any grevlex Groebner basis of I (not necessarily
     reduced).  One engine run eliminates a tag variable w from wI + (1-w)f,
     skipping the pairs inside the lifted basis, and divides by f."""
-    if f.is_zero():
+    if _of_type(f, "multiplier", Polynomial).is_zero():
         raise InputError("colon by the zero polynomial")
     if not gb_elements:
         return []

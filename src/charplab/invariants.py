@@ -14,12 +14,16 @@ which satisfies C_e = (m^[p^e] : g^(p^e - 1)) because bracket powers commute
 with colon by a p-th power (flatness of Frobenius over the regular ambient),
 and a_e = colength(C_e) by duality in the Gorenstein artinian quotient by
 m^[p^e].  Each chain step colons by the fixed small polynomial g^(p-1),
-which keeps the Groebner workload flat as e grows.  The last level needs
-only a length: A/(0 : f) is isomorphic to fA in the artinian A = S/I, so
-l(S/(I : f)) = l(S/I) - l(S/(I + (f))), and l(S/C^[p]) = p^n l(S/C) by
-Kunz's flatness theorem (Amer. J. Math. 91, 1969).  So for I = C_{e-1}^[p]
-a_e = p^n a_{e-1} - l(S/(I + (r))), r = g^(p-1) mod I: the leading
-exponents of one grevlex run, stopped at the minimal basis.
+which keeps the Groebner workload flat as e grows.  Level e colons
+C_{e-1}^[p], which contains m^[p^e] as C_i contains C_{i-1}^[p] and C_0 = m;
+(I : f) = (I : f - t) for t in I, so each level first reads g^(p-1) mod
+m^[p^e], its terms with every exponent below p^e (none: the unit ideal).
+The last level needs only a length: A/(0 : f) is isomorphic to fA in the
+artinian A = S/I, so l(S/(I : f)) = l(S/I) - l(S/(I + (f))), and
+l(S/C^[p]) = p^n l(S/C) by Kunz's flatness theorem (Amer. J. Math. 91,
+1969).  So for I = C_{e-1}^[p] a_e = p^n a_{e-1} - l(S/(I + (r))),
+r = g^(p-1) mod I: the leading exponents of one grevlex run, stopped at
+the minimal basis.
 When g has a term of degree 1, S/(g) is regular at the origin, so F_*^e is
 free of rank q^(n-1) there (Kunz, loc. cit.): a_e = q^(n-1), no basis needed.
 """
@@ -141,6 +145,13 @@ def _bracket_gens(ring: Ring, e: int) -> list[Polynomial]:
             for i in range(ring.n)]
 
 
+def _mod_bracket(f: Polynomial, q: int) -> Polynomial:
+    """f modulo the bracket power m^[q]: the terms of f with every exponent
+    below q (membership in a monomial ideal is termwise)."""
+    return Polynomial(f.ring, {k: v for k, v in f.terms.items()
+                               if max(k) < q})
+
+
 def hk_length(R: QuotientPresentation, e: int) -> int:
     """Colength of J + the e-th bracket power of the maximal ideal."""
     _at_least(e, 1, "Frobenius level e")
@@ -230,13 +241,16 @@ def _principal_splitting_chain(R: QuotientPresentation,
     current = _bracket_gens(ring, 1)
     mult = g ** (p - 1)
     out = [1]
-    for _ in range(e_max - 1):
-        elems = colon_by_basis(current, ring, mult, R.limits)
+    for e in range(1, e_max):
+        r = _mod_bracket(mult, p ** e)
+        elems = [ring.one] if r.is_zero() else \
+            colon_by_basis(current, ring, r, R.limits)
         out.append(_count_or_zero(staircase_of(
             GroebnerBasis(ring, GREVLEX, elems))))
         current = [h.frobenius_pow(1) for h in elems]
     base = GroebnerBasis(ring, GREVLEX, current)
-    st = base.extend_staircase([base.normal_form(mult)], R.limits)
+    st = base.extend_staircase(
+        [base.normal_form(_mod_bracket(mult, p ** e_max))], R.limits)
     out.append(p ** ring.n * out[-1] - _count_or_zero(st))
     return out[1:]
 
@@ -298,42 +312,26 @@ def hs_multiplicity(R: QuotientPresentation) -> int:
 
 # -- nu invariants and the splitting-threshold interval ------------------------
 
-def _outside_box(f: Polynomial, t: int, q: int) -> bool:
-    """True when f^t has a term with every exponent below q, i.e. f^t does
-    not lie in the bracket power m^[q] (membership in a monomial ideal is
-    termwise)."""
-    power = f ** t
-    return any(all(e < q for e in exps) for exps in power.terms)
-
-
 def nu_series(f: Polynomial, e_max: int) -> NuSeries:
-    """nu_e = max t with f^t outside m^[p^e], for e = 1..e_max."""
+    """nu_e = max t with f^t outside m^[p^e], for e = 1..e_max, from one
+    carried power h = f^nu mod m^[q] and no basis computation.  Frobenius
+    sends m^[q/p] into m^[q], so F(h) = f^(p nu) mod m^[q]; h is then
+    multiplied by f, and truncated, while nonzero: at most p - 1 times, as
+    f^(nu+1) in m^[q/p] puts f^(p(nu+1)) in m^[q] (Mustata-Takagi-Watanabe).
+    Level 1 starts from h = 1, since f in m puts f^p in m^[p]."""
     _at_least(e_max, 1, "e_max")
     if _of_type(f, "f", Polynomial).is_zero():
         raise InputError("nu is undefined for the zero polynomial")
     if f.constant_code() != 0:
         raise InputError("nu needs an element of the maximal ideal")
-    ring = f.ring
-    p = ring.field.p
+    p = f.ring.field.p
+    h, nu = f.ring.one, 0
     rows = []
-    prev = None
     for e in range(1, e_max + 1):
         q = p ** e
-        # bisect with f^lo outside m^[q] and f^hi inside it: at e = 1,
-        # f^(n(q-1)+1) lies in m^(n(q-1)+1), inside m^[q]; after that the
-        # p-th power map gives p nu_(e-1) <= nu_e <= p nu_(e-1) + p - 1
-        # (Mustata-Takagi-Watanabe)
-        if prev is None:
-            lo, hi = 0, ring.n * (q - 1) + 1
-        else:
-            lo, hi = p * prev, p * prev + p
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _outside_box(f, mid, q):
-                lo = mid
-            else:
-                hi = mid
-        nu = prev = lo
+        h, nu = h.frobenius_pow(1), p * nu
+        while not (nxt := _mod_bracket(h * f, q)).is_zero():
+            h, nu = nxt, nu + 1
         rows.append(NuRow(e, q, nu, Fraction(nu, q), Fraction(nu + 1, q)))
     return NuSeries(p, tuple(rows))
 

@@ -25,8 +25,10 @@ Tasks and the parameters each accepts (`?` marks an optional one):
 
 A parameter that the job's other settings leave unread is an error too:
 `n_target` of `disc` needs `epsilon`; `relation`, `n_target` and
-`extension_variable` of `perturb` need mode dis-congruence; and
-`generator_names` of `mult` needs a subalgebra block.
+`extension_variable` of `perturb` need mode dis-congruence, which reads
+no `targets` (a nonempty list is an error); `tolerance` of `perturb`
+needs mode hk-continuity or fsig-continuity; and `generator_names` of
+`mult` needs a subalgebra block.
 
 `subalgebra` (top level) lists generators of a subring of the ambient
 polynomial ring; `mult` and `present` accept it.  When present, the

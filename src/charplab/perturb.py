@@ -94,6 +94,9 @@ class PerturbationPlan:
             raise InputError("seed must be a 64-bit unsigned integer")
         tol = self.tolerance
         if tol is not None:
+            if self.mode not in ("hk-continuity", "fsig-continuity"):
+                raise InputError("tolerance needs mode hk-continuity or "
+                                 "fsig-continuity")
             if not (_is_int(tol) or isinstance(tol, Fraction)) or tol < 0:
                 raise InputError("tolerance must be an int or a Fraction >= 0")
             object.__setattr__(self, "tolerance", Fraction(tol))
@@ -113,8 +116,14 @@ class PerturbationPlan:
             if self.extension is None:
                 raise InputError("dis-congruence needs an extension "
                                  "presentation")
+            _of_type(self.extension, "extension", FiniteExtensionPresentation)
             _at_least(self.n_target, 1, "n_target")
+            if targets:
+                raise InputError("dis-congruence takes no targets")
         else:
+            if self.extension is not None or self.n_target is not None:
+                raise InputError("extension and n_target need mode "
+                                 "dis-congruence")
             if not targets:
                 raise InputError("this mode needs at least one target")
             _maximal_elements(ring, targets, "targets")

@@ -286,6 +286,24 @@ def test_a_parameter_the_job_does_not_read_is_an_input_error(
     assert err == f"error: input: bad job: {message}\n"
 
 
+@pytest.mark.parametrize("job,params,message", [
+    ("35-perturb-dis-congruence.json", {"targets": ["u"]},
+     "dis-congruence takes no targets"),
+    ("35-perturb-dis-congruence.json", {"tolerance": 3},
+     "tolerance needs mode hk-continuity or fsig-continuity"),
+    ("27-perturb-sop-quadric.json", {"tolerance": [1, 2]},
+     "tolerance needs mode hk-continuity or fsig-continuity"),
+], ids=["dis-targets", "dis-tolerance", "sop-tolerance"])
+def test_a_plan_field_the_mode_does_not_read_is_an_input_error(
+        capsys, tmp_path, job, params, message):
+    doc = _shipped(job)
+    doc["params"] = {**doc["params"], **params}
+    code, out, err = run(capsys, "perturb", "--job",
+                         write_job(tmp_path, job, doc))
+    assert code == 1 and out == ""
+    assert err == f"error: input: {message}\n"
+
+
 @pytest.mark.parametrize("tolerance,echo", [
     (1, {"num": 1, "den": 1}),
     ([1, 3], {"num": 1, "den": 3}),

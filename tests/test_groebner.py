@@ -9,6 +9,7 @@ import ast
 import itertools
 import os
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -327,6 +328,46 @@ def test_every_import_in_the_package_is_read():
                 bound = alias.asname or alias.name.split(".")[0]
                 if "# noqa: F401" not in lines[alias.lineno - 1]:
                     assert bound in read, (name, alias.lineno, bound)
+
+
+def test_every_private_name_in_the_package_is_read():
+    # a private module-level function, class or constant, or a private
+    # method, is read as a name or an attribute outside its own definition
+    src = os.path.dirname(charplab_groebner.__file__)
+    trees = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read())
+
+    def reads(tree):
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute))
+
+    everywhere = sum((reads(tree) for tree in trees.values()), Counter())
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+    for name, tree in trees.items():
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                defined += [(t.id, node) for t in targets
+                            if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(item.name, item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+        for bound, node in defined:
+            if private(bound):
+                elsewhere = everywhere[bound] - reads(node)[bound]
+                assert elsewhere > 0, (name, node.lineno, bound)
 
 
 def test_colon_by_basis_rejects_zero_multiplier():

@@ -23,7 +23,7 @@ from charplab import (
     hk_length, hk_series, hs_multiplicity, nu_series, parameter_check,
     parse_poly, splitting_number, splitting_series, staircase_of,
 )
-from charplab import engine
+from charplab import engine, invariants
 from charplab.groebner import Staircase, colon_by_basis
 from charplab.invariants import _colon_splitting_count, _count_or_zero
 from oracles import (dense_colength_box, family_staircase_count,
@@ -396,6 +396,24 @@ def test_a_regular_hypersurface_takes_no_basis_computation():
     assert time.perf_counter() - start < 1
 
 
+def test_the_chain_colons_by_its_multiplier_mod_the_bracket(monkeypatch):
+    # level e colons C_(e-1)^[p], which contains m^[p^e], so the chain
+    # hands colon_by_basis g^(p-1) with the terms in m^[p^e] dropped
+    R = ring(5, "x", "y", "t")
+    P = present(R, "x^2 + y^2 + t^2")
+    seen = []
+    real = invariants.colon_by_basis
+
+    def spy(gb_elements, ring_, f, limits):
+        seen.append(f)
+        return real(gb_elements, ring_, f, limits)
+    monkeypatch.setattr(invariants, "colon_by_basis", spy)
+    assert [r.a for r in splitting_series(P, 3).rows] == [13, 313, 7813]
+    assert len(seen) == 2
+    for level, f in enumerate(seen, start=1):
+        assert f.terms and all(max(k) < 5 ** level for k in f.terms)
+
+
 def test_lengths_never_grow_a_reduced_basis(monkeypatch):
     # hk_length and the last chain level read only leading exponents, so
     # once the defining basis is cached neither calls GroebnerBasis.extend
@@ -547,6 +565,52 @@ def test_nu_series_matches_direct_expansion(case):
         assert r.nu == nu_direct(f, r.e)
         assert (r.lower, r.upper) == (Fraction(r.nu, r.q),
                                       Fraction(r.nu + 1, r.q))
+
+
+def nu_brute(f, q):
+    """The largest t <= n(q - 1) with a term of f^t that has every exponent
+    below q, trying each t; f^t mod m^[q] is (f^(t-1) mod m^[q]) f mod m^[q],
+    and a zero one stays zero."""
+    best, acc = 0, f.ring.one
+    for t in range(1, f.ring.n * (q - 1) + 1):
+        acc = Polynomial(f.ring, {k: v for k, v in (acc * f).terms.items()
+                                  if max(k) < q})
+        if acc.is_zero():
+            break
+        best = t
+    return best
+
+
+@st.composite
+def wide_nu_cases(draw):
+    """f with no constant term and 1-5 terms, each exponent 0-6 (so terms
+    may already lie in m^[q]), in 1-3 variables over GF(2), GF(3), GF(5)
+    or GF(4)."""
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)]))
+    n = draw(st.integers(1, 3))
+    R = ring(p, *("x", "y", "t")[:n], m=m)
+    exps = st.tuples(*[st.integers(0, 6) for _ in range(n)]).filter(any)
+    return Polynomial(R, draw(st.dictionaries(
+        exps, st.integers(1, R.field.q - 1), min_size=1, max_size=5)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(wide_nu_cases())
+def test_nu_series_is_the_brute_force_nu(f):
+    s = nu_series(f, 2)
+    assert [r.nu for r in s.rows] == [nu_brute(f, r.q) for r in s.rows]
+
+
+def test_deep_nu_values_take_no_full_power():
+    # one carried power per level: the bisection over full powers f^t took
+    # 13-17 s on the cusp alone
+    start = time.perf_counter()
+    cusp = nu_series(parse_poly("x^2 + y^3", ring(7, "x", "y")), 5)
+    fermat = nu_series(parse_poly("x^3 + y^3 + t^3", ring(5, "x", "y", "t")),
+                       4)
+    assert time.perf_counter() - start < 2
+    assert [r.nu for r in cusp.rows] == [5, 40, 285, 2000, 14005]
+    assert [r.nu for r in fermat.rows] == [3, 19, 99, 499]
 
 
 def test_nu_validation():

@@ -136,11 +136,9 @@ def test_plan_rejects_bad_shapes():
     good = dict(presentation=R, targets=(f,), N=2, degree_cap=3, samples=2,
                 seed=1, e_range=(1,), mode="splitting-monotonicity")
 
-    def bad(**kw):
-        args = dict(good)
-        args.update(kw)
+    def bad(plan=good, **kw):
         with pytest.raises(InputError):
-            PerturbationPlan(**args)
+            PerturbationPlan(**dict(plan, **kw))
 
     bad(mode="shrink-wrap")
     bad(N=0)
@@ -158,10 +156,12 @@ def test_plan_rejects_bad_shapes():
     bad(targets=(parse_poly("x + 1", R.ring),))       # unit offset
     other = Ring(Field(3), ("x", "z"))
     bad(targets=(parse_poly("x*z", other),))          # foreign ring
+    bad(tolerance=1)                                  # read by continuity only
+    continuity = dict(good, e_range=(1, 2), mode="hk-continuity")
     for tolerance in (-1, Fraction(-1, 2), 0.5, float("nan"), True, "1"):
-        bad(tolerance=tolerance)                      # not reportable
-    PerturbationPlan(**dict(good, tolerance=1))
-    PerturbationPlan(**dict(good, tolerance=Fraction(1, 2)))
+        bad(continuity, tolerance=tolerance)          # not reportable
+    PerturbationPlan(**dict(continuity, tolerance=1))
+    PerturbationPlan(**dict(continuity, tolerance=Fraction(1, 2)))
 
 
 def test_estimate_modes_need_consecutive_levels():
@@ -187,6 +187,29 @@ def test_dis_mode_needs_an_extension_and_a_target_order():
                          extension=ext)
     PerturbationPlan(R, (), 2, 3, 1, 1, (1,), "dis-congruence",
                      extension=ext, n_target=1)
+
+
+def test_a_plan_rejects_fields_its_mode_never_reads():
+    R = presentation(3, ("x", "y"))
+    f = parse_poly("x*y", R.ring)
+    base = Ring(Field(5), ("u",))
+    ext = FiniteExtensionPresentation(
+        base, "z", parse_poly("z^2 - u", Ring(base.field, ("u", "z"))))
+    dis = dict(presentation=R, targets=(), N=2, degree_cap=3, samples=1,
+               seed=1, e_range=(1,), mode="dis-congruence", extension=ext,
+               n_target=1)
+    sop = dict(dis, targets=(f,), mode="sop-stability", extension=None,
+               n_target=None)
+    PerturbationPlan(**dis)
+    PerturbationPlan(**sop)
+    for plan, unread, message in [
+            (dis, dict(targets=(f,)), "takes no targets"),
+            (dis, dict(tolerance=3), "tolerance needs mode"),
+            (sop, dict(tolerance=Fraction(1, 2)), "tolerance needs mode"),
+            (sop, dict(extension=ext), "need mode dis-congruence"),
+            (sop, dict(n_target=2), "need mode dis-congruence")]:
+        with pytest.raises(InputError, match=message):
+            PerturbationPlan(**dict(plan, **unread))
 
 
 # -- certified stability thresholds ---------------------------------------------

@@ -12,17 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charplab import (
-    GREVLEX, LEX, Field, IdealHandle, InputError, Limits, Monomial,
-    ParseError, PerturbationPlan, Polynomial, QuotientPresentation, Ring,
-    block_order, colength, colon, convergence_diagnostic, discriminant,
+    GREVLEX, LEX, Field, FiniteExtensionPresentation, IdealHandle,
+    InputError, Limits, Monomial, ParseError, PerturbationPlan, Polynomial,
+    QuotientPresentation, Ring, bareiss_determinant, block_order, colength,
+    colon, convergence_diagnostic, disc_congruence_check, discriminant,
     ehk_estimate, eliminate, fpt_estimate, frobenius_power, fsig_estimate,
     groebner_basis, hk_length, hk_series, hs_multiplicity, ideal_equal,
     intersect, is_squarefree_hypersurface, krull_dim, m_power_in,
-    normal_form, nu_series, order_from_string, parameter_check, parse_poly,
-    run_experiment, sample_epsilons, splitting_number, splitting_series,
-    stability_threshold, staircase_of, subalgebra_presentation,
+    mult_matrix, normal_form, nu_series, order_from_string, parameter_check,
+    parse_poly, run_experiment, sample_epsilons, splitting_number,
+    splitting_series, stability_threshold, staircase_of,
+    subalgebra_presentation, trace_matrix,
 )
-from charplab.groebner import Staircase
+from charplab.discriminant import congruence_order
+from charplab.groebner import Staircase, colon_by_basis, divide_exact
 from oracles import block_greater, grevlex_greater, lex_greater
 
 
@@ -560,6 +563,29 @@ NOT_TYPED = [
      "plan must be of type PerturbationPlan"),
     ("sample-epsilons", lambda R, x: sample_epsilons(5),
      "plan must be of type PerturbationPlan"),
+    ("extension-base", lambda R, x: FiniteExtensionPresentation(5, "z", x),
+     "base ring must be of type Ring"),
+    ("extension-relation",
+     lambda R, x: FiniteExtensionPresentation(R, "z", 5),
+     "relation must be of type Polynomial"),
+    ("disc-congruence", lambda R, x: disc_congruence_check(5, x, 1),
+     "extension must be of type FiniteExtensionPresentation"),
+    ("mult-matrix", lambda R, x: mult_matrix(5, x),
+     "extension must be of type FiniteExtensionPresentation"),
+    ("divide-exact", lambda R, x: divide_exact(5, x),
+     "polynomial must be of type Polynomial"),
+    ("trace-matrix", lambda R, x: trace_matrix(5),
+     "extension must be of type FiniteExtensionPresentation"),
+    ("colon-by-basis", lambda R, x: colon_by_basis([x], R, 5),
+     "multiplier must be of type Polynomial"),
+    ("congruence-order", lambda R, x: congruence_order(5, x),
+     "polynomial must be of type Polynomial"),
+    ("bareiss-determinant", lambda R, x: bareiss_determinant([[5]], R),
+     "matrix entry must be of type Polynomial"),
+    ("plan-extension", lambda R, x: PerturbationPlan(
+        QuotientPresentation(R, []), (), 2, 2, 1, 0, (1,), "dis-congruence",
+        extension=5, n_target=1),
+     "extension must be of type FiniteExtensionPresentation"),
 ]
 
 
