@@ -131,6 +131,8 @@ def bareiss_determinant(rows: list, ring: Ring) -> Polynomial:
         return ring.one
     m = [[_of_type(entry, "matrix entry", Polynomial) for entry in row]
          for row in rows]
+    if any(len(row) != n for row in m):
+        raise InputError("a determinant needs a square matrix")
     sign = 1
     prev = GroebnerBasis(ring, GREVLEX, [ring.one])    # divides one step
     for k in range(n - 1):

@@ -29,13 +29,17 @@ any width.
 
 Polynomials here are bare dicts {key: coefficient code}; conversion from and
 to the public Polynomial type happens at the boundary.  The one
-term-by-term division loop is BasisContext.reduce_dict.  Exact division
-reduces against a one-element basis through it and collects the quotient:
-groebner.divide_exact does so on a context of its own, and the final pass
-of a groebner() run given a divisor (a colon step, or 1 for an
-elimination) on the run's own keys.  One Buchberger run ends at the
-minimal basis: groebner() then divides and reduces tails, while
-initial_exponents() stops there.
+term-by-term division loop is BasisContext.reduce_dict; exact division
+(groebner.divide_exact) reads the quotient off the steps it records.  One
+Buchberger run ends at the minimal basis: groebner() then reduces tails,
+while initial_exponents() stops there.
+
+A colon step (I : f), colon_basis(), tracks cofactors in the ring's own
+variables (Moller, J. Symb. Comput. 6, 1988): the run on I's basis and f
+keeps, per element h, an a with h = a f modulo I.  A pair that reduces to
+zero is a syzygy whose cofactor lies in (I : f); the kept pairs' syzygies
+and the coprime pairs' Koszul ones, which map into I, generate all
+syzygies, so I and those cofactors generate (I : f).
 """
 
 from __future__ import annotations
@@ -50,9 +54,9 @@ from operator import or_
 # for its machine record in sys.modules; dropping it needs a benchmark change
 import numpy  # noqa: F401
 
-from .errors import InputError, InternalError, LimitError, TimeLimitError
+from .errors import InputError, LimitError, TimeLimitError
 from .field import Field, _at_least
-from .orders import MonomialOrder
+from .orders import GREVLEX, MonomialOrder
 from .poly import Polynomial, Ring
 
 DEFAULT_MAX_BASIS = 5000
@@ -328,14 +332,14 @@ class BasisContext:
                 if (guarded - lt) & g == g]
 
     def reduce_dict(self, work: dict[int, int],
-                    quotient: dict[int, int] | None = None) -> dict[int, int]:
+                    steps: list | None = None) -> dict[int, int]:
         """Full normal form of a working dict; consumes its argument.
 
-        `quotient`, valid only for a one-element context, receives the
-        multiplier c*m of each step (keyed by m), so that work is the
-        quotient times the element plus the remainder."""
+        `steps` receives (element index, key(m) - key(1), c) for each step
+        that subtracts c*m times an element, so that work is the sum of
+        those multiples plus the remainder."""
         spec, field = self.spec, self.field
-        C, one = spec.C, spec.zero_key
+        C = spec.C
         key_degree, find_reducer = spec.key_degree, self.find_reducer
         mul, sub = field.mul, field.sub
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -357,8 +361,8 @@ class BasisContext:
             if g.maxdeg + mult_deg > C:
                 raise KeyOverflow(g.maxdeg + mult_deg)
             delta = k - g.lt_key
-            if quotient is not None:
-                quotient[delta + one] = c
+            if steps is not None:
+                steps.append((gi, delta, c))
             gkeys, gcoeffs = g.keys, g.coeffs
             for t in range(1, len(gkeys)):
                 nk = gkeys[t] + delta
@@ -498,16 +502,28 @@ class _Buchberger:
                 del work[k]     # v == 0 only where work held c != 0
         return work
 
-    def run(self, gens: list[dict[int, int]], gb_prefix: int) -> list[GPoly]:
+    def run(self, gens: list[dict[int, int]], gb_prefix: int,
+            cofactors: bool = False) -> list[GPoly]:
+        """The minimal basis of (gens), or with `cofactors` of (I : f) for
+        gens I's basis and then f: `cofs` holds (cofactor, degree) per
+        element, and a second run extends I's basis by what `colon` gathers."""
         for j, d in enumerate(gens):
             self._add(_freeze(d, self.spec, self.field), j >= gb_prefix)
+        if cofactors:       # f / lc(f) is frozen, and lc leads under grevlex
+            self.cofs = [({}, 0)] * gb_prefix + [({self.spec.zero_key: (
+                self.field.inv(gens[-1][max(gens[-1])]))}, 0)]
+            self.colon = BasisContext(self.ring, self.spec,
+                                      self.basis[:gb_prefix])
         while self.pairs:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise TimeLimitError(
                     "time limit exceeded in basis computation")
             _, lcm_k, i, j, _ = heapq.heappop(self.pairs)
             work = self._spoly(i, j, lcm_k)
-            rem = self.ctx.reduce_dict(work)
+            steps = [] if cofactors else None
+            rem = self.ctx.reduce_dict(work, steps)
+            if cofactors:
+                self._track(i, j, lcm_k, steps, rem)
             if not rem:
                 continue
             g = _freeze(rem, self.spec, self.field)
@@ -518,28 +534,48 @@ class _Buchberger:
                 raise LimitError(
                     f"basis size exceeds the limit {self.limits.max_basis}")
             self._add(g, True)
+        if cofactors:       # the second run, on I's basis and what colon kept
+            gens = [dict(zip(g.keys, g.coeffs)) for g in self.colon.elems]
+            return _Buchberger(self.ring, self.spec, self.limits,
+                               self.deadline).run(gens, gb_prefix)
         return sorted((g for i, g in enumerate(self.ctx.elems)
                        if self.ctx.divisor_indices(g.lt_key) == [i]),
                       key=lambda g: g.lt_key)
 
+    def _track(self, i: int, j: int, lcm_k: int, steps: list,
+               rem: dict[int, int]) -> None:
+        """The cofactor of S(i, j)'s remainder, x^d_i a_i - x^d_j a_j minus
+        c x^delta a_k per step, scaled as _freeze scales the remainder and
+        reduced against `colon`, which changes no a f modulo I.  For a zero
+        remainder it lies in (I : f), kept unless `colon` (no basis, but a
+        zero remainder proves membership) reduces it to zero."""
+        spec, field, mul = self.spec, self.field, self.field.mul
+        inv = field.inv(rem[max(rem)]) if rem else 1
+        out: dict[int, int] = {}
+        for b, delta, c in [(i, lcm_k - self.basis[i].lt_key, field.neg(inv)),
+                            (j, lcm_k - self.basis[j].lt_key, inv)] + [
+                (self.active[e], delta, mul(inv, c)) for e, delta, c in steps]:
+            terms, deg = self.cofs[b]
+            deg += spec.key_degree(delta + spec.zero_key)
+            if deg > spec.C:
+                raise KeyOverflow(deg)
+            for k, v in terms.items():     # reduce_dict skips zero codes
+                out[k + delta] = field.sub(out.get(k + delta, 0), mul(c, v))
+        out = self.colon.reduce_dict(out)
+        if rem:
+            self.cofs.append((out, spec.key_degree(max(out, default=0))))
+        elif out:
+            self.colon.append(_freeze(out, spec, field))
+
     def _reduce_final(self, kept: list[GPoly],
-                      divisor: Polynomial | None) -> list[Polynomial]:
+                      elimination: bool = False) -> list[Polynomial]:
         """The reduced basis from the minimal one: reduce each tail once
         against it, since a leading term divides no smaller monomial.
-        Given a divisor (see groebner), only the elements free of the first
-        block stay, and it divides them first: lt(g/f) = lt(g)/lt(f) keeps
-        them minimal and sorted."""
-        if divisor is not None:
-            div = BasisContext(self.ring, self.spec,
-                               [_freeze(_to_dict(divisor, self.spec),
-                                        self.spec, self.field)])
+        Under `elimination` only the elements free of the first block stay
+        (see groebner); they stay minimal and sorted."""
+        if elimination:
             kept = [g for g in kept
                     if not any(g.lt_exps[:self.spec.order.block])]
-            quots: list[dict[int, int]] = [{} for _ in kept]
-            if any(div.reduce_dict(dict(zip(g.keys, g.coeffs)), q)
-                   for g, q in zip(kept, quots)):
-                raise InternalError("inexact polynomial division")
-            kept = [_freeze(q, self.spec, self.field) for q in quots]
         ctx = BasisContext(self.ring, self.spec, kept)
         return [_to_poly({g.lt_key: 1, **ctx.reduce_dict(
             dict(zip(g.keys[1:], g.coeffs[1:])))}, self.spec, self.ring)
@@ -547,10 +583,11 @@ class _Buchberger:
 
 
 def _minimal_run(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
-                 limits: Limits, gb_prefix: int, finish):
+                 limits: Limits, gb_prefix: int, finish, cofactors=False):
     """finish(engine, minimal basis) of a run on (gens), [] for no nonzero
     generator; a KeyOverflow, in finish too, restarts on wider keys."""
     nz = [f for f in gens if not f.is_zero()]
+    gb_prefix -= sum(f.is_zero() for f in gens[:gb_prefix])
     for f in nz:
         if f.ring != ring:
             raise InputError("generators live in different rings")
@@ -563,7 +600,7 @@ def _minimal_run(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
         try:
             eng = _Buchberger(ring, spec, limits, deadline)
             return finish(eng, eng.run([_to_dict(f, spec) for f in nz],
-                                       gb_prefix))
+                                       gb_prefix, cofactors))
         except KeyOverflow as o:
             if o.needed_degree > 2 * limits.max_degree:
                 raise LimitError(
@@ -574,23 +611,30 @@ def _minimal_run(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
 
 def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
              limits: Limits = DEFAULT_LIMITS, gb_prefix: int = 0,
-             divisor: Polynomial | None = None) -> list[Polynomial]:
+             elimination: bool = False) -> list[Polynomial]:
     """Reduced Groebner basis of (gens) under `order`.
 
     `gb_prefix` marks an initial segment already known to be a Groebner
     basis under this order: pairs inside the segment are skipped (their
     S-polynomials have standard representations by assumption); callers
     reach it through groebner.GroebnerBasis.extend.  `limits.max_seconds`
-    bounds this one call, restarts on wider keys included.  A `divisor`
-    f, under block_order(k), makes the answer J / f for J the part of
-    (gens) free of the first k variables, which must lie in (f): the
-    final pass divides (see groebner.colon_by_basis).  With f = 1 the
-    answer is the elimination ideal J itself (groebner.eliminate).
+    bounds this one call, restarts on wider keys included.  Under
+    block_order(k), `elimination` keeps the part free of the first k
+    variables, the elimination ideal's reduced basis (groebner.eliminate).
     """
-    if divisor is not None and order.kind != "block":
-        raise InputError("a divisor needs a block order")
+    if elimination and order.kind != "block":
+        raise InputError("elimination needs a block order")
     return _minimal_run(gens, ring, order, limits, gb_prefix,
-                        lambda eng, kept: eng._reduce_final(kept, divisor))
+                        lambda eng, kept: eng._reduce_final(kept, elimination))
+
+
+def colon_basis(gb: list[Polynomial], f: Polynomial, ring: Ring,
+                limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
+    """Reduced grevlex basis of (I : f), gb a grevlex basis of I and f
+    nonzero: two runs (see _Buchberger.run) under one restart loop and one
+    deadline."""
+    return _minimal_run(gb + [f], ring, GREVLEX, limits, len(gb),
+                        lambda eng, kept: eng._reduce_final(kept), True)
 
 
 def initial_exponents(gens: list[Polynomial], ring: Ring,

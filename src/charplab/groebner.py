@@ -14,11 +14,11 @@ the reduced basis elements free of the first block, which by the
 Elimination Theorem form the reduced basis of the elimination ideal.
 
 Colon ideals get special care because perturbation experiments and
-splitting chains hammer them.  A colon step is one engine run: the tag
-construction marks the inner ideal's basis as a known-basis prefix so
-Buchberger skips every pair inside it (their S-polynomials already have
-standard representations after multiplication by the tag variable), and
-the final pass divides the tag-free basis elements by the multiplier.
+splitting chains hammer them.  A colon step stays in the ring's own
+variables (engine.colon_basis): one run on I's basis and f tracks each new
+element's cofactor, the pairs that reduce to zero give (I : f) beyond I,
+and a second run extends I's basis by them.  Both skip every pair inside
+I's basis, a known-basis prefix.
 
 One tangent cone gr_m(S/I) serves m_power_in and the multiplicity.  Its
 staircase is I's under a local degree order, read off one ordinary engine
@@ -35,7 +35,8 @@ gr_m(S/I) is generated in degree 1).
 from __future__ import annotations
 
 from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
-                     _to_dict, groebner, initial_exponents, make_context)
+                     _to_dict, colon_basis, groebner, initial_exponents,
+                     make_context)
 from .errors import InputError, InternalError
 from .field import _as_list, _at_least, _is_int, _of_type
 from .orders import GREVLEX, MonomialOrder, block_order
@@ -181,18 +182,14 @@ def _lift(f: Polynomial, target: Ring, front: bool = True) -> Polynomial:
                                for e, c in f.terms.items()})
 
 
-def _drop_front(f: Polynomial, target: Ring, k: int) -> Polynomial:
-    return Polynomial(target, {e[k:]: c for e, c in f.terms.items()})
-
-
 def eliminate(I: IdealHandle, k: int) -> IdealHandle:
     """I intersected with the subring on the last n-k variables: one
     engine run under block_order(k), whose final pass keeps the part of
     the reduced basis free of the first k variables."""
     target = _of_type(I, "ideal", IdealHandle).ring.drop_front(k)
-    kept = [_drop_front(g, target, k) for g in groebner(
-        list(I.generators), I.ring, block_order(k), I.limits,
-        divisor=I.ring.one)]
+    kept = [Polynomial(target, {e[k:]: c for e, c in g.terms.items()})
+            for g in groebner(list(I.generators), I.ring, block_order(k),
+                              I.limits, elimination=True)]
     # that part is itself reduced, monic, and sorted for grevlex on the
     # remaining variables, so the cache can be seeded directly
     out = IdealHandle(target, kept, I.limits)
@@ -228,42 +225,31 @@ def divide_exact(h: Polynomial, f: Polynomial | GroebnerBasis) -> Polynomial:
     field = ring.field
 
     def divide(ctx: BasisContext) -> Polynomial:
-        quot: dict[int, int] = {}
-        if ctx.reduce_dict(_to_dict(h, ctx.spec), quot):
+        steps: list = []
+        if ctx.reduce_dict(_to_dict(h, ctx.spec), steps):
             raise InternalError("inexact polynomial division")
         # the frozen element is f / lc(f), so scale its quotient back
         inv = field.inv(f.elements[0].terms[ctx.elems[0].lt_exps])
-        unpack = ctx.spec.unpack
-        return Polynomial(ring, {unpack(k): field.mul(inv, c)
-                                 for k, c in quot.items()})
+        unpack, one = ctx.spec.unpack, ctx.spec.zero_key
+        return Polynomial(ring, {unpack(delta + one): field.mul(inv, c)
+                                 for _, delta, c in steps})
 
     return f.with_context(divide, h.total_degree())
 
 
 def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
                    limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
-    """Reduced grevlex basis of (I : f) = (I meet (f)) / f, where
-    gb_elements is any grevlex Groebner basis of I (not necessarily
-    reduced).  One engine run eliminates a tag variable w from wI + (1-w)f,
-    skipping the pairs inside the lifted basis, and divides by f."""
+    """Reduced grevlex basis of (I : f), where gb_elements is any grevlex
+    Groebner basis of I (not necessarily reduced)."""
     if _of_type(f, "multiplier", Polynomial).is_zero():
         raise InputError("colon by the zero polynomial")
     if not gb_elements:
         return []
     # (I : f) = (I : f - r) for any r in I, so replace the multiplier by its
-    # normal form first; tails supported inside I disappear before the tag
-    # construction ever sees them
+    # normal form first
     f = GroebnerBasis(ring, GREVLEX, list(gb_elements)).normal_form(f)
-    if f.is_zero():
-        return [ring.one]
-    ext = ring.extend_front([_fresh_name("_w", ring.variables)])
-    w = ext.variable(0)
-    lifted = _lift(f, ext)
-    gens = [w * _lift(g, ext) for g in gb_elements]
-    gens.append(lifted - w * lifted)
-    return [_drop_front(g, ring, 1) for g in groebner(
-        gens, ext, block_order(1), limits, gb_prefix=len(gb_elements),
-        divisor=lifted)]
+    return [ring.one] if f.is_zero() else \
+        colon_basis(list(gb_elements), f, ring, limits)
 
 
 def colon(I: IdealHandle, J: IdealHandle) -> IdealHandle:

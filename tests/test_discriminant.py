@@ -271,6 +271,15 @@ def test_extension_validation():
         FiniteExtensionPresentation(base, "z", ring.zero)
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 1)],
+                         ids=["one-row", "short-first-row", "short-last-row"])
+def test_bareiss_rejects_a_matrix_that_is_not_square(shape):
+    R = Ring(Field(3), ("x", "y"))
+    x = R.variable(0)
+    with pytest.raises(InputError, match="square matrix"):
+        bareiss_determinant([[x] * k for k in shape], R)
+
+
 def test_congruence_validation():
     P = extension(5, "z^2 - u")
     with pytest.raises(InputError):

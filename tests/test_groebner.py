@@ -370,6 +370,19 @@ def test_every_private_name_in_the_package_is_read():
                 assert elsewhere > 0, (name, node.lineno, bound)
 
 
+def test_a_zero_basis_element_leaves_the_prefix_where_it_was():
+    # a zero element of the known basis is dropped, and the known prefix
+    # shrinks with it, so f still pairs with the basis of I
+    R = ring(5, "x", "y")
+    x, y = R.variable(0), R.variable(1)
+    expected = [x * y, y**3]
+    assert colon_by_basis([x**2 * y, y**3], R, x) == expected
+    assert colon_by_basis([x**2 * y, R.zero, y**3], R, x) == expected
+    G = GroebnerBasis(R, GREVLEX, [x**2 * y, R.zero])
+    assert G.extend([y**3 + x * y]).elements == \
+        GroebnerBasis(R, GREVLEX, [x**2 * y]).extend([y**3 + x * y]).elements
+
+
 def test_colon_by_basis_rejects_zero_multiplier():
     R = ring(5, "x", "y")
     gb = ideal(R, "x^2").basis()
@@ -482,53 +495,79 @@ def colon_step_case():
     return R, elems, parse_poly("2*x*y + t", R)
 
 
-def test_a_colon_step_is_one_engine_run(monkeypatch):
+def test_a_colon_step_builds_no_larger_ring(monkeypatch):
     R, elems, f = colon_step_case()
-    calls = {"groebner": 0, "divide_exact": 0}
+    built = []
+    extend_front = Ring.extend_front
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-    for name in calls:
-        monkeypatch.setattr(f"charplab.groebner.{name}",
-                            counted(name, getattr(charplab_groebner, name)))
+    def spy(self, names):
+        built.append(names)
+        return extend_front(self, names)
+    monkeypatch.setattr(Ring, "extend_front", spy)
     got = colon_by_basis(elems, R, f)
-    assert calls == {"groebner": 1, "divide_exact": 0}
+    assert built == []
+    monkeypatch.undo()
     assert got == colon_through_the_intersection(elems, R, f)
 
 
 def test_a_colon_step_restarts_on_wider_keys(monkeypatch):
-    R, elems, f = colon_step_case()
+    R = ring(5, "x", "y", "t")
+    elems = list(ideal(R, "y^2*t + 2*x*t", "x*y*t + 3*t^3", "t^6")
+                 .basis().elements)
+    f = parse_poly("3*x*y*t + 3*y", R)
     expected = colon_by_basis(elems, R, f)
-    assert len(expected) == 6
-    # the basis and f pack into 3-bit keys (degree 7); the S-polynomials
-    # of the tag run overflow them, and the run restarts once, on 5 bits
+    assert len(expected) == 7
+    # the basis and f pack into 3-bit keys (degree 7); a cofactor of the
+    # cofactor run overflows them, and the whole colon step restarts once,
+    # on 5 bits, for both of its runs
     monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
-    steps = []
-    wider = engine._wider
+    steps, overflows = [], []
+    wider, track = engine._wider, engine._Buchberger._track
 
     def spy(needed):
         steps.append(wider(needed))
         return steps[-1]
+
+    def tracked(self, *args):
+        try:
+            return track(self, *args)
+        except KeyOverflow as o:
+            overflows.append(o.needed_degree)
+            raise
     monkeypatch.setattr("charplab.engine._wider", spy)
+    monkeypatch.setattr(engine._Buchberger, "_track", tracked)
     assert colon_by_basis(elems, R, f) == expected
     assert steps == [5]
+    assert overflows == [8]
 
 
-def test_groebner_divides_only_under_a_block_order():
+def test_groebner_eliminates_only_under_a_block_order():
+    R, elems, _ = colon_step_case()
+    with pytest.raises(InputError, match="elimination needs a block order"):
+        groebner(elems, R, GREVLEX, elimination=True)
+    # under block_order(1) only the elements free of x stay
+    x_free = groebner(elems, R, block_order(1), elimination=True)
+    assert x_free and all(all(e[0] == 0 for e in g.terms) for g in x_free)
+    assert x_free == [g for g in groebner(elems, R, block_order(1))
+                      if all(e[0] == 0 for e in g.terms)]
+
+
+def test_seconds_limit_bounds_a_colon_step(monkeypatch):
     R, elems, f = colon_step_case()
-    with pytest.raises(InputError, match="divisor"):
-        groebner(elems, R, GREVLEX, divisor=f)
+    spoly = engine._Buchberger._spoly
+    pairs = []
 
-
-def test_seconds_limit_bounds_a_colon_step():
-    R, elems, f = colon_step_case()
+    def counted(self, *args):
+        pairs.append(args)
+        return spoly(self, *args)
+    monkeypatch.setattr(engine._Buchberger, "_spoly", counted)
+    # the deadline binds the cofactor run from its first pair on
     with pytest.raises(TimeLimitError, match="time limit"):
         colon_by_basis(elems, R, f, Limits(max_seconds=0))
+    assert pairs == []
     assert colon_by_basis(elems, R, f, Limits(max_seconds=60)) == \
         colon_by_basis(elems, R, f)
+    assert pairs
 
 
 @st.composite
@@ -1335,8 +1374,9 @@ def test_subalgebra_presentation_name_control():
 
 
 def test_added_variables_skip_names_already_in_the_ring():
-    """The tag variable of intersect and colon_by_basis, and the default
-    subalgebra names, step around ring variables called _w and a1."""
+    """The tag variable of intersect and the default subalgebra names step
+    around ring variables called _w and a1, and a colon in such a ring
+    equals the one in a ring with plain names."""
     plain, clash = ring(5, "u", "v", "y"), ring(5, "_w", "a1", "y")
 
     def moved(polys):

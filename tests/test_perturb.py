@@ -499,11 +499,11 @@ def test_per_sample_failures_are_recorded_and_the_run_continues():
 ERROR_PATH_CASES = [
     ("hk-continuity", 7, ("x*y",), 2, 5, (1, 2), (1, 2, 3),
      {1: Fraction(3, 2), 2: Fraction(7, 4)}, {"hk-continuity": "fail"}),
-    ("fsig-continuity", 7, ("x*y",), 2, 4, (1, 2), (0, 2),
+    ("fsig-continuity", 7, ("x*y",), 2, 4, (1, 2), (2,),
      {1: Fraction(1, 2), 2: Fraction(1, 4)}, {"fsig-continuity": "fail"}),
-    ("splitting-constancy", 7, ("x*y",), 2, 4, (1, 2), (0, 2),
+    ("splitting-constancy", 7, ("x*y",), 2, 4, (1, 2), (2,),
      {1: 2, 2: 4}, {"splitting-constancy": "indeterminate"}),
-    ("splitting-monotonicity", 7, ("x*y",), 2, 4, (1, 2), (0, 2),
+    ("splitting-monotonicity", 7, ("x*y",), 2, 4, (1, 2), (2,),
      {1: 2, 2: 4}, {"splitting-monotonicity": "fail"}),
     ("sop-stability", 4, ("x*y", "t^2"), 2, 4, (1,), (3,),
      {0: True}, {"parameter-stability": "fail"}),
