@@ -71,6 +71,15 @@ def _overrides(args: argparse.Namespace) -> dict:
             for section, flags in given.items()}
 
 
+def _write(path: str, text: str) -> None:
+    """Write a report; a path given that cannot be written is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}") from err
+
+
 def _run_task(args: argparse.Namespace) -> int:
     raw = load_job_file(args.job)
     if raw.get("task") != args.command:
@@ -81,8 +90,7 @@ def _run_task(args: argparse.Namespace) -> int:
     doc = run_job(job)
     text = doc.to_csv() if args.format == "csv" else doc.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -96,7 +104,10 @@ def _run_suite(args: argparse.Namespace) -> int:
     if not names:
         raise InputError(f"no job files in {directory!r}")
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as err:
+            raise InputError(f"cannot write {args.out_dir}: {err}") from err
     failed = 0
     for name in names:
         path = os.path.join(directory, name)
@@ -107,12 +118,8 @@ def _run_suite(args: argparse.Namespace) -> int:
             problems = check_expectations(rendered, job.expect)
             if args.out_dir:
                 stem = os.path.join(args.out_dir, name[:-len(".json")])
-                with open(stem + ".csv", "w", encoding="utf-8",
-                          newline="") as fh:
-                    fh.write(doc.to_csv())
-                with open(stem + ".report.json", "w", encoding="utf-8",
-                          newline="") as fh:
-                    fh.write(rendered)
+                _write(stem + ".csv", doc.to_csv())
+                _write(stem + ".report.json", rendered)
         except CharplabError as err:
             problems = [f"{err.kind}: {err}"]
         if problems:

@@ -29,10 +29,9 @@ class FiniteExtensionPresentation:
     __slots__ = ("base", "zname", "ring", "relation", "n", "zcoeffs")
 
     def __init__(self, base: Ring, zname: str, relation: Polynomial):
-        if zname in _of_type(base, "base ring", Ring).variables:
-            raise InputError("extension variable collides with a base "
-                             "variable")
-        ring = Ring(base.field, base.variables + (zname,))
+        # Ring rejects a z that names a base variable
+        ring = Ring(_of_type(base, "base ring", Ring).field,
+                    base.variables + (zname,))
         if _of_type(relation, "relation", Polynomial).ring != ring:
             raise InputError("relation must live in the base ring extended "
                              "by the z variable (z last)")

@@ -588,9 +588,6 @@ def _minimal_run(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
     generator; a KeyOverflow, in finish too, restarts on wider keys."""
     nz = [f for f in gens if not f.is_zero()]
     gb_prefix -= sum(f.is_zero() for f in gens[:gb_prefix])
-    for f in nz:
-        if f.ring != ring:
-            raise InputError("generators live in different rings")
     if not nz:
         return []
     deadline = limits.deadline()

@@ -43,17 +43,27 @@ from .orders import GREVLEX, MonomialOrder, block_order
 from .poly import Polynomial, Ring
 
 
+def _polys_of(ring: Ring, polys, what: str) -> tuple:
+    """polys as a tuple, each checked to be a polynomial of the Ring."""
+    _of_type(ring, "ring", Ring)
+    polys = _as_list(polys, f"{what}s")
+    for f in polys:
+        if _of_type(f, what, Polynomial).ring != ring:
+            raise InputError(f"{what}s live in different rings")
+    return polys
+
+
 class GroebnerBasis:
     """A reduced basis frozen together with a reduction context; `extend`
-    is the only way to grow it."""
+    is the only way to grow it.  No reduction checks what it was given."""
 
     __slots__ = ("ring", "order", "elements", "_ctx", "_staircase")
 
     def __init__(self, ring: Ring, order: MonomialOrder,
                  elements: list[Polynomial]):
+        self.elements = _polys_of(ring, elements, "basis element")
         self.ring = ring
-        self.order = order
-        self.elements = tuple(elements)
+        self.order = _of_type(order, "order", MonomialOrder)
         self._ctx: BasisContext | None = None
         self._staircase: Staircase | None = None
 
@@ -78,18 +88,17 @@ class GroebnerBasis:
     def extend(self, extra, limits: Limits = DEFAULT_LIMITS) -> GroebnerBasis:
         """Reduced basis of these elements plus `extra`: one engine run
         that skips every pair inside the known prefix."""
-        elems = list(self.elements)
+        gens = [*self.elements, *_polys_of(self.ring, extra, "basis element")]
         return GroebnerBasis(self.ring, self.order, groebner(
-            elems + list(extra), self.ring, self.order, limits,
-            gb_prefix=len(elems)))
+            gens, self.ring, self.order, limits, gb_prefix=len(self.elements)))
 
     def extend_staircase(self, extra,
                          limits: Limits = DEFAULT_LIMITS) -> Staircase:
         """Staircase of `extend(extra)`, read off the minimal basis."""
-        elems = list(self.elements)
+        gens = [*self.elements, *_polys_of(self.ring, extra, "basis element")]
         return Staircase(initial_exponents(
-            elems + list(extra), self.ring, self.order, limits,
-            gb_prefix=len(elems)), self.ring.n)
+            gens, self.ring, self.order, limits, gb_prefix=len(self.elements)),
+            self.ring.n)
 
     def leading_exponents(self) -> list[tuple[int, ...]]:
         return [max(g.terms, key=self.order.key) for g in self.elements]
@@ -107,14 +116,10 @@ class IdealHandle:
     __slots__ = ("ring", "generators", "limits", "_cache")
 
     def __init__(self, ring: Ring, generators, limits: Limits = DEFAULT_LIMITS):
-        gens = []
-        for f in _as_list(generators, "ideal generators"):
-            if _of_type(f, "ideal generator", Polynomial).ring != ring:
-                raise InputError("generator lives in a different ring")
-            if not f.is_zero():
-                gens.append(f)
+        self.generators = tuple(
+            f for f in _polys_of(ring, generators, "ideal generator")
+            if not f.is_zero())
         self.ring = ring
-        self.generators = tuple(gens)
         self.limits = limits
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
 
@@ -222,6 +227,8 @@ def divide_exact(h: Polynomial, f: Polynomial | GroebnerBasis) -> Polynomial:
         if f.is_zero():
             raise InputError("division by the zero polynomial")
         f = GroebnerBasis(ring, GREVLEX, [f])
+    elif f.ring != ring:
+        raise InputError("divisor lives in a different ring")
     field = ring.field
 
     def divide(ctx: BasisContext) -> Polynomial:
@@ -308,7 +315,8 @@ class Staircase:
 
     def __init__(self, corners, n: int):
         corners = _as_list(corners, "corners")
-        if n < 1 or not all(type(c) is tuple and len(c) == n and all(
+        _at_least(n, 1, "variable count")
+        if not all(type(c) is tuple and len(c) == n and all(
                 type(e) is int and e >= 0 for e in c) for c in corners):
             raise InputError(f"corners must be {n}-tuples of nonnegative ints")
         self.n, self._given = n, frozenset(corners)

@@ -181,7 +181,7 @@ def _richardson(pairs: list, p: int) -> Estimate:
     consecutive normalized values; returns the last estimate, the spread
     against the previous one, and a flag when only one estimate exists."""
     if len(pairs) < 2:
-        raise InputError("estimate needs at least two rows")
+        raise InputError("estimate needs at least two rows (e_max >= 2)")
     for (e0, _), (e1, _) in zip(pairs, pairs[1:]):
         if e1 != e0 + 1:
             raise InputError("estimate needs consecutive levels")

@@ -23,12 +23,13 @@ Tasks and the parameters each accepts (`?` marks an optional one):
                                                      extension_variable?,
                                                      n_target?}
 
-A parameter that the job's other settings leave unread is an error too:
-`n_target` of `disc` needs `epsilon`; `relation`, `n_target` and
-`extension_variable` of `perturb` need mode dis-congruence, which reads
-no `targets` (a nonempty list is an error); `tolerance` of `perturb`
-needs mode hk-continuity or fsig-continuity; and `generator_names` of
-`mult` needs a subalgebra block.
+Each parameter goes, as the job gives it, to the library call that takes
+it, whose message a rejected value reads (after `params.<key>: ` for a
+text or a name).  `bad job: ` marks the document's structure: unknown or
+missing keys, a JSON value of the wrong shape, and a parameter no call
+reads (`n_target` of `disc` without `epsilon`, `extension_variable` of
+`perturb` without `relation`, `generator_names` of `mult` without a
+subalgebra block); `PerturbationPlan` rejects the fields its mode skips.
 
 `subalgebra` (top level) lists generators of a subring of the ambient
 polynomial ring; `mult` and `present` accept it.  When present, the
@@ -86,33 +87,14 @@ def _check_keys(obj: dict, allowed: set, where: str):
         _fail(f"unknown {where} key(s): {', '.join(extra)}")
 
 
-# -- value checks: each takes (value, what) and returns the value or fails ----
-
-
-def _as_int(value, what: str, minimum: int | None = None) -> int:
-    if not _is_int(value):
-        _fail(f"{what} must be an integer")
-    if minimum is not None and value < minimum:
-        _fail(f"{what} must be >= {minimum}")
-    return value
-
-
-def _as_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        _fail(f"{what} must be a string")
-    return value
+# -- the rules the library lacks: each takes (value, what), returns the value
 
 
 def _str_list(value, what: str) -> list:
+    # field._as_list would take a JSON object for the list of its keys
     if not isinstance(value, list) or not all(isinstance(s, str)
                                               for s in value):
         _fail(f"{what} must be a list of strings")
-    return list(value)
-
-
-def _int_list(value, what: str) -> list:
-    if not isinstance(value, list) or not all(map(_is_int, value)):
-        _fail(f"{what} must be a list of integers")
     return list(value)
 
 
@@ -220,15 +202,26 @@ def parse_job(raw: dict, overrides: dict | None = None) -> Job:
     return Job(ring, defining, task, params, limits, sub, expect)
 
 
-def _param(job: Job, key: str, check, default=_REQUIRED):
-    """params.<key> passed through `check`, or `default` when it is absent.
-    When the default is None, a JSON null also counts as absent."""
-    value = job.params.get(key)
-    if key in job.params and (value is not None or default is not None):
-        return check(value, f"params.{key}")
-    if default is _REQUIRED:
+def _param(job: Job, key: str, check=None, default=_REQUIRED):
+    """params.<key>, or `default` when it is absent, through `check`; a
+    default of None, which a JSON null also stands for, skips the check."""
+    value = job.params.get(key, default)
+    if value is _REQUIRED:
         _fail(f"task '{job.task}' requires params.{key}")
-    return default
+    if check is None or (value is None and default is None):
+        return value
+    return check(value, f"params.{key}")
+
+
+def _named(call, **kwargs):
+    """A check that hands the value to a library `call`, whose error
+    then names the parameter."""
+    def check(value, what: str):
+        try:
+            return call(value, **kwargs)
+        except InputError as err:
+            raise InputError(f"{what}: {err}") from None
+    return check
 
 
 def _unread(job: Job, keys: tuple, needs: str) -> None:
@@ -261,9 +254,8 @@ def run_job(job: Job) -> ReportDocument:
     return ReportDocument(job.task, payload, _inputs_echo(job))
 
 
-def _defining_handle(job: Job, ring=None) -> IdealHandle:
-    ring = ring or job.ring
-    return IdealHandle(ring, _parse_all(job.defining_texts, ring),
+def _defining_handle(job: Job) -> IdealHandle:
+    return IdealHandle(job.ring, _parse_all(job.defining_texts, job.ring),
                        limits=job.limits)
 
 
@@ -284,17 +276,15 @@ def _run_dim(job: Job):
 
 
 def _run_series(series_of, estimate_of, job: Job):
-    """hk and fsig: a series to e_max >= 2 and its limit estimate."""
-    e_max = _param(job, "e_max", partial(_as_int, minimum=2))
+    """hk and fsig: a series to e_max and its limit estimate."""
     R = QuotientPresentation(job.ring, _defining_handle(job))
-    series = series_of(R, e_max)
+    series = series_of(R, _param(job, "e_max"))
     return {"series": series, "estimate": estimate_of(series)}
 
 
 def _run_fpt(job: Job):
-    e_max = _param(job, "e_max", partial(_as_int, minimum=1))
-    target = parse_poly(_param(job, "target", _as_str), job.ring)
-    series = nu_series(target, e_max)
+    target = _param(job, "target", _named(parse_poly, ring=job.ring))
+    series = nu_series(target, _param(job, "e_max"))
     lower, upper = fpt_estimate(series)
     return {"series": series, "lower": lower, "upper": upper}
 
@@ -327,50 +317,44 @@ def _run_present(job: Job):
             "relations": [g.text() for g in relations.basis(GREVLEX).elements]}
 
 
-def _extension_from(job: Job, relation_text: str) -> \
-        FiniteExtensionPresentation:
-    zname = _param(job, "extension_variable", _as_str, "z")
-    ext_ring = Ring(job.ring.field, job.ring.variables + (zname,))
-    relation = parse_poly(relation_text, ext_ring)
-    return FiniteExtensionPresentation(job.ring, zname, relation)
+def _extension_of(job: Job, relation_in) -> FiniteExtensionPresentation:
+    """The extension of the job's ring by params.extension_variable (z by
+    default) whose relation is relation_in(the extended ring)."""
+    ring = _param(job, "extension_variable", _named(
+        lambda z: Ring(job.ring.field, job.ring.variables + (z,))), "z")
+    return FiniteExtensionPresentation(job.ring, ring.variables[-1],
+                                      relation_in(ring))
 
 
 def _run_disc(job: Job):
     if len(job.defining_texts) != 1:
         _fail("task 'disc' needs exactly one defining relation")
-    P = _extension_from(job, job.defining_texts[0])
-    eps_text = _param(job, "epsilon", _as_str, None)
-    if eps_text is None:
+    P = _extension_of(job, partial(parse_poly, job.defining_texts[0]))
+    eps = _param(job, "epsilon", _named(parse_poly, ring=P.ring), None)
+    if eps is None:
         _unread(job, ("n_target",), "params.epsilon")
         return {"value": discriminant(P)}
-    eps = parse_poly(eps_text, P.ring)
-    n_target = _param(job, "n_target", partial(_as_int, minimum=1))
-    return disc_congruence_check(P, eps, n_target)
+    return disc_congruence_check(P, eps, _param(job, "n_target"))
 
 
 def _run_perturb(job: Job):
-    # PerturbationPlan checks the mode
-    mode = _param(job, "mode", lambda value, what: value)
-    N = _param(job, "N", partial(_as_int, minimum=1))
-    degree_cap = _param(job, "degree_cap", partial(_as_int, minimum=N), N)
-    samples = _param(job, "samples", partial(_as_int, minimum=1), 4)
-    seed = _param(job, "seed", partial(_as_int, minimum=0), 0)
-    e_range = _param(job, "e_range", _int_list, [1, 2])
-    tolerance = _param(job, "tolerance", _fraction_param, None)
+    # PerturbationPlan checks the values and the fields its mode reads
+    N = _param(job, "N")
     presentation = QuotientPresentation(job.ring, _defining_handle(job))
     targets = tuple(_parse_all(_param(job, "targets", _str_list, []),
                                job.ring))
     extension = None
-    n_target = None
-    if mode == "dis-congruence":
-        extension = _extension_from(job, _param(job, "relation", _as_str))
-        n_target = _param(job, "n_target", partial(_as_int, minimum=1))
+    if "relation" in job.params:
+        extension = _extension_of(job, lambda ring: _param(
+            job, "relation", _named(parse_poly, ring=ring)))
     else:
-        _unread(job, ("relation", "n_target", "extension_variable"),
-                "mode dis-congruence")
-    plan = PerturbationPlan(presentation, targets, N, degree_cap, samples,
-                            seed, tuple(e_range), mode, tolerance=tolerance,
-                            extension=extension, n_target=n_target)
+        _unread(job, ("extension_variable",), "params.relation")
+    plan = PerturbationPlan(
+        presentation, targets, N, _param(job, "degree_cap", default=N),
+        _param(job, "samples", default=4), _param(job, "seed", default=0),
+        _param(job, "e_range", default=[1, 2]), _param(job, "mode"),
+        tolerance=_param(job, "tolerance", _fraction_param, None),
+        extension=extension, n_target=_param(job, "n_target", default=None))
     return run_experiment(plan)
 
 
@@ -403,10 +387,13 @@ def check_expectations(doc_json: str, expect: dict) -> list:
         node = doc
         ok = True
         for part in path.split("."):
-            if isinstance(node, list):
+            # a list index is an ASCII digit run: int() alone would also
+            # read '-1', ' 1', '+1' and '1_0'
+            if isinstance(node, list) and part.isascii() and part.isdigit():
                 try:
                     node = node[int(part)]
                 except (ValueError, IndexError):
+                    # ValueError: past int()'s digit limit
                     ok = False
                     break
             elif isinstance(node, dict) and part in node:

@@ -88,7 +88,7 @@ class PerturbationPlan:
         if self.mode not in MODES:
             raise InputError(f"unknown experiment mode '{self.mode}'")
         _at_least(self.N, 1, "neighborhood exponent N")
-        _at_least(self.degree_cap, self.N, "degree cap")
+        _at_least(self.degree_cap, self.N, "degree_cap")
         _at_least(self.samples, 1, "samples")
         if not _is_int(self.seed) or not 0 <= self.seed <= MASK64:
             raise InputError("seed must be a 64-bit unsigned integer")

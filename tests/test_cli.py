@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import charplab.cli as cli
 from charplab import TimeLimitError, perturb
+from charplab.jobs import check_expectations
 
 SUITE = os.path.join(os.path.dirname(__file__), os.pardir, "paper-suite")
 # sha256 of every `run-suite paper-suite --out-dir` artifact, in
@@ -144,11 +145,11 @@ def test_seed_override_changes_sampled_epsilons(capsys):
 
 @pytest.mark.parametrize("flags,message", [
     (("--limit-basis", "0"),
-     "limits: max_basis must be an integer >= 1, got 0"),
+     "bad job: limits: max_basis must be an integer >= 1, got 0"),
     (("--limit-degree", "0"),
-     "limits: max_degree must be an integer >= 1, got 0"),
-    (("--emax", "1"), "params.e_max must be >= 2"),
-    (("--seed", "-1"), "unknown params key(s): seed"),
+     "bad job: limits: max_degree must be an integer >= 1, got 0"),
+    (("--emax", "1"), "e_max must be an integer >= 2, got 1"),
+    (("--seed", "-1"), "bad job: unknown params key(s): seed"),
 ], ids=[
     # Ids name the rule each flag breaks, so they stay fixed when the
     # wording of the message changes.
@@ -161,7 +162,7 @@ def test_override_flags_are_checked_like_job_values(capsys, flags, message):
     code, out, err = run(capsys, "hk", "--job",
                          job_path("14-hk-quadric-f3.json"), *flags)
     assert code == 1 and out == ""
-    assert err == f"error: input: bad job: {message}\n"
+    assert err == f"error: input: {message}\n"
 
 
 # -- failure surfaces ---------------------------------------------------------------
@@ -265,15 +266,16 @@ def test_mutated_jobs_exit_cleanly(tmp_path_factory, data):
 
 @pytest.mark.parametrize("job,params,message", [
     ("23-disc-quadratic.json", {"n_target": 0.5},
-     "params.n_target needs params.epsilon"),
+     "bad job: params.n_target needs params.epsilon"),
+    # PerturbationPlan's own mode rule rejects relation and n_target
     ("30-perturb-constancy-node.json", {"relation": "z^2 - x"},
-     "params.relation needs mode dis-congruence"),
+     "extension and n_target need mode dis-congruence"),
     ("30-perturb-constancy-node.json", {"n_target": 3},
-     "params.n_target needs mode dis-congruence"),
+     "extension and n_target need mode dis-congruence"),
     ("30-perturb-constancy-node.json", {"extension_variable": "z"},
-     "params.extension_variable needs mode dis-congruence"),
+     "bad job: params.extension_variable needs params.relation"),
     ("20-mult-line-squared.json", {"generator_names": ["a"]},
-     "params.generator_names needs a subalgebra block"),
+     "bad job: params.generator_names needs a subalgebra block"),
 ], ids=["disc-n_target", "perturb-relation", "perturb-n_target",
         "perturb-extension_variable", "mult-generator_names"])
 def test_a_parameter_the_job_does_not_read_is_an_input_error(
@@ -283,7 +285,7 @@ def test_a_parameter_the_job_does_not_read_is_an_input_error(
     code, out, err = run(capsys, doc["task"], "--job",
                          write_job(tmp_path, job, doc))
     assert code == 1 and out == ""
-    assert err == f"error: input: bad job: {message}\n"
+    assert err == f"error: input: {message}\n"
 
 
 @pytest.mark.parametrize("job,params,message", [
@@ -302,6 +304,44 @@ def test_a_plan_field_the_mode_does_not_read_is_an_input_error(
                          write_job(tmp_path, job, doc))
     assert code == 1 and out == ""
     assert err == f"error: input: {message}\n"
+
+
+# every parameter a task accepts, given one bad value in a shipped job
+BAD_PARAMS = [
+    ("01-gb-twisted-cubic-lex.json", "order", "deglex"),
+    ("14-hk-quadric-f3.json", "e_max", 1),
+    ("39-fsig-cone-f5.json", "e_max", "2"),
+    ("17-fpt-cusp-f7.json", "e_max", 0),
+    ("17-fpt-cusp-f7.json", "target", 5),
+    ("22-mult-toric-surface.json", "generator_names", "a"),
+    ("10-present-power-pair.json", "generator_names", ["a", 5]),
+    ("23-disc-quadratic.json", "extension_variable", 5),
+    ("26-disc-congruence-quintic.json", "epsilon", 5),
+    ("26-disc-congruence-quintic.json", "n_target", 0),
+    ("30-perturb-constancy-node.json", "mode", "constancy"),
+    ("30-perturb-constancy-node.json", "targets", "x"),
+    ("30-perturb-constancy-node.json", "N", 0),
+    ("30-perturb-constancy-node.json", "degree_cap", 6),
+    ("30-perturb-constancy-node.json", "samples", 0),
+    ("30-perturb-constancy-node.json", "seed", -1),
+    ("30-perturb-constancy-node.json", "e_range", "1,2"),
+    ("32-perturb-hk-invisible.json", "tolerance", "1/2"),
+    ("35-perturb-dis-congruence.json", "relation", 5),
+    ("35-perturb-dis-congruence.json", "extension_variable", 5),
+    ("35-perturb-dis-congruence.json", "n_target", 0),
+]
+
+
+@pytest.mark.parametrize("job,key,value", BAD_PARAMS,
+                         ids=[f"{job[:2]}-{key}" for job, key, _ in BAD_PARAMS])
+def test_every_parameter_is_checked(capsys, tmp_path, job, key, value):
+    doc = _shipped(job)
+    doc["params"] = {**doc.get("params", {}), key: value}
+    code, out, err = run(capsys, doc["task"], "--job",
+                         write_job(tmp_path, job, doc))
+    assert code == 1 and out == ""
+    assert ERROR_LINE.fullmatch(err) and err.startswith("error: input: "), err
+    assert re.search(rf"\b{key}\b", err), err
 
 
 @pytest.mark.parametrize("tolerance,echo", [
@@ -497,6 +537,41 @@ def test_run_suite_reports_expectation_mismatches(capsys, tmp_path):
     assert "expected 14, got 13" in out
     assert "result.missing: path not found" in out
     assert out.splitlines()[-1] == "0/1 jobs passed"
+
+
+# each path with the element that int() would read it as
+@pytest.mark.parametrize("path,element", [
+    ("a.-1", 10), ("a. 1", 1), ("a.+1", 1), ("a.1_0", 10), ("a.11", None),
+    ("a.x", None), ("a." + "9" * 5000, None),
+], ids=["minus", "space", "plus", "underscore", "past-the-end", "name",
+        "past-the-digit-limit"])
+def test_a_list_index_in_an_expectation_is_a_digit_run(path, element):
+    doc = json.dumps({"a": list(range(11))})
+    assert check_expectations(doc, {path: element}) == \
+        [f"{path}: path not found"]
+    assert check_expectations(doc, {"a.10": 10, "a.01": 1}) == []
+
+
+def test_an_output_directory_that_cannot_be_made_is_an_input_error(
+        capsys, tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "run-suite", SUITE, "--out-dir",
+                         str(blocker))
+    assert code == 1 and out == ""
+    assert ERROR_LINE.fullmatch(err), err
+    assert err.startswith(f"error: input: cannot write {blocker}: "), err
+
+
+def test_an_output_file_that_cannot_be_written_is_an_input_error(
+        capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "hk", "--job",
+                         job_path("14-hk-quadric-f3.json"), "--out",
+                         str(target))
+    assert code == 1 and out == ""
+    assert ERROR_LINE.fullmatch(err), err
+    assert err.startswith(f"error: input: cannot write {target}: "), err
 
 
 def test_run_suite_records_job_errors_and_continues(capsys, tmp_path):

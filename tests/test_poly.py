@@ -25,7 +25,8 @@ from charplab import (
     subalgebra_presentation, trace_matrix,
 )
 from charplab.discriminant import congruence_order
-from charplab.groebner import Staircase, colon_by_basis, divide_exact
+from charplab.groebner import (GroebnerBasis, Staircase, colon_by_basis,
+                               divide_exact)
 from oracles import block_greater, grevlex_greater, lex_greater
 
 
@@ -586,6 +587,23 @@ NOT_TYPED = [
         QuotientPresentation(R, []), (), 2, 2, 1, 0, (1,), "dis-congruence",
         extension=5, n_target=1),
      "extension must be of type FiniteExtensionPresentation"),
+    ("basis-ring", lambda R, x: GroebnerBasis(5, GREVLEX, [x]),
+     "ring must be of type Ring"),
+    ("basis-order", lambda R, x: GroebnerBasis(R, 5, [x]),
+     "order must be of type MonomialOrder"),
+    ("basis-element", lambda R, x: GroebnerBasis(R, GREVLEX, [x, 5]),
+     "basis element must be of type Polynomial"),
+    ("basis-extend", lambda R, x: GroebnerBasis(R, GREVLEX, []).extend([5]),
+     "basis element must be of type Polynomial"),
+    ("basis-extend-staircase",
+     lambda R, x: GroebnerBasis(R, GREVLEX, []).extend_staircase([5]),
+     "basis element must be of type Polynomial"),
+    ("ideal-basis-order", lambda R, x: IdealHandle(R, [x]).basis(5),
+     "order must be of type MonomialOrder"),
+    ("colon-by-basis-element", lambda R, x: colon_by_basis([x, 5], R, x),
+     "basis element must be of type Polynomial"),
+    ("divide-exact-divisor", lambda R, x: divide_exact(x, 5),
+     "divisor must be of type Polynomial or GroebnerBasis"),
 ]
 
 
@@ -595,6 +613,30 @@ def test_objects_from_callers_have_their_type(call, message):
     R = Ring(Field(3), ("x", "y", "t"))
     with pytest.raises(InputError, match=f"^{message}, got 5$"):
         call(R, R.variable(0))
+
+
+def test_a_basis_rejects_an_element_of_another_ring():
+    # unchecked, a three-variable element is packed as a two-variable one,
+    # and these return 0 and [1] or raise KeyError
+    R, S = ring(3, 1, "x", "y"), ring(3, 1, "x", "y", "t")
+    x, xy = parse_poly("x", R), parse_poly("x*y", R)
+    stranger = parse_poly("x*t", S)
+    calls = [
+        lambda: GroebnerBasis(R, GREVLEX, [stranger]).normal_form(xy),
+        lambda: colon_by_basis([stranger], R, x),
+        lambda: divide_exact(xy, stranger),
+        lambda: divide_exact(xy, GroebnerBasis(S, GREVLEX, [stranger])),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="different ring"):
+            call()
+
+
+@pytest.mark.parametrize("n", ["a", 0, 1.0, True],
+                         ids=["string", "zero", "float", "bool"])
+def test_a_staircase_takes_a_variable_count_of_one_or_more(n):
+    with pytest.raises(InputError, match="variable count must be an integer"):
+        Staircase([], n)
 
 
 @pytest.mark.parametrize("point", [[5, 0], [-1, 0], [1.5, 0], [True, 0]],
