@@ -6,8 +6,13 @@ GroebnerBasis.extend, one engine run that takes it as a known prefix.
 All the classical constructions live here as module-level functions:
 membership, equality, intersection (tag variable), colon, elimination,
 bracket powers of Frobenius, combinatorial Krull dimension, staircase
-colength counting, minimal m-power inclusion, subalgebra presentations,
-and the squarefreeness test for hypersurfaces.
+counts, minimal m-power inclusion, subalgebra presentations, and the
+squarefreeness test for hypersurfaces.
+
+A staircase is counted by slicing along the last variable (Bruns-Herzog,
+Sec. 4.6) in one sweep over its corners sorted by last exponent, which
+carries the plain list of the corners below the cut: never a minimal set,
+since a divisible corner removes no standard monomial.
 
 Elimination is one engine run under a block order: its final pass keeps
 the reduced basis elements free of the first block, which by the
@@ -33,6 +38,8 @@ gr_m(S/I) is generated in degree 1).
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
                      _to_dict, colon_basis, groebner, initial_exponents,
@@ -90,15 +97,16 @@ class GroebnerBasis:
         that skips every pair inside the known prefix."""
         gens = [*self.elements, *_polys_of(self.ring, extra, "basis element")]
         return GroebnerBasis(self.ring, self.order, groebner(
-            gens, self.ring, self.order, limits, gb_prefix=len(self.elements)))
+            gens, self.ring, self.order, _of_type(limits, "limits", Limits),
+            gb_prefix=len(self.elements)))
 
     def extend_staircase(self, extra,
                          limits: Limits = DEFAULT_LIMITS) -> Staircase:
         """Staircase of `extend(extra)`, read off the minimal basis."""
         gens = [*self.elements, *_polys_of(self.ring, extra, "basis element")]
         return Staircase(initial_exponents(
-            gens, self.ring, self.order, limits, gb_prefix=len(self.elements)),
-            self.ring.n)
+            gens, self.ring, self.order, _of_type(limits, "limits", Limits),
+            gb_prefix=len(self.elements)), self.ring.n)
 
     def leading_exponents(self) -> list[tuple[int, ...]]:
         return [max(g.terms, key=self.order.key) for g in self.elements]
@@ -120,11 +128,11 @@ class IdealHandle:
             f for f in _polys_of(ring, generators, "ideal generator")
             if not f.is_zero())
         self.ring = ring
-        self.limits = limits
+        self.limits = _of_type(limits, "limits", Limits)
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
 
     def basis(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-        got = self._cache.get(order)
+        got = self._cache.get(_of_type(order, "order", MonomialOrder))
         if got is not None:
             return got
         gb = GroebnerBasis(self.ring, order, []).extend(self.generators,
@@ -248,6 +256,7 @@ def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
                    limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
     """Reduced grevlex basis of (I : f), where gb_elements is any grevlex
     Groebner basis of I (not necessarily reduced)."""
+    _of_type(limits, "limits", Limits)
     if _of_type(f, "multiplier", Polynomial).is_zero():
         raise InputError("colon by the zero polynomial")
     if not gb_elements:
@@ -287,31 +296,27 @@ def frobenius_power(I: IdealHandle, e: int) -> IdealHandle:
 # -- dimension and staircases --------------------------------------------------
 
 def _minimalize(corners) -> frozenset:
-    """The corners no other corner divides.  Packed into fields under guard
-    bits, k | c when (c | guards) - k borrows from no guard (engine keys)."""
-    items = sorted(set(corners), key=lambda c: (sum(c), c))
-    step = max((e for c in items for e in c), default=0).bit_length() + 1
-    guards = sum(1 << (i * step + step - 1)
-                 for i in range(len(items[0]) if items else 0))
-    kept: dict[int, tuple[int, ...]] = {}      # packed corner: corner
-    for c in items:
-        key = sum(e << (i * step) for i, e in enumerate(c))
-        top = key | guards
-        if all((top - k) & guards != guards for k in kept):
-            kept[key] = c
-    return frozenset(kept.values())
+    """The corners no other corner divides: a divisor has a smaller degree,
+    so each corner is checked against the ones kept before it."""
+    kept: list[tuple[int, ...]] = []
+    for c in sorted(set(corners), key=sum):
+        if not any(all(a <= b for a, b in zip(k, c)) for k in kept):
+            kept.append(c)
+    return frozenset(kept)
+
+
+_INFINITE = "staircase is infinite (dimension > 0)"
 
 
 class Staircase:
     """The complement of a monomial ideal given by the exponents of its
-    generators; `corners`, their minimal set, is found on first read, since
-    a divisible corner changes no slice and no dimension.  `dimension` is
-    the Krull dimension of the quotient, and one memoized fold over the
-    slices gives `count`, `max_degree` and the terms of `multiplicity`: the
-    fold is where an infinite staircase raises InputError, and the unit
-    ideal gives (0, -1)."""
+    generators, kept sorted by last exponent for the sweeps; `corners`,
+    their minimal set, is found when read.  `dimension` is the Krull
+    dimension of the quotient.  `count` and `max_degree` share one cached
+    sweep, which raises InputError on an infinite staircase and gives
+    (0, -1) for the unit ideal."""
 
-    __slots__ = ("n", "_given", "_corners", "_memo")
+    __slots__ = ("n", "_given", "_sums")
 
     def __init__(self, corners, n: int):
         corners = _as_list(corners, "corners")
@@ -319,18 +324,12 @@ class Staircase:
         if not all(type(c) is tuple and len(c) == n and all(
                 type(e) is int and e >= 0 for e in c) for c in corners):
             raise InputError(f"corners must be {n}-tuples of nonnegative ints")
-        self.n, self._given = n, frozenset(corners)
-        self._corners: frozenset | None = None
-        # slices and the folds over them, keyed (kind, n, corners) plus the
-        # degree for "degree": the empty corner set recurs at every n with
-        # a different count
-        self._memo: dict = {}
+        self.n, self._given = n, sorted(set(corners), key=itemgetter(-1))
+        self._sums: tuple[int, int] | None = None   # (count, max_degree)
 
     @property
     def corners(self) -> frozenset:
-        if self._corners is None:
-            self._corners = _minimalize(self._given)
-        return self._corners
+        return _minimalize(self._given)
 
     def _free_sets(self) -> list[int]:
         """The sets of variables, as bit masks, that contain no corner's
@@ -349,89 +348,94 @@ class Staircase:
         """e(S/L) by the associativity formula (Bruns-Herzog, Cor. 4.7.8):
         each free set of size d, a minimal prime of top dimension, adds the
         count of the staircase left in the other n - d variables after its
-        own are set to 1, which is finite as no larger set is free; 0 for
-        the unit ideal, which has no free set."""
+        own are set to 1, which is finite as no larger set is free (and 1
+        with no corners); 0 for the unit ideal, which has no free set."""
         d = self.dimension()
         total = 0
         for mask in self._free_sets():
             if mask.bit_count() == d:
-                rest = frozenset(tuple(e for i, e in enumerate(c)
-                                       if not mask >> i & 1)
-                                 for c in self._given)
-                total += self._fold(rest, self.n - d)[0]
+                rest = [tuple(e for i, e in enumerate(c) if not mask >> i & 1)
+                        for c in self._given]
+                rest.sort(key=itemgetter(-1))
+                total += Staircase._fold(rest, self.n - d)[0] if rest else 1
         return total
 
-    def _slices(self, corners: frozenset, n: int) -> list:
-        """The runs lo <= x_n < hi of one slice, as (lo, hi, rest): rest is
-        the minimal staircase of the slice in the first n - 1 variables, and
-        hi is None on the last, unbounded run.  Runs cut at the distinct last
-        coordinates of the corners and stop at the first empty slice.  One
-        sweep carries rest up and folds in the corners with c[-1] == lo, as
-        min(A | B) = min(min(A) | B) and minimal sets are unique."""
-        key = ("slices", n, corners)
-        got = self._memo.get(key)
-        if got is None:
-            at: dict[int, list] = {0: []}
-            for c in corners:
-                at.setdefault(c[-1], []).append(c[:-1])
-            got, rest, bounds = [], frozenset(), sorted(at)
-            for lo, hi in zip(bounds, bounds[1:] + [None]):
-                rest = _minimalize([*rest, *at[lo]])
-                if any(sum(c) == 0 for c in rest):
-                    break
-                got.append((lo, hi, rest))
-            self._memo[key] = got
-        return got
-
-    # counts are folds over the slices down to n = 0, where the staircase
-    # is the single monomial 1
-
     def count(self) -> int:
-        return self._fold(self._given, self.n)[0]
+        return self._folded()[0]
 
     def max_degree(self) -> int:
         """Largest total degree of a standard monomial; -1 when empty."""
-        return self._fold(self._given, self.n)[1]
+        return self._folded()[1]
 
-    def _fold(self, corners: frozenset, n: int) -> tuple[int, int]:
-        """(count, max_degree).  A run is unbounded exactly when the
-        staircase is infinite, since a finite one has a pure power x_n^b
-        and every run from b up is cut off; the unit ideal has no slices
-        and gives (0, -1)."""
-        if n == 0:
-            return 1, 0
-        key = ("fold", n, corners)
-        got = self._memo.get(key)
-        if got is None:
-            count, top = 0, -1
-            for lo, hi, rest in self._slices(corners, n):
-                if hi is None:
-                    raise InputError("staircase is infinite (dimension > 0)")
-                c, t = self._fold(rest, n - 1)
-                count += (hi - lo) * c
-                top = max(top, hi - 1 + t)
-            got = self._memo[key] = (count, top)
-        return got
+    def _folded(self) -> tuple[int, int]:
+        if self._sums is None:
+            self._sums = Staircase._fold(self._given, self.n)
+        return self._sums
 
     def count_degree(self, k: int) -> int:
         """Standard monomials of total degree exactly k (any dimension);
         0 for a negative k."""
         if not _is_int(k):
             raise InputError(f"degree must be an integer, got {k!r}")
-        return self._count_degree(self._given, self.n, k)
+        return Staircase._count_degree(self._given, self.n, k)
 
-    def _count_degree(self, corners: frozenset, n: int, k: int) -> int:
-        if n == 0:
-            return int(k == 0)
-        key = ("degree", n, corners, k)
-        got = self._memo.get(key)
-        if got is None:
-            got = 0
-            for lo, hi, rest in self._slices(corners, n):
-                end = k + 1 if hi is None else min(hi, k + 1)
-                for e in range(lo, end):
-                    got += self._count_degree(rest, n - 1, k - e)
-            self._memo[key] = got
+    @staticmethod
+    def _runs(corners: list, n: int):
+        """Runs lo <= x_n < hi of equal nonempty slices as (lo, hi, below):
+        below is one list, re-sorted in place, of the corners with c[-1] <= lo
+        in n - 1 variables; hi is None on an unbounded last run."""
+        lo, below = 0, []
+        for c in corners:
+            if c[-1] > lo:
+                below.sort(key=itemgetter(-1))
+                yield lo, c[-1], below
+                lo = c[-1]
+            below.append(c[:-1])
+            if not any(below[-1]):
+                return
+        below.sort(key=itemgetter(-1))
+        yield lo, None, below
+
+    @staticmethod
+    def _fold(corners: list, n: int) -> tuple[int, int]:
+        """(count, max_degree).  A run is unbounded exactly when the
+        staircase is infinite, since a finite one has a pure power x_n^b
+        and its slices from b up are empty."""
+        if n == 1:      # x_1^a is standard for a below the least c[0]
+            if not corners:
+                raise InputError(_INFINITE)
+            return corners[0][0], corners[0][0] - 1
+        count, top = 0, -1
+        if n == 2:      # row b holds x_1^a, a below the least c[0], c[1] <= b
+            if not corners or corners[0][1]:
+                raise InputError(_INFINITE)
+            lo, least = 0, corners[0][0]
+            for a, b in corners:
+                if b > lo:
+                    count += (b - lo) * least
+                    top = max(top, b + least - 2)
+                    lo = b
+                if a < least:
+                    least = a
+                if not least:
+                    return count, top
+            raise InputError(_INFINITE)
+        for lo, hi, below in Staircase._runs(corners, n):
+            if hi is None:
+                raise InputError(_INFINITE)
+            c, t = Staircase._fold(below, n - 1)
+            count += (hi - lo) * c
+            top = max(top, hi - 1 + t)
+        return count, top
+
+    @staticmethod
+    def _count_degree(corners: list, n: int, k: int) -> int:
+        if n == 1:
+            return int(0 <= k and (not corners or k < corners[0][0]))
+        got = 0
+        for lo, hi, below in Staircase._runs(corners, n):
+            for e in range(lo, k + 1 if hi is None else min(hi, k + 1)):
+                got += Staircase._count_degree(below, n - 1, k - e)
         return got
 
 
@@ -444,15 +448,11 @@ def staircase_of(gb: GroebnerBasis) -> Staircase:
 
 def krull_dim(I: IdealHandle) -> int:
     """Dimension of the quotient by I, combinatorially from leading terms."""
-    d = _dim_or_unit(_of_type(I, "ideal", IdealHandle))
+    d = staircase_of(_of_type(I, "ideal", IdealHandle).basis(
+        GREVLEX)).dimension()
     if d < 0:
         raise InputError("the unit ideal presents the empty scheme")
     return d
-
-
-def _dim_or_unit(I: IdealHandle) -> int:
-    """Like krull_dim but returns -1 for the unit ideal."""
-    return staircase_of(I.basis(GREVLEX)).dimension()
 
 
 def _zero_dim_staircase(I: IdealHandle) -> Staircase:
@@ -549,4 +549,4 @@ def is_squarefree_hypersurface(f: Polynomial) -> bool:
     if all(g.is_zero() for g in partials):
         return False
     jac = IdealHandle(ring, [f] + partials)
-    return _dim_or_unit(jac) <= ring.n - 2
+    return staircase_of(jac.basis(GREVLEX)).dimension() <= ring.n - 2

@@ -847,6 +847,20 @@ def test_staircase_against_enumeration():
                                              if sum(m) == k)
 
 
+def test_count_and_max_degree_share_one_fold(monkeypatch):
+    fold, tops = Staircase._fold, []
+
+    def spy(corners, n):
+        tops.append(n == 3)
+        return fold(corners, n)
+
+    monkeypatch.setattr(Staircase, "_fold", staticmethod(spy))
+    # the box 2 x 3 x 2 less x*y*t and x*y^2*t
+    stair = Staircase([(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)], 3)
+    assert (stair.count(), stair.max_degree(), stair.count()) == (10, 3, 10)
+    assert tops.count(True) == 1
+
+
 @st.composite
 def staircase_calls(draw):
     """(n, top, corners, calls): up to four corners in 1-4 variables,

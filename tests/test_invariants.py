@@ -317,6 +317,22 @@ def test_staircase_count_on_a_level_four_chain_basis():
     assert stair.corners == set(lead)
 
 
+@pytest.mark.parametrize("levels, closed_form", [
+    (lambda P: [r.a for r in splitting_series(P, 5).rows],
+     lambda q: (q * q + 2) // 3),
+    (lambda P: [hk_length(P, 5)], lambda q: (5 * q * q - 2) // 3),
+], ids=["splitting-series", "hk-length"])
+def test_a2_at_level_five_meets_its_closed_form(levels, closed_form):
+    """x^2 + y^2 + t^3 over F5 up to e = 5, q = 3125: a_e = (q^2 + 2)/3 and
+    l(S/(f) + m^[q]) = (5q^2 - 2)/3, read off staircases of millions of
+    standard monomials within 10 s of CPU each."""
+    R = ring(5, "x", "y", "t")
+    start = time.process_time()
+    got = levels(present(R, "x^2 + y^2 + t^3"))
+    assert time.process_time() - start < 10
+    assert got == [closed_form(5 ** e) for e in range(6 - len(got), 6)]
+
+
 def maximal_polys(R):
     """Polynomials with no constant term and 2-4 terms of degree 1-3."""
     exps = st.tuples(*[st.integers(0, 3) for _ in range(R.n)]).filter(

@@ -598,6 +598,16 @@ NOT_TYPED = [
     ("basis-extend-staircase",
      lambda R, x: GroebnerBasis(R, GREVLEX, []).extend_staircase([5]),
      "basis element must be of type Polynomial"),
+    ("ideal-limits", lambda R, x: IdealHandle(R, [x], limits=5),
+     "limits must be of type Limits"),
+    ("basis-extend-limits",
+     lambda R, x: GroebnerBasis(R, GREVLEX, []).extend([x], 5),
+     "limits must be of type Limits"),
+    ("basis-extend-staircase-limits",
+     lambda R, x: GroebnerBasis(R, GREVLEX, []).extend_staircase([x], 5),
+     "limits must be of type Limits"),
+    ("colon-by-basis-limits", lambda R, x: colon_by_basis([x], R, x, 5),
+     "limits must be of type Limits"),
     ("ideal-basis-order", lambda R, x: IdealHandle(R, [x]).basis(5),
      "order must be of type MonomialOrder"),
     ("colon-by-basis-element", lambda R, x: colon_by_basis([x, 5], R, x),
@@ -613,6 +623,13 @@ def test_objects_from_callers_have_their_type(call, message):
     R = Ring(Field(3), ("x", "y", "t"))
     with pytest.raises(InputError, match=f"^{message}, got 5$"):
         call(R, R.variable(0))
+
+
+def test_an_unhashable_order_is_checked_before_the_basis_cache():
+    R = Ring(Field(3), ("x", "y", "t"))
+    with pytest.raises(InputError, match="^order must be of type "
+                                         r"MonomialOrder, got \[\]$"):
+        IdealHandle(R, [R.variable(0)]).basis([])
 
 
 def test_a_basis_rejects_an_element_of_another_ring():
