@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .field import _at_least, _of_type
-from .groebner import GroebnerBasis, divide_exact
-from .orders import GREVLEX
+from .groebner import divide_exact
 from .poly import Polynomial, Ring
 
 
@@ -133,7 +132,7 @@ def bareiss_determinant(rows: list, ring: Ring) -> Polynomial:
     if any(len(row) != n for row in m):
         raise InputError("a determinant needs a square matrix")
     sign = 1
-    prev = GroebnerBasis(ring, GREVLEX, [ring.one])    # divides one step
+    prev = ring.one     # the last pivot, which divides the next step
     for k in range(n - 1):
         if m[k][k].is_zero():
             pivot_row = None
@@ -151,7 +150,7 @@ def bareiss_determinant(rows: list, ring: Ring) -> Polynomial:
                 m[i][j] = divide_exact(num, prev) if not num.is_zero() \
                     else ring.zero
             m[i][k] = ring.zero
-        prev = GroebnerBasis(ring, GREVLEX, [m[k][k]])
+        prev = m[k][k]
     det = m[n - 1][n - 1]
     if sign < 0:
         det = -det

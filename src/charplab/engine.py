@@ -21,18 +21,21 @@ in range: a monomial of total degree above C overflows, whatever the
 layout.  Widths are chosen per computation.  When degrees outgrow the
 current width the whole computation is restarted with wider fields
 (KeyOverflow is the internal signal, asking for a degree above C); the
-new fields hold twice the degree asked for, and only the configured
-degree limit (Limits.max_degree) turns a restart into an error.
+new fields hold twice the degree asked for, and only the degree limit
+(Limits.max_degree, the default one for normal forms and quotients) turns
+a restart into an error.
 Keys are arbitrary-precision ints.  The divisor search over a large
 basis's leading terms ANDs one bitmask per variable (see BasisContext), at
 any width.
 
 Polynomials here are bare dicts {key: coefficient code}; conversion from and
 to the public Polynomial type happens at the boundary.  The one
-term-by-term division loop is BasisContext.reduce_dict; exact division
-(groebner.divide_exact) reads the quotient off the steps it records.  One
+term-by-term division loop is BasisContext.reduce_dict: normal_forms()
+reduces a list of polynomials against one basis on one context, and
+exact_quotient() reads h/f off the steps that reduce h against (f).  One
 Buchberger run ends at the minimal basis: groebner() then reduces tails,
-while initial_exponents() stops there.
+while initial_exponents() stops there.  All of these run inside one
+restart loop (_on_wide_keys), the only place that chooses a key width.
 
 A colon step (I : f), colon_basis(), tracks cofactors in the ring's own
 variables (Moller, J. Symb. Comput. 6, 1988): the run on I's basis and f
@@ -54,7 +57,7 @@ from operator import or_
 # for its machine record in sys.modules; dropping it needs a benchmark change
 import numpy  # noqa: F401
 
-from .errors import InputError, LimitError, TimeLimitError
+from .errors import InputError, InternalError, LimitError, TimeLimitError
 from .field import Field, _at_least
 from .orders import GREVLEX, MonomialOrder
 from .poly import Polynomial, Ring
@@ -199,7 +202,7 @@ class PackSpec:
 # keep the scan: with a cutoff of 16 the 22-mult-toric-surface suite job
 # ran 1.10x slower, with none 30-perturb-constancy-node 1.13x.  On the
 # 150-270 element block-order bases of a splitting chain, find_reducer
-# takes 0.57 microseconds (2.8 with the int64 numpy pass used before).
+# takes 0.57 microseconds.
 SCAN_MAX_BASIS = 48
 
 
@@ -375,18 +378,10 @@ class BasisContext:
                     work.pop(nk, None)
         return remainder
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        if f.ring != self.ring:
-            raise InputError("polynomial lives in a different ring")
-        work = _to_dict(f, self.spec)
-        return _to_poly(self.reduce_dict(work), self.spec, self.ring)
-
 
 def _initial_width(polys: list[Polynomial]) -> int:
     """The width _wider gives the largest total degree among the polys,
-    and 6 bits (degree 14) at least.  Every term of them then packs:
-    make_context freezes its basis without a KeyOverflow, and its degree
-    only widens further."""
+    and 6 bits (degree 14) at least, so that every term of them packs."""
     return _wider(max([14] + [f.total_degree() for f in polys]))
 
 
@@ -397,17 +392,21 @@ def _wider(needed_degree: int) -> int:
     return (2 * needed_degree + 4).bit_length()
 
 
-def make_context(gb: list[Polynomial], ring: Ring, order: MonomialOrder,
-                 degree: int = 0) -> BasisContext:
-    """Prepare a known Groebner basis for repeated reduction, on keys
-    whose fields hold at least `degree`."""
-    w = _initial_width(gb)
-    if (1 << w) - 1 < degree:
-        w = _wider(degree)
-    spec = PackSpec(ring.n, order, w)
-    elems = [_freeze(_to_dict(g, spec), spec, ring.field)
-             for g in gb if not g.is_zero()]
-    return BasisContext(ring, spec, elems)
+def _on_wide_keys(polys: list[Polynomial], ring: Ring, order: MonomialOrder,
+                  limits: Limits, attempt):
+    """attempt(spec) on keys that pack every term of polys.  A KeyOverflow
+    in attempt retries it from scratch on wider keys; one that asks for a
+    degree above twice limits.max_degree raises LimitError."""
+    w = _initial_width(polys)
+    while True:
+        try:
+            return attempt(PackSpec(ring.n, order, w))
+        except KeyOverflow as o:
+            if o.needed_degree > 2 * limits.max_degree:
+                raise LimitError(
+                    f"degree {o.needed_degree} exceeds the limit "
+                    f"{limits.max_degree}") from None
+            w = _wider(o.needed_degree)
 
 
 class _Buchberger:
@@ -584,32 +583,22 @@ class _Buchberger:
 
 def _minimal_run(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
                  limits: Limits, gb_prefix: int, finish, cofactors=False):
-    """finish(engine, minimal basis) of a run on (gens), [] for no nonzero
-    generator; a KeyOverflow, in finish too, restarts on wider keys."""
-    nz = [f for f in gens if not f.is_zero()]
-    gb_prefix -= sum(f.is_zero() for f in gens[:gb_prefix])
-    if not nz:
-        return []
+    """finish(engine, minimal basis) of a run on (gens), which are all
+    nonzero; a KeyOverflow, in finish too, restarts on wider keys."""
     deadline = limits.deadline()
-    w = _initial_width(nz)
-    while True:
-        spec = PackSpec(ring.n, order, w)
-        try:
-            eng = _Buchberger(ring, spec, limits, deadline)
-            return finish(eng, eng.run([_to_dict(f, spec) for f in nz],
-                                       gb_prefix, cofactors))
-        except KeyOverflow as o:
-            if o.needed_degree > 2 * limits.max_degree:
-                raise LimitError(
-                    f"degree {o.needed_degree} exceeds the limit "
-                    f"{limits.max_degree}") from None
-            w = _wider(o.needed_degree)
+
+    def attempt(spec: PackSpec):
+        eng = _Buchberger(ring, spec, limits, deadline)
+        return finish(eng, eng.run([_to_dict(f, spec) for f in gens],
+                                   gb_prefix, cofactors))
+
+    return _on_wide_keys(gens, ring, order, limits, attempt)
 
 
 def groebner(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
              limits: Limits = DEFAULT_LIMITS, gb_prefix: int = 0,
              elimination: bool = False) -> list[Polynomial]:
-    """Reduced Groebner basis of (gens) under `order`.
+    """Reduced Groebner basis of (gens), none of them zero, under `order`.
 
     `gb_prefix` marks an initial segment already known to be a Groebner
     basis under this order: pairs inside the segment are skipped (their
@@ -637,7 +626,41 @@ def colon_basis(gb: list[Polynomial], f: Polynomial, ring: Ring,
 def initial_exponents(gens: list[Polynomial], ring: Ring,
                       order: MonomialOrder, limits: Limits = DEFAULT_LIMITS,
                       gb_prefix: int = 0) -> list[tuple[int, ...]]:
-    """Sorted leading exponents of the minimal basis of (gens): the same
-    corners as the reduced basis of groebner(), with no tail pass."""
+    """Sorted leading exponents of the minimal basis of (gens), none of
+    them zero: the corners of groebner()'s basis, with no tail pass."""
     return _minimal_run(gens, ring, order, limits, gb_prefix,
                         lambda eng, kept: [g.lt_exps for g in kept])
+
+
+def normal_forms(gb: list[Polynomial], fs: list[Polynomial], ring: Ring,
+                 order: MonomialOrder) -> list[Polynomial]:
+    """The fully reduced remainder of each of fs against gb, a Groebner
+    basis under `order` with no zero element, on one context."""
+    field = ring.field
+
+    def attempt(spec: PackSpec) -> list[Polynomial]:
+        ctx = BasisContext(ring, spec, [_freeze(_to_dict(g, spec), spec, field)
+                                        for g in gb])
+        return [_to_poly(ctx.reduce_dict(_to_dict(f, spec)), spec, ring)
+                for f in fs]
+
+    return _on_wide_keys([*gb, *fs], ring, order, DEFAULT_LIMITS, attempt)
+
+
+def exact_quotient(h: Polynomial, f: Polynomial, ring: Ring) -> Polynomial:
+    """h/f for a nonzero f that divides h: the multipliers of the steps
+    that reduce h against the one-element basis (f), scaled back by lc(f),
+    since the frozen element is f / lc(f)."""
+    field = ring.field
+
+    def attempt(spec: PackSpec) -> Polynomial:
+        d = _to_dict(f, spec)
+        ctx = BasisContext(ring, spec, [_freeze(d, spec, field)])
+        steps: list = []
+        if ctx.reduce_dict(_to_dict(h, spec), steps):
+            raise InternalError("inexact polynomial division")
+        inv = field.inv(d[max(d)])
+        return _to_poly({delta + spec.zero_key: field.mul(inv, c)
+                         for _, delta, c in steps}, spec, ring)
+
+    return _on_wide_keys([h, f], ring, GREVLEX, DEFAULT_LIMITS, attempt)

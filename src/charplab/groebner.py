@@ -41,9 +41,8 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .engine import (DEFAULT_LIMITS, BasisContext, KeyOverflow, Limits,
-                     _to_dict, colon_basis, groebner, initial_exponents,
-                     make_context)
+from .engine import (DEFAULT_LIMITS, Limits, colon_basis, exact_quotient,
+                     groebner, initial_exponents, normal_forms)
 from .errors import InputError, InternalError
 from .field import _as_list, _at_least, _is_int, _of_type
 from .orders import GREVLEX, MonomialOrder, block_order
@@ -51,46 +50,35 @@ from .poly import Polynomial, Ring
 
 
 def _polys_of(ring: Ring, polys, what: str) -> tuple:
-    """polys as a tuple, each checked to be a polynomial of the Ring."""
+    """The nonzero ones of polys as a tuple, each checked to be a
+    polynomial of the Ring: the one place where zeros are dropped."""
     _of_type(ring, "ring", Ring)
     polys = _as_list(polys, f"{what}s")
     for f in polys:
         if _of_type(f, what, Polynomial).ring != ring:
             raise InputError(f"{what}s live in different rings")
-    return polys
+    return tuple(f for f in polys if not f.is_zero())
 
 
 class GroebnerBasis:
-    """A reduced basis frozen together with a reduction context; `extend`
-    is the only way to grow it.  No reduction checks what it was given."""
+    """A reduced basis under one order, with its zero elements dropped;
+    `extend` is the only way to grow it.  No reduction checks what it was
+    given, and each one prepares the basis anew in the engine."""
 
-    __slots__ = ("ring", "order", "elements", "_ctx", "_staircase")
+    __slots__ = ("ring", "order", "elements", "_staircase")
 
     def __init__(self, ring: Ring, order: MonomialOrder,
                  elements: list[Polynomial]):
         self.elements = _polys_of(ring, elements, "basis element")
         self.ring = ring
         self.order = _of_type(order, "order", MonomialOrder)
-        self._ctx: BasisContext | None = None
         self._staircase: Staircase | None = None
-
-    def with_context(self, work, degree: int = 0):
-        """work(ctx) on the reduction context, which is first built, or
-        rebuilt, to hold `degree`; a KeyOverflow rebuilds it for the degree
-        asked for and runs work again."""
-        while True:
-            if self._ctx is None or self._ctx.spec.C < degree:
-                self._ctx = make_context(list(self.elements), self.ring,
-                                         self.order, degree)
-            try:
-                return work(self._ctx)
-            except KeyOverflow as o:
-                degree = o.needed_degree
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Fully reduced remainder of f; zero iff f lies in the ideal."""
-        return self.with_context(lambda ctx: ctx.normal_form(f), _of_type(
-            f, "polynomial", Polynomial).total_degree())
+        if _of_type(f, "polynomial", Polynomial).ring != self.ring:
+            raise InputError("polynomial lives in a different ring")
+        return normal_forms(self.elements, [f], self.ring, self.order)[0]
 
     def extend(self, extra, limits: Limits = DEFAULT_LIMITS) -> GroebnerBasis:
         """Reduced basis of these elements plus `extra`: one engine run
@@ -124,9 +112,7 @@ class IdealHandle:
     __slots__ = ("ring", "generators", "limits", "_cache")
 
     def __init__(self, ring: Ring, generators, limits: Limits = DEFAULT_LIMITS):
-        self.generators = tuple(
-            f for f in _polys_of(ring, generators, "ideal generator")
-            if not f.is_zero())
+        self.generators = _polys_of(ring, generators, "ideal generator")
         self.ring = ring
         self.limits = _of_type(limits, "limits", Limits)
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
@@ -137,10 +123,10 @@ class IdealHandle:
             return got
         gb = GroebnerBasis(self.ring, order, []).extend(self.generators,
                                                         self.limits)
-        for f in self.generators:
-            if not gb.normal_form(f).is_zero():
-                raise InternalError("a generator fails to reduce to zero "
-                                    "against its own basis")
+        if not all(r.is_zero() for r in normal_forms(
+                gb.elements, self.generators, self.ring, order)):
+            raise InternalError("a generator fails to reduce to zero "
+                                "against its own basis")
         return self._cache.setdefault(order, gb)
 
     def seed_cache(self, gb: GroebnerBasis) -> None:
@@ -225,31 +211,15 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     return eliminate(inner, 1)
 
 
-def divide_exact(h: Polynomial, f: Polynomial | GroebnerBasis) -> Polynomial:
-    """Quotient h/f when the division is exact: h reduced against the
-    one-element basis (f), collecting the multipliers of its steps.  Given
-    as GroebnerBasis(ring, GREVLEX, [f]), f keeps its context across calls."""
+def divide_exact(h: Polynomial, f: Polynomial) -> Polynomial:
+    """Quotient h/f when the division is exact, read in the engine off the
+    steps that reduce h against the one-element basis (f)."""
     ring = _of_type(h, "polynomial", Polynomial).ring
-    if isinstance(_of_type(f, "divisor", Polynomial, GroebnerBasis),
-                  Polynomial):
-        if f.is_zero():
-            raise InputError("division by the zero polynomial")
-        f = GroebnerBasis(ring, GREVLEX, [f])
-    elif f.ring != ring:
+    if _of_type(f, "divisor", Polynomial).ring != ring:
         raise InputError("divisor lives in a different ring")
-    field = ring.field
-
-    def divide(ctx: BasisContext) -> Polynomial:
-        steps: list = []
-        if ctx.reduce_dict(_to_dict(h, ctx.spec), steps):
-            raise InternalError("inexact polynomial division")
-        # the frozen element is f / lc(f), so scale its quotient back
-        inv = field.inv(f.elements[0].terms[ctx.elems[0].lt_exps])
-        unpack, one = ctx.spec.unpack, ctx.spec.zero_key
-        return Polynomial(ring, {unpack(delta + one): field.mul(inv, c)
-                                 for _, delta, c in steps})
-
-    return f.with_context(divide, h.total_degree())
+    if f.is_zero():
+        raise InputError("division by the zero polynomial")
+    return exact_quotient(h, f, ring)
 
 
 def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
@@ -259,13 +229,14 @@ def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
     _of_type(limits, "limits", Limits)
     if _of_type(f, "multiplier", Polynomial).is_zero():
         raise InputError("colon by the zero polynomial")
-    if not gb_elements:
+    gb = GroebnerBasis(ring, GREVLEX, gb_elements)
+    if not gb.elements:
         return []
     # (I : f) = (I : f - r) for any r in I, so replace the multiplier by its
     # normal form first
-    f = GroebnerBasis(ring, GREVLEX, list(gb_elements)).normal_form(f)
+    f = gb.normal_form(f)
     return [ring.one] if f.is_zero() else \
-        colon_basis(list(gb_elements), f, ring, limits)
+        colon_basis(list(gb.elements), f, ring, limits)
 
 
 def colon(I: IdealHandle, J: IdealHandle) -> IdealHandle:

@@ -140,8 +140,7 @@ class PerturbationPlan:
 
 
 def _count_monomials(n: int, d: int) -> int:
-    if n < 1:
-        return 0
+    """Monomials of degree d in n >= 1 variables: 1 or more."""
     return math.comb(d + n - 1, n - 1)
 
 
@@ -167,10 +166,8 @@ def _draw_epsilon(stream: SplitMix64, ring: Ring, N: int, cap: int,
     for _ in range(nterms):
         zd = stream.below(z_bound) if z_bound is not None else None
         d = N + stream.below(cap - N + 1)
-        count = _count_monomials(nbase, d)
-        if count <= 0:
-            raise InputError("no monomials available in the degree range")
-        exps = _unrank_monomial(stream.below(count), nbase, d)
+        exps = _unrank_monomial(stream.below(_count_monomials(nbase, d)),
+                                nbase, d)
         code = 1 + stream.below(field_.q - 1)
         key = exps + (zd,) if zd is not None else exps
         terms[key] = field_.add(terms.get(key, 0), code)

@@ -239,6 +239,27 @@ def box_monomial_member(ring: Ring, gens: list[Polynomial],
     return member
 
 
+def local_hilbert_function(ring: Ring, gens: list[Polynomial], s: int) -> int:
+    """H(s) = dim_k S/(I + m^s) for I = (gens): the monomials of degree
+    below s, less the rank of the products x^a g with |a| < s, each
+    truncated below degree s, which span (I + m^s)/m^s.  H(s+1) - H(s) is
+    the degree-s part of the tangent cone gr_m(S/I)."""
+    basis = monomials_up_to(ring.n, s - 1)
+    index = {m: i for i, m in enumerate(basis)}
+    prime = ring.field.m == 1
+    span = (ModpSpan(ring.field.p, len(basis)) if prime
+            else FieldSpan(ring.field, len(basis)))
+    for g in gens:
+        for a in basis:
+            v = np.zeros(len(basis), dtype=np.int64) if prime \
+                else [0] * len(basis)
+            for exps, code in (g * ring.monomial(a)).terms.items():
+                if exps in index:
+                    v[index[exps]] = code
+            span.add(v)
+    return len(basis) - span.rank
+
+
 def splitting_number_dense(f: Polynomial, e: int) -> int:
     """a_e of S/(f) by the colon formula, evaluated densely: the rank of
     multiplication by f^(q-1) on the monomial box of S/m^[q]."""

@@ -29,7 +29,7 @@ from charplab.engine import KeyOverflow, groebner
 from charplab.groebner import Staircase, colon_by_basis, divide_exact
 from oracles import block_greater, box_monomial_member, box_monomials, \
     dense_colength_box, dense_membership, grevlex_greater, lex_greater, \
-    monomials_up_to, naive_remainder
+    local_hilbert_function, monomials_up_to, naive_remainder
 
 
 def ring(p, *names, m=1):
@@ -299,6 +299,16 @@ def test_only_the_ideal_layer_imports_the_engine():
             assert not any(t == "charplab.engine" or
                            t.startswith("charplab.engine.")
                            for t in targets), (name, node.lineno)
+    # and groebner.py takes only the engine's entries: no key width, no
+    # reduction context, no frozen element and no private name
+    with open(charplab_groebner.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = [a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             and node.module == "engine" for a in node.names]
+    assert "groebner" in names
+    assert not [n for n in names if n.startswith("_") or n in (
+        "KeyOverflow", "BasisContext", "PackSpec", "GPoly")]
 
 
 def test_every_import_in_the_package_is_read():
@@ -592,10 +602,8 @@ def division_cases(draw):
 def test_divide_exact_inverts_multiplication(case):
     R, q, f, t = case
     assert divide_exact(q * f, f) == q
-    # one prepared divisor for several dividends, the second of higher degree
-    divisor = GroebnerBasis(R, GREVLEX, [f])
-    assert divide_exact(q * f, divisor) == q
-    assert divide_exact(q * f * t, divisor) == q * t
+    # a dividend of higher degree, on keys wide enough for it
+    assert divide_exact(q * f * t, f) == q * t
     # f has two terms or more, so no multiple of f is a monomial
     with pytest.raises(InternalError, match="inexact"):
         divide_exact(q * f + t, f)
@@ -609,6 +617,42 @@ def test_divide_exact_fixed_cases():
     assert divide_exact(R.zero, f) == R.zero
     with pytest.raises(InputError):
         divide_exact(f, R.zero)
+
+
+def test_divide_exact_takes_one_polynomial_divisor():
+    # a basis was once taken as a prepared divisor: (x + y) / (x, y) gave
+    # 1, and an empty or all-zero basis raised IndexError
+    R = ring(3, "x", "y")
+    x, y = R.gens()
+    for h, elements in ((x + y, [x, y]), (R.zero, []), (R.zero, [R.zero])):
+        with pytest.raises(InputError, match="^divisor must be of type "
+                                             "Polynomial, got "):
+            divide_exact(h, GroebnerBasis(R, GREVLEX, elements))
+
+
+def test_zero_elements_are_dropped_on_the_way_in():
+    # an all-zero basis once failed in staircase_of with a ValueError from
+    # max(); it is the zero ideal's staircase
+    R = ring(3, "x", "y")
+    x = R.variable(0)
+    assert GroebnerBasis(R, GREVLEX, [R.zero, x]).elements == (x,)
+    assert IdealHandle(R, [R.zero, x]).generators == (x,)
+    empty = GroebnerBasis(R, GREVLEX, [])
+    assert empty.extend([R.zero, x]).elements == (x,)
+    assert colon_by_basis([R.zero], R, x) == []
+    for st in (staircase_of(GroebnerBasis(R, GREVLEX, [R.zero])),
+               empty.extend_staircase([R.zero])):
+        assert st.dimension() == 2
+        with pytest.raises(InputError, match="infinite"):
+            st.count()
+
+
+def test_a_block_order_too_wide_for_the_ring_fails_on_any_ideal():
+    # the zero ideal once skipped the engine, and so the key layout's check
+    R = ring(3, "x", "y")
+    for gens in ([], [R.variable(0)]):
+        with pytest.raises(InputError, match=r"^block\(5\) needs between"):
+            IdealHandle(R, gens).basis(block_order(5))
 
 
 def test_eliminate_twisted_cubic():
@@ -1256,6 +1300,46 @@ def test_m_power_in_needs_the_origin_as_the_only_point(case, data):
     assert colength(J) == colength(I) + 1
     with pytest.raises(InputError, match="not primary to the origin"):
         m_power_in(J)
+
+
+def cone_degrees(R, gens):
+    """count_degree(s) of the tangent cone for s <= 5, checked against
+    H(s+1) - H(s) of the local Hilbert function oracle."""
+    hs = [local_hilbert_function(R, gens, s) for s in range(7)]
+    cone = charplab_groebner._tangent_cone(IdealHandle(R, gens))
+    got = [cone.count_degree(s) for s in range(6)]
+    assert got == [b - a for a, b in zip(hs, hs[1:])]
+    return got
+
+
+@pytest.mark.parametrize("texts, want", [
+    (("x*z - x", "y*z - y"), [1, 1, 1, 1, 1, 1]),
+    (("x*y", "x*z"), [1, 3, 4, 5, 6, 7]),
+    (("x - y*z", "x^2 + y^2 + z^2"), [1, 2, 2, 2, 2, 2]),
+], ids=["line-through-the-origin", "plane-and-line", "curve-on-a-quadric"])
+def test_the_tangent_cone_matches_the_local_hilbert_function(texts, want):
+    R = ring(5, "x", "y", "z")
+    assert cone_degrees(R, [parse_poly(t, R) for t in texts]) == want
+
+
+@st.composite
+def local_ideals(draw):
+    """(ring, generators): 1-3 polynomials of 1-3 terms of degree at most
+    3, a constant term allowed, in 2-3 variables over F2, F3 or F5."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    R = ring(p, *("x", "y", "z")[:n])
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    terms = st.dictionaries(exps, st.integers(1, p - 1), min_size=1,
+                            max_size=3)
+    return R, [Polynomial(R, draw(terms))
+               for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(local_ideals())
+def test_the_tangent_cone_of_a_random_ideal_matches_the_oracle(case):
+    cone_degrees(*case)
 
 
 PIN_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]

@@ -119,12 +119,17 @@ def test_every_sampled_term_respects_the_degree_window():
             assert code != 0
 
 
-def test_draw_with_no_monomials_available_is_an_input_error():
-    R = presentation(2, ("x",))
-    # z_bound equal to the variable count leaves no base variables to
-    # carry the degree, so the window is empty
-    with pytest.raises(InputError):
-        _draw_epsilon(SplitMix64(1), R.ring, 1, 2, z_bound=1)
+def test_a_draw_over_one_base_variable_stays_in_its_window():
+    # a ring has one variable or more, and an extension ring adds z after
+    # them, so even the smallest base has a monomial of every degree
+    for names, z_bound in ((("x",), None), (("x", "z"), 2)):
+        R = Ring(Field(3), names)
+        for seed in range(20):
+            # two draws of one monomial may cancel, so eps can be zero
+            eps = _draw_epsilon(SplitMix64(seed), R, 1, 4, z_bound)
+            for exps in eps.terms:
+                assert 1 <= exps[0] <= 4
+                assert z_bound is None or exps[1] < z_bound
 
 
 # -- plan validation -------------------------------------------------------------
