@@ -18,12 +18,14 @@ borrows from no field.
 
 No field holds more than the total degree, so one rule keeps every field
 in range: a monomial of total degree above C overflows, whatever the
-layout.  Widths are chosen per computation.  When degrees outgrow the
-current width the whole computation is restarted with wider fields
+layout.  Widths are chosen per computation.  When a term the computation
+builds, or a pair a Buchberger run pops for reduction, outgrows the
+current width, the whole computation is restarted with wider fields
 (KeyOverflow is the internal signal, asking for a degree above C); the
 new fields hold twice the degree asked for, and only the degree limit
 (Limits.max_degree, the default one for normal forms and quotients) turns
-a restart into an error.
+a restart into an error.  A queued pair that criterion B drops unreduced
+never restarts a run, however high its lcm's degree (see _Buchberger).
 Keys are arbitrary-precision ints.  The divisor search over a large
 basis's leading terms ANDs one bitmask per variable (see BasisContext), at
 any width.
@@ -201,8 +203,8 @@ class PackSpec:
 # an element retires, so small bases, with few queries between rebuilds,
 # keep the scan: with a cutoff of 16 the 22-mult-toric-surface suite job
 # ran 1.10x slower, with none 30-perturb-constancy-node 1.13x.  On the
-# 150-270 element block-order bases of a splitting chain, find_reducer
-# takes 0.57 microseconds.
+# 84-141 element grevlex contexts of the `chain` benchmark's colon steps,
+# find_reducer takes 0.65-0.69 microseconds.
 SCAN_MAX_BASIS = 48
 
 
@@ -421,7 +423,18 @@ class _Buchberger:
     exponent keys (direct form, degree fields cleared): an lcm is a
     fieldwise maximum and a | t one guarded subtraction.  `run` ends at the
     minimal basis: the active elements that are their own only divisor (no
-    two leading terms are equal), sorted; `_reduce_final` reduces it."""
+    two leading terms are equal), sorted; `_reduce_final` reduces it.
+
+    Pairs pop by lcm degree, then lcm key.  A pair whose lcm has degree
+    above C is queued unpacked, with key None: its degree sorts it after
+    every pair that fits (pairs of one degree are all packed or all
+    unpacked, so None meets no int), and B reads only its exponent key,
+    which always fits, each field being a leading term's.  Popping it
+    raises KeyOverflow, before _spoly or _track reads its key.  Key
+    comparisons are monomial-order comparisons at any width, so every
+    attempt pops the same pairs in the same order until it overflows, and
+    the reduced basis does not depend on the width; a pair B drops before
+    it is popped costs no restart."""
 
     def __init__(self, ring: Ring, spec: PackSpec, limits: Limits,
                  deadline: float | None):
@@ -434,8 +447,8 @@ class _Buchberger:
         self.exps: list[int] = []      # exponent keys of the leading terms
         self.active: list[int] = []    # basis indices, the elements of ctx
         self.ctx = BasisContext(ring, spec, [])
-        # (lcm degree, lcm key, i, j, lcm exponent key), a heap
-        self.pairs: list[tuple[int, int, int, int, int]] = []
+        # (lcm degree, lcm key or None above C, i, j, lcm exponent key)
+        self.pairs: list[tuple[int, int | None, int, int, int]] = []
 
     def _add(self, g: GPoly, with_pairs: bool) -> None:
         spec, ge, w = self.spec, self.spec.g_exp, self.spec.w
@@ -472,8 +485,9 @@ class _Buchberger:
                     if useful:
                         lexps = tuple(map(max, self.basis[i].lt_exps,
                                           g.lt_exps))
-                        heapq.heappush(self.pairs, (sum(lexps),
-                                                    spec.pack(lexps), i, h, e))
+                        d = sum(lexps)
+                        key = spec.pack(lexps) if d <= spec.C else None
+                        heapq.heappush(self.pairs, (d, key, i, h, e))
         active = [i for i in self.active if ((exps[i] | ge) - eh) & ge != ge]
         if len(active) == len(self.active):
             self.ctx.append(g)
@@ -517,7 +531,9 @@ class _Buchberger:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise TimeLimitError(
                     "time limit exceeded in basis computation")
-            _, lcm_k, i, j, _ = heapq.heappop(self.pairs)
+            d, lcm_k, i, j, _ = heapq.heappop(self.pairs)
+            if lcm_k is None:
+                raise KeyOverflow(d)
             work = self._spoly(i, j, lcm_k)
             steps = [] if cofactors else None
             rem = self.ctx.reduce_dict(work, steps)

@@ -1104,14 +1104,14 @@ def test_m_power_in_follows_cancelling_coefficients():
     assert member((3, 0)) and not member((0, 3))
 
 
-def test_power_scan_overflow_widens_the_context_and_retries(monkeypatch):
+def test_tangent_cone_run_restarts_on_wider_keys(monkeypatch):
     R = ring(5, "x", "y")
     I = ideal(R, "x^5 + x*y^3", "y^6")
     assert m_power_in(I) == 11
     assert colength(I) == 30
     # 3-bit keys hold the grevlex basis, the generators of degree 6, but
     # not the homogenized run's pair x*y^3*h, y^6 of degree 8: that run
-    # restarts once, on 5 bits
+    # pops it and restarts once, on 5 bits
     monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
     steps = []
     wider = engine._wider
@@ -1133,9 +1133,10 @@ def test_groebner_restarts_on_wider_keys(order, monkeypatch):
     expected = groebner(gens, R, order)
     with pytest.raises(LimitError):
         groebner(gens, R, order, Limits(max_degree=3))
-    # 3-bit keys hold degree 7 at most: the lcm of the first pair, degree
-    # 8, overflows in PackSpec.pack when _add queues the pair, and the run
-    # restarts once, on 5-bit keys
+    # 3-bit keys hold degree 7 at most.  Under grevlex a pair of lcm
+    # degree 8 is queued unpacked and overflows when the run pops it; under
+    # block(1) a pair that fits overflows first, in _spoly, since its
+    # shifted tail does not.  Either way the run restarts once, on 5 bits
     monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
     steps = []
     wider = engine._wider
@@ -1148,6 +1149,50 @@ def test_groebner_restarts_on_wider_keys(order, monkeypatch):
     assert steps == [5]
     with pytest.raises(LimitError):
         groebner(gens, R, order, Limits(max_degree=3))
+
+
+def reduced_pairs(gens, R, order, width=None):
+    """groebner(gens) and, per attempt, the pairs (i, j) that _spoly
+    reduced; `width`, if given, is the first key width."""
+    attempts = []
+    run, spoly = engine._Buchberger.run, engine._Buchberger._spoly
+
+    def run_spy(self, *args):
+        attempts.append([])
+        return run(self, *args)
+
+    def spoly_spy(self, i, j, lcm_k):
+        attempts[-1].append((i, j))
+        return spoly(self, i, j, lcm_k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Buchberger, "run", run_spy)
+        mp.setattr(engine._Buchberger, "_spoly", spoly_spy)
+        if width is not None:
+            mp.setattr(engine, "_initial_width", lambda polys: width)
+        return groebner(gens, R, order), attempts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    generator_lists(1, 4).map(lambda case: (case[0], case[1][0])),
+    colon_cases().map(lambda case: (case[0], case[1] + [case[2]])),
+    staircase_extensions().map(
+        lambda case: (case[0].ring, [*case[0].elements, *case[1]]))))
+def test_every_attempt_reduces_the_pairs_of_the_full_width_run(case):
+    # packed keys compare as monomials at any width, and a pair whose lcm
+    # does not fit sorts after every pair that does: so each attempt on
+    # narrow keys reduces a prefix of the default run's pairs, in its
+    # order, and the last attempt all of them.  3-bit keys restart the
+    # runs that reach degree 8, 2-bit keys many more
+    R, gens = case
+    for order in [GREVLEX, block_order(1), block_order(2)][:R.n]:
+        expected, (*_, pairs) = reduced_pairs(gens, R, order)
+        for width in (3, 2):
+            got, attempts = reduced_pairs(gens, R, order, width)
+            assert got == expected
+            assert attempts[-1] == pairs
+            for done in attempts[:-1]:
+                assert done == pairs[:len(done)]
 
 
 def test_an_s_polynomial_too_wide_for_its_keys_restarts_the_run(
@@ -1544,7 +1589,7 @@ def test_seconds_limit_bounds_each_basis_computation():
             Limits(max_seconds=bad)
 
 
-def test_seconds_limit_bounds_the_m_power_scan():
+def test_seconds_limit_bounds_the_tangent_cone_run():
     R = ring(5, "x", "y")
     gens = [parse_poly(t, R) for t in ("x^5 + x*y^3", "y^6")]
     gb = IdealHandle(R, gens).basis()

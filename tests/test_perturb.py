@@ -16,7 +16,7 @@ from charplab import (
     run_experiment, sample_epsilons, stability_threshold,
     FiniteExtensionPresentation,
 )
-from charplab import groebner as groebner_module, perturb
+from charplab import engine, groebner as groebner_module, perturb
 from charplab.errors import InternalError
 from charplab.perturb import SplitMix64, stream_for_sample, _draw_epsilon
 from oracles import splitmix64_reference
@@ -282,6 +282,28 @@ def test_threshold_ignores_zero_padding_and_validates_input():
     other = Ring(Field(3), ("x", "z"))
     with pytest.raises(InputError):
         stability_threshold(R, (parse_poly("z", other),), 1)
+
+
+@pytest.mark.parametrize("p,e,text,threshold", [
+    (3, 3, "2*x*y + x^3 + 2*t^3", 46),
+    (5, 2, "2*x^2 + 4*y^3 + 3*t^4", 48),
+], ids=["F3-e3", "F5-e2"])
+def test_a_tangent_cone_run_keeps_its_first_key_width(p, e, text, threshold,
+                                                      monkeypatch):
+    # the homogenized block_order(1) run of the tangent cone queues pairs
+    # of degree 64, above C = 63 on its first 6-bit keys, but criterion B
+    # drops each of them before it is popped: no restart on 8 bits
+    R = presentation(p, ("x", "y", "t"))
+    widths = []
+    init = engine.PackSpec.__init__
+
+    def spy(self, n, order, w):
+        if order.kind == "block":
+            widths.append(w)
+        init(self, n, order, w)
+    monkeypatch.setattr(engine.PackSpec, "__init__", spy)
+    assert stability_threshold(R, [parse_poly(text, R.ring)], e) == threshold
+    assert widths == [6]
 
 
 ELEMENT_ENTRY_POINTS = [
