@@ -28,7 +28,11 @@ a restart into an error.  A queued pair that criterion B drops unreduced
 never restarts a run, however high its lcm's degree (see _Buchberger).
 Keys are arbitrary-precision ints.  The divisor search over a large
 basis's leading terms ANDs one bitmask per variable (see BasisContext), at
-any width.
+any width.  A Buchberger run keeps the exponent keys of its active
+elements side by side in one int, so that one guarded subtraction over it
+gives the lcms of a new leading term with all of them and the elements it
+divides; the pair criteria then sort those lcms once and drop the
+multiples of each kept one in one step (see _Buchberger).
 
 Polynomials here are bare dicts {key: coefficient code}; conversion from and
 to the public Polynomial type happens at the boundary.  The one
@@ -211,7 +215,7 @@ SCAN_MAX_BASIS = 48
 class GPoly:
     """A monic basis element frozen for fast reduction."""
 
-    __slots__ = ("keys", "coeffs", "lt_key", "lt_exps", "maxdeg")
+    __slots__ = ("keys", "coeffs", "lt_key", "lt_exps", "maxdeg", "excess")
 
     def __init__(self, keys: list[int], coeffs: list[int],
                  lt_exps: tuple[int, ...], maxdeg: int):
@@ -220,6 +224,9 @@ class GPoly:
         self.lt_key = keys[0]
         self.lt_exps = lt_exps
         self.maxdeg = maxdeg
+        # how far a term's degree exceeds the leading term's: a multiple
+        # m*g reaches degree deg(m lt) + excess; 0 under grevlex
+        self.excess = maxdeg - sum(lt_exps)
 
 
 def _freeze(d: dict[int, int], spec: PackSpec, field: Field) -> GPoly:
@@ -362,9 +369,10 @@ class BasisContext:
                 remainder[k] = c
                 continue
             g = elems[gi]
-            mult_deg = key_degree(k) - key_degree(g.lt_key)
-            if g.maxdeg + mult_deg > C:
-                raise KeyOverflow(g.maxdeg + mult_deg)
+            if g.excess:    # else no term of the step outgrows k's degree
+                top = g.excess + key_degree(k)
+                if top > C:
+                    raise KeyOverflow(top)
             delta = k - g.lt_key
             if steps is not None:
                 steps.append((gi, delta, c))
@@ -425,6 +433,22 @@ class _Buchberger:
     minimal basis: the active elements that are their own only divisor (no
     two leading terms are equal), sorted; `_reduce_final` reduces it.
 
+    M, F and the retirements run on all active elements at once.  Their
+    exponent keys sit side by side in one int, `packed`, one slot per
+    element in `active` order; a slot is a multiple of 64 bits with a flag
+    bit above the key.  One guarded subtraction of lt(h), repeated in every
+    slot, gives every lcm with lt(h) and every element that lt(h) divides:
+    the slots where each field keeps its guard.  The lcms are unpacked in
+    one call and sorted once by (lcm, slot).  A divisor of an lcm has a
+    smaller key, so the first slot of each lcm that no kept lcm divides is
+    minimal (M), and one more subtraction drops every slot whose lcm it
+    divides, the equal ones too (F).  That first slot is the coprime pair
+    if the lcm has one: if (c, h) is coprime and lcm(a, h) = lcm(c, h),
+    then lt(c) divides lt(a), and no active leading term divides one in an
+    earlier slot, since adding an element retires those its leading term
+    divides.  So the queued pairs are those of the update that scans the
+    candidates one at a time (kept as a test oracle).
+
     Pairs pop by lcm degree, then lcm key.  A pair whose lcm has degree
     above C is queued unpacked, with key None: its degree sorts it after
     every pair that fits (pairs of one degree are all packed or all
@@ -449,20 +473,55 @@ class _Buchberger:
         self.ctx = BasisContext(ring, spec, [])
         # (lcm degree, lcm key or None above C, i, j, lcm exponent key)
         self.pairs: list[tuple[int, int | None, int, int, int]] = []
+        # the exponent keys of `active`, slot s holding active[s]'s, in
+        # slots of `slot` bits: room for the key and a flag bit above it
+        self.packed = 0
+        self.slot = 64 * (spec.g_all.bit_length() // 64 + 1)
+        self.cap = 0        # slots that the constants below replicate
+        self.ones = self.guards = self.full = self.flags = 0
+
+    def _grow(self, n: int) -> None:
+        """Replicate the per-slot constants over at least n slots, doubling
+        so that a run builds O(log n) of them."""
+        self.cap = max(n, 2 * self.cap)
+        top = 1 << (self.slot - 1)
+        self.ones = int.from_bytes(
+            (1).to_bytes(self.slot // 8, "little") * self.cap, "little")
+        ge = self.spec.g_exp
+        self.guards = ge * self.ones
+        # a slot of d (guard bits of ge only) plus top - ge sets the flag
+        # bit exactly when d holds every guard of ge
+        self.full = (top - ge) * self.ones
+        self.flags = top * self.ones
+
+    def _unpack(self, packed: int, n: int) -> list[int]:
+        """The n slots of `packed`."""
+        size = self.slot // 8
+        raw = packed.to_bytes(n * size, "little")
+        if size == 8 and sys.byteorder == "little":
+            return memoryview(raw).cast("Q").tolist()
+        return [int.from_bytes(raw[k:k + size], "little")
+                for k in range(0, n * size, size)]
+
+    def _flagged(self, bits: int, n: int) -> bytes:
+        """Per slot of n, nonzero when its flag bit is set."""
+        size = self.slot // 8
+        return bits.to_bytes(n * size, "little")[size - 1::size]
 
     def _add(self, g: GPoly, with_pairs: bool) -> None:
         spec, ge, w = self.spec, self.spec.g_exp, self.spec.w
-        h, exps = len(self.basis), self.exps
+        h, exps, active = len(self.basis), self.exps, self.active
+        n = len(active)
         eh = (g.lt_key ^ spec.zero_key) & (ge - (ge >> w))
         self.basis.append(g)
         exps.append(eh)
 
-        def lcm(a: int) -> int:
-            d = ((a | ge) - eh) & ge
-            m = d - (d >> w)
-            return (a & m) | (eh & ~m)
+        if with_pairs and self.pairs:
+            def lcm(a: int) -> int:
+                d = ((a | ge) - eh) & ge
+                m = d - (d >> w)
+                return (a & m) | (eh & ~m)
 
-        if with_pairs:
             # criterion B on the queued pairs
             kept = [p for p in self.pairs
                     if ((p[4] | ge) - eh) & ge != ge
@@ -470,39 +529,66 @@ class _Buchberger:
             if len(kept) < len(self.pairs):
                 heapq.heapify(kept)
                 self.pairs = kept
-            # criteria M and F: in exponent-key order every divisor of an
-            # lcm comes first, and a coprime pair first among equal lcms
-            cands = sorted(((e := lcm(exps[i])), e != exps[i] + eh, i)
-                           for i in self.active)
-            seen: list[int] = []
-            for e, useful, i in cands:
-                guarded = e | ge
-                for s in seen:
-                    if (guarded - s) & ge == ge:
-                        break
-                else:
-                    seen.append(e)
-                    if useful:
+        packed, retired = self.packed, 0
+        if n:
+            if n > self.cap:
+                self._grow(n)
+            # the constants over n slots; every slot holds the same value
+            cut = (self.cap - n) * self.slot
+            ones, guards, full, flags = (self.ones >> cut, self.guards >> cut,
+                                         self.full >> cut, self.flags >> cut)
+            # every slot at once: a field of a keeps its guard bit through
+            # the subtraction exactly when it is at least eh's, and eh
+            # divides a when every field of a does
+            ehs = eh * ones
+            d = ((packed | guards) - ehs) & guards
+            retired = (d + full) & flags
+            if with_pairs:
+                # criteria M and F on lcm(a, eh), sorted once by (lcm, slot):
+                # the first slot of an lcm that no kept lcm divides is minimal,
+                # and one step drops every slot whose lcm it divides.  Among
+                # equal lcms a coprime pair is first (see the class docstring)
+                # and queues nothing
+                lcms = ehs ^ ((packed ^ ehs) & (d - (d >> w)))
+                vals = self._unpack(lcms, n)
+                lcms |= guards
+                order = sorted(range(n), key=vals.__getitem__)
+                last = order[-1]
+                dead = bytes(n)
+                killed = 0
+                for s in order:
+                    if dead[s]:
+                        continue
+                    e, i = vals[s], active[s]
+                    if e != exps[i] + eh:
                         lexps = tuple(map(max, self.basis[i].lt_exps,
                                           g.lt_exps))
-                        d = sum(lexps)
-                        key = spec.pack(lexps) if d <= spec.C else None
-                        heapq.heappush(self.pairs, (d, key, i, h, e))
-        active = [i for i in self.active if ((exps[i] | ge) - eh) & ge != ge]
-        if len(active) == len(self.active):
-            self.ctx.append(g)
-        else:
+                        deg = sum(lexps)
+                        key = spec.pack(lexps) if deg <= spec.C else None
+                        heapq.heappush(self.pairs, (deg, key, i, h, e))
+                    if s != last:
+                        killed |= ((((lcms - e * ones) & guards) + full)
+                                   & flags)
+                        dead = self._flagged(killed, n)
+        if retired:
+            active = [i for i, r in zip(active, self._flagged(retired, n))
+                      if not r]
             self.ctx = BasisContext(self.ring, spec,
                                     [self.basis[i] for i in active] + [g])
+            size = self.slot // 8
+            packed = int.from_bytes(b"".join(
+                exps[i].to_bytes(size, "little") for i in active), "little")
+        else:
+            self.ctx.append(g)
+        self.packed = packed | eh << (len(active) * self.slot)
         self.active = active + [h]
 
     def _spoly(self, i: int, j: int, lcm_k: int) -> dict[int, int]:
         spec, sub = self.spec, self.field.sub
         gi, gj = self.basis[i], self.basis[j]
-        lcm_deg = spec.key_degree(lcm_k)
-        if max(gi.maxdeg + lcm_deg - spec.key_degree(gi.lt_key),
-               gj.maxdeg + lcm_deg - spec.key_degree(gj.lt_key)) > spec.C:
-            raise KeyOverflow(lcm_deg + max(gi.maxdeg, gj.maxdeg))
+        top = spec.key_degree(lcm_k) + max(gi.excess, gj.excess)
+        if top > spec.C:
+            raise KeyOverflow(top)
         di = lcm_k - gi.lt_key
         dj = lcm_k - gj.lt_key
         work = {k + di: c for k, c in zip(gi.keys, gi.coeffs)}

@@ -399,6 +399,33 @@ def det_permanent_style(rows: list[list[Polynomial]]) -> Polynomial:
     return total
 
 
+# -- the Gebauer-Moller pair update, one candidate at a time ------------------
+
+def gebauer_moller_update(lts: list[tuple[int, ...]], active: list[int],
+                          h: int) -> tuple[list[tuple], list[int]]:
+    """The pairs (i, h, lcm) that criteria M and F of Gebauer and Moller
+    (J. Symb. Comput. 6, 1988) keep for a new element h among the active
+    ones, and the active elements whose leading exponents lts[h] divides.
+    Literally: lcms are fieldwise maxima; in order of degree every divisor
+    of an lcm is met first, so an lcm is kept when no kept one divides it;
+    among equal lcms a coprime pair comes first and queues nothing, else
+    the lowest i is queued."""
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    new = lts[h]
+    cands = sorted((sum(lcm), lcm, any(map(min, lts[i], new)), i)
+                   for i in active
+                   for lcm in [tuple(map(max, lts[i], new))])
+    kept: list[tuple[int, ...]] = []
+    pairs = []
+    for _, lcm, shared, i in cands:
+        if not any(divides(k, lcm) for k in kept):
+            kept.append(lcm)
+            if shared:
+                pairs.append((i, h, lcm))
+    return pairs, [i for i in active if divides(new, lts[i])]
+
 # -- SplitMix64, written independently against the published recipe ------------
 
 def splitmix64_reference(seed: int, count: int) -> list[int]:

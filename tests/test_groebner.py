@@ -28,8 +28,9 @@ from charplab import groebner as charplab_groebner
 from charplab.engine import KeyOverflow, groebner
 from charplab.groebner import Staircase, colon_by_basis, divide_exact
 from oracles import block_greater, box_monomial_member, box_monomials, \
-    dense_colength_box, dense_membership, grevlex_greater, lex_greater, \
-    local_hilbert_function, monomials_up_to, naive_remainder
+    dense_colength_box, dense_membership, gebauer_moller_update, \
+    grevlex_greater, lex_greater, local_hilbert_function, monomials_up_to, \
+    naive_remainder
 
 
 def ring(p, *names, m=1):
@@ -1195,6 +1196,79 @@ def test_every_attempt_reduces_the_pairs_of_the_full_width_run(case):
                 assert done == pairs[:len(done)]
 
 
+def checked_pair_updates(run, width, seen):
+    """run() with each _Buchberger._add checked against the literal update
+    of oracles.gebauer_moller_update: the pairs (i, h, lcm) queued for the
+    new element h and the elements it retires.  `width`, if given, is the
+    first key width; `seen` counts the cases the checks met."""
+    add = engine._Buchberger._add
+
+    def spy(self, g, with_pairs):
+        spec, h, before = self.spec, len(self.basis), list(self.active)
+        lts = [b.lt_exps for b in self.basis] + [g.lt_exps]
+        pairs, retired = gebauer_moller_update(lts, before, h)
+        add(self, g, with_pairs)
+        queued = [p for p in self.pairs if p[3] == h]
+        assert sorted((i, j, tuple((e >> sh) & spec.C
+                                   for sh in spec.var_shifts))
+                      for _, _, i, j, e in queued) == \
+            (sorted(pairs) if with_pairs else [])
+        assert [i for i in before if i not in self.active] == retired
+        lcms = [tuple(map(max, lts[i], g.lt_exps)) for i in before]
+        coprime = {m for i, m in zip(before, lcms)
+                   if not any(map(min, lts[i], g.lt_exps))}
+        seen["coprime ties"] += with_pairs and any(
+            lcms.count(m) > 1 for m in coprime)
+        seen["retirements"] += bool(retired)
+        seen["unpacked lcms"] += any(p[1] is None for p in queued)
+        seen["keys over 64 bits"] += spec.g_all.bit_length() > 64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Buchberger, "_add", spy)
+        if width is not None:
+            mp.setattr(engine, "_initial_width", lambda polys: width)
+        return run()
+
+
+PAIR_ORDERS = [GREVLEX, LEX, block_order(1), block_order(2)]
+# 3 bits queue pairs above C unpacked; 22 bits give keys of 4 x 23 bits
+PAIR_WIDTHS = [None, 3, 22]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    generator_lists(1, 4).map(lambda case: (case[0], case[1][0], None)),
+    colon_cases(),
+    staircase_extensions().map(
+        lambda case: (case[0].ring, [*case[0].elements, *case[1]], None))))
+def test_the_packed_pair_update_queues_and_retires_as_the_literal_one(case):
+    R, gens, f = case
+    seen = Counter()
+    for order in [o for o in PAIR_ORDERS if o.kind != "block" or o.block < R.n]:
+        for width in PAIR_WIDTHS:
+            checked_pair_updates(lambda: groebner(gens, R, order), width, seen)
+    if f is not None:
+        for width in PAIR_WIDTHS:
+            checked_pair_updates(lambda: colon_by_basis(gens, R, f), width,
+                                 seen)
+
+
+def test_the_pair_update_checks_meet_every_case():
+    # x after y and x*y: the lcm x*y of the coprime pair (y, x) ties with
+    # that of (x*y, x), which is not queued, and x retires x*y
+    R = ring(5, "x", "y", "t")
+    seen = Counter()
+    tie = [parse_poly(t, R) for t in ("y", "x*y", "x")]
+    wide = [parse_poly(t, R)
+            for t in ("x^3*y + t^4", "y^5 - x*t^2", "x^2*t^3 + y")]
+    for gens in (tie, wide):
+        for order in PAIR_ORDERS[:3]:
+            for width in PAIR_WIDTHS:
+                checked_pair_updates(lambda: groebner(gens, R, order), width,
+                                     seen)
+    assert set(seen) == {"coprime ties", "retirements", "unpacked lcms",
+                         "keys over 64 bits"} and all(seen.values())
+
+
 def test_an_s_polynomial_too_wide_for_its_keys_restarts_the_run(
         monkeypatch):
     R = ring(3, "x", "y", "z")
@@ -1202,7 +1276,7 @@ def test_an_s_polynomial_too_wide_for_its_keys_restarts_the_run(
     expected = groebner(gens, R, LEX)
     assert [g.text(LEX) for g in expected] == ["y^6*z^2", "x + y^6"]
     # on 3-bit keys (C = 7) the pair's lcm x*z^2 packs, but its shifted
-    # tail y^6*z^2 has degree 8: _spoly asks for degree 3 + 6 = 9
+    # tail y^6*z^2 has degree 8, and _spoly asks for that degree
     monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
     asked, steps = [], []
     spoly, wider = engine._Buchberger._spoly, engine._wider
@@ -1220,7 +1294,55 @@ def test_an_s_polynomial_too_wide_for_its_keys_restarts_the_run(
     monkeypatch.setattr(engine._Buchberger, "_spoly", spy_spoly)
     monkeypatch.setattr("charplab.engine._wider", spy_wider)
     assert groebner(gens, R, LEX) == expected
-    assert asked == [9] and steps == [5]
+    assert asked == [8] and steps == [5]
+
+
+def test_an_s_polynomial_asks_for_the_degree_its_terms_reach(monkeypatch):
+    # on 3-bit keys under block(1) the first S-polynomial that does not fit
+    # has a shifted term of degree 8: each element's largest degree plus
+    # the lcm's degree minus that of its own leading term.  Adding the
+    # larger maxdeg to the lcm's degree would ask for 11
+    R = ring(5, "x", "y", "t")
+    gens = [parse_poly(t, R)
+            for t in ("x^3*y + t^4", "y^5 - x*t^2", "x^2*t^3 + y")]
+    expected = groebner(gens, R, block_order(1))
+    monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
+    asked = []
+    wider = engine._wider
+
+    def spy(needed):
+        asked.append(needed)
+        return wider(needed)
+    monkeypatch.setattr("charplab.engine._wider", spy)
+    assert groebner(gens, R, block_order(1)) == expected
+    assert asked == [8]
+
+
+def test_a_block_order_reduction_restarts_from_reduce_dict(monkeypatch):
+    # under block(1) x - y^5 leads with x, and each step of x^14 -> y^70
+    # raises the degree by 4: 6-bit keys (C = 63) overflow in the step from
+    # x^2*y^60, which reaches degree 66, and the retry fits
+    R = ring(5, "x", "y")
+    asked, raised = [], []
+    wider, reduce_dict = engine._wider, engine.BasisContext.reduce_dict
+
+    def spy_reduce(self, *args):
+        try:
+            return reduce_dict(self, *args)
+        except KeyOverflow as o:
+            raised.append(o.needed_degree)
+            raise
+
+    def spy_wider(needed):
+        asked.append(needed)
+        return wider(needed)
+    monkeypatch.setattr(engine.BasisContext, "reduce_dict", spy_reduce)
+    monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 6)
+    monkeypatch.setattr("charplab.engine._wider", spy_wider)
+    assert engine.normal_forms([parse_poly("x - y^5", R)],
+                               [parse_poly("x^14", R)], R,
+                               block_order(1)) == [parse_poly("y^70", R)]
+    assert raised == asked == [66]
 
 
 def test_a_basis_takes_only_polynomials_of_its_ring():

@@ -430,6 +430,22 @@ def test_the_chain_colons_by_its_multiplier_mod_the_bracket(monkeypatch):
         assert f.terms and all(max(k) < 5 ** level for k in f.terms)
 
 
+def test_the_a1_chain_to_level_three_reduces_405_s_polynomials(monkeypatch):
+    # the pair update decides which S-polynomials are reduced; this pins
+    # the count of the x^2 + y^2 + t^2 chain over F5 to e = 3
+    R = ring(5, "x", "y", "t")
+    calls = []
+    spoly = engine._Buchberger._spoly
+
+    def spy(self, *args):
+        calls.append(args)
+        return spoly(self, *args)
+    monkeypatch.setattr(engine._Buchberger, "_spoly", spy)
+    assert [r.a for r in splitting_series(
+        present(R, "x^2 + y^2 + t^2"), 3).rows] == [13, 313, 7813]
+    assert len(calls) == 405
+
+
 def test_lengths_never_grow_a_reduced_basis(monkeypatch):
     # hk_length and the last chain level read only leading exponents, so
     # once the defining basis is cached neither calls GroebnerBasis.extend
