@@ -24,8 +24,9 @@ current width, the whole computation is restarted with wider fields
 (KeyOverflow is the internal signal, asking for a degree above C); the
 new fields hold twice the degree asked for, and only the degree limit
 (Limits.max_degree, the default one for normal forms and quotients) turns
-a restart into an error.  A queued pair that criterion B drops unreduced
-never restarts a run, however high its lcm's degree (see _Buchberger).
+a restart into an error.  A queued pair that criterion B or a Loewy bound
+drops unreduced never restarts a run, however high its lcm's degree (see
+_Buchberger).
 Keys are arbitrary-precision ints.  The divisor search over a large
 basis's leading terms ANDs one bitmask per variable (see BasisContext), at
 any width.  A Buchberger run keeps the exponent keys of its active
@@ -458,15 +459,29 @@ class _Buchberger:
     comparisons are monomial-order comparisons at any width, so every
     attempt pops the same pairs in the same order until it overflows, and
     the reduced basis does not depend on the width; a pair B drops before
-    it is popped costs no restart."""
+    it is popped costs no restart.
+
+    Under block_order(k), a `loewy_bound` maps the leading exponents of the
+    active elements to a degree D, or to None, and the run drops every
+    popped pair whose lcm has degree D or more in the last n - k variables
+    (the groebner module docstring says why the tangent cone read off the
+    minimal basis it then ends at is still exact).  D is read lazily, at a
+    pop that the last D does not cut, and only once a quarter of the basis
+    is new since the last read.  The cut comes before the restart an
+    unpacked pair asks for, so a dropped pair costs none."""
 
     def __init__(self, ring: Ring, spec: PackSpec, limits: Limits,
-                 deadline: float | None):
+                 deadline: float | None, loewy_bound=None):
         self.ring = ring
         self.spec = spec
         self.field = ring.field
         self.limits = limits
         self.deadline = deadline
+        self.bound = loewy_bound
+        # the last D the bound gave (None before one), and the basis size
+        # when it was last read
+        self.cut: int | None = None
+        self.cut_read = 0
         self.basis: list[GPoly] = []
         self.exps: list[int] = []      # exponent keys of the leading terms
         self.active: list[int] = []    # basis indices, the elements of ctx
@@ -617,7 +632,9 @@ class _Buchberger:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise TimeLimitError(
                     "time limit exceeded in basis computation")
-            d, lcm_k, i, j, _ = heapq.heappop(self.pairs)
+            d, lcm_k, i, j, e = heapq.heappop(self.pairs)
+            if self.bound is not None and self._past_bound(d, e):
+                continue
             if lcm_k is None:
                 raise KeyOverflow(d)
             work = self._spoly(i, j, lcm_k)
@@ -642,6 +659,23 @@ class _Buchberger:
         return sorted((g for i, g in enumerate(self.ctx.elems)
                        if self.ctx.divisor_indices(g.lt_key) == [i]),
                       key=lambda g: g.lt_key)
+
+    def _past_bound(self, d: int, e: int) -> bool:
+        """Whether the lcm of degree d and exponent key e has degree at
+        least D past the first block (see the class docstring)."""
+        spec = self.spec
+        for sh in spec.var_shifts[:spec.order.block]:
+            d -= (e >> sh) & spec.C
+        if self.cut is None or d < self.cut:
+            n = len(self.basis)
+            if 4 * (n - self.cut_read) < n:
+                return False
+            self.cut_read = n
+            got = self.bound([self.basis[a].lt_exps for a in self.active])
+            if got is None:
+                return False
+            self.cut = got
+        return d >= self.cut
 
     def _track(self, i: int, j: int, lcm_k: int, steps: list,
                rem: dict[int, int]) -> None:
@@ -684,13 +718,14 @@ class _Buchberger:
 
 
 def _minimal_run(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
-                 limits: Limits, gb_prefix: int, finish, cofactors=False):
+                 limits: Limits, gb_prefix: int, finish, cofactors=False,
+                 loewy_bound=None):
     """finish(engine, minimal basis) of a run on (gens), which are all
     nonzero; a KeyOverflow, in finish too, restarts on wider keys."""
     deadline = limits.deadline()
 
     def attempt(spec: PackSpec):
-        eng = _Buchberger(ring, spec, limits, deadline)
+        eng = _Buchberger(ring, spec, limits, deadline, loewy_bound)
         return finish(eng, eng.run([_to_dict(f, spec) for f in gens],
                                    gb_prefix, cofactors))
 
@@ -727,11 +762,17 @@ def colon_basis(gb: list[Polynomial], f: Polynomial, ring: Ring,
 
 def initial_exponents(gens: list[Polynomial], ring: Ring,
                       order: MonomialOrder, limits: Limits = DEFAULT_LIMITS,
-                      gb_prefix: int = 0) -> list[tuple[int, ...]]:
+                      gb_prefix: int = 0,
+                      loewy_bound=None) -> list[tuple[int, ...]]:
     """Sorted leading exponents of the minimal basis of (gens), none of
-    them zero: the corners of groebner()'s basis, with no tail pass."""
+    them zero: the corners of groebner()'s basis, with no tail pass.  A
+    `loewy_bound`, under a block order only, drops the pairs past it (see
+    _Buchberger), and the basis it ends at then need not be one of (gens)."""
+    if loewy_bound is not None and order.kind != "block":
+        raise InputError("a Loewy bound needs a block order")
     return _minimal_run(gens, ring, order, limits, gb_prefix,
-                        lambda eng, kept: [g.lt_exps for g in kept])
+                        lambda eng, kept: [g.lt_exps for g in kept],
+                        loewy_bound=loewy_bound)
 
 
 def normal_forms(gb: list[Polynomial], fs: list[Polynomial], ring: Ring,

@@ -35,6 +35,19 @@ homogenized generators dehomogenizes to a standard basis of I
 The cone's count is the length of S/I at the origin alone, and the Loewy
 length of an I primary to the origin is one past its top degree (Nakayama:
 gr_m(S/I) is generated in degree 1).
+
+That run stops short of a full basis.  Let M be the monomial ideal of the
+x-parts (h set to 1) of the leading terms found so far, and D the least
+degree with m^D inside M, once every variable has a pure power in M.  The
+run drops every pair whose lcm has x-degree (total degree less the power
+of h) D or more, and M is exact all the same.  Every polynomial in the run
+is homogeneous, and a leading term has the least x-degree of its terms.  A
+reduced S(i, j) leads with a term below lcm(i, j), so with no more h and
+no lower x-degree, and every pair formed later with it has an lcm that its
+leading term divides.  Putting off the dropped pairs to the end would thus
+add only leading terms whose x-parts lie in m^D, which is inside M.  The
+criteria drop a pair only for pairs whose lcms divide its own, of no
+higher x-degree, and D never rises, so an earlier D is a safe cut too.
 """
 
 from __future__ import annotations
@@ -458,7 +471,20 @@ def _tangent_cone(I: IdealHandle) -> Staircase:
         homs.append(Polynomial(ext, {(d - sum(e),) + e: c
                                      for e, c in f.terms.items()}))
     return Staircase([e[1:] for e in initial_exponents(
-        homs, ext, block_order(1), I.limits)], ring.n)
+        homs, ext, block_order(1), I.limits, loewy_bound=_loewy_bound)],
+        ring.n)
+
+
+def _loewy_bound(exps) -> int | None:
+    """The cut of the homogenized run (see the module docstring): one past
+    the top degree of the staircase of the x-parts of exps, or None while
+    some variable has no pure power among them, when it is infinite."""
+    xs = [e[1:] for e in exps]
+    n = len(xs[0])
+    if len({c.index(max(c)) for c in xs if c.count(0) == n - 1}) < n:
+        return None
+    xs.sort(key=itemgetter(-1))
+    return Staircase._fold(xs, n)[1] + 1
 
 
 def m_power_in(I: IdealHandle) -> int:
@@ -473,8 +499,8 @@ def m_power_in(I: IdealHandle) -> int:
     # homogeneous I the two are one staircase
     if cone.count() != st.count():
         raise InputError(
-            "no bounded power of a variable lies in the ideal: the "
-            "ideal is zero-dimensional but not primary to the origin")
+            "no power of the maximal ideal lies in the ideal: it is "
+            "zero-dimensional but not primary to the origin")
     top = cone.max_degree()
     if top < st.max_degree():
         raise InternalError("a standard monomial lies above the m-power "

@@ -1125,6 +1125,27 @@ def test_tangent_cone_run_restarts_on_wider_keys(monkeypatch):
     assert steps == [5]
 
 
+def test_a_pair_past_the_loewy_bound_costs_no_restart(monkeypatch):
+    # homogenized, x^2 + y^7 and y^2 + x^7 lead with h^5 x^2 and h^5 y^2,
+    # whose x-parts already give D = 3.  Their pair, of degree 9, does not
+    # fit 3-bit keys, but its x-degree 4 is past D: the run drops it unread
+    # and never widens, unless the cut is off
+    R = ring(5, "x", "y")
+    monkeypatch.setattr("charplab.engine._initial_width", lambda polys: 3)
+    steps = []
+    wider = engine._wider
+
+    def spy(needed):
+        steps.append(wider(needed))
+        return steps[-1]
+    monkeypatch.setattr("charplab.engine._wider", spy)
+    cone = charplab_groebner._tangent_cone(ideal(R, "x^2 + y^7", "y^2 + x^7"))
+    assert cone.corners == {(2, 0), (0, 2)} and steps == []
+    monkeypatch.setattr(charplab_groebner, "_loewy_bound", lambda exps: None)
+    cone = charplab_groebner._tangent_cone(ideal(R, "x^2 + y^7", "y^2 + x^7"))
+    assert cone.corners == {(2, 0), (0, 2)} and steps == [5]
+
+
 @pytest.mark.parametrize("order", [GREVLEX, block_order(1)],
                          ids=["grevlex", "block1"])
 def test_groebner_restarts_on_wider_keys(order, monkeypatch):
@@ -1507,6 +1528,60 @@ def local_ideals(draw):
 @given(local_ideals())
 def test_the_tangent_cone_of_a_random_ideal_matches_the_oracle(case):
     cone_degrees(*case)
+
+
+@st.composite
+def cut_ideals(draw):
+    """(ring, generators): 1-2 polynomials with no constant term, of 2-4
+    terms in two or more degrees up to 4, in 2-3 variables over F2, F3 or
+    F5, and a pure power x_i^(b_i), b_i in 4..10, of each variable, so
+    that the homogenized run's Loewy cut engages in many of them."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    R = ring(p, *("x", "y", "t")[:n])
+    exps = st.tuples(*[st.integers(0, 4)] * n).filter(
+        lambda e: 1 <= sum(e) <= 4)
+    terms = st.dictionaries(exps, st.integers(1, p - 1), min_size=2,
+                            max_size=4).filter(
+        lambda t: len({sum(e) for e in t}) > 1)
+    gens = [Polynomial(R, draw(terms)) for _ in range(draw(st.integers(1, 2)))]
+    bounds = draw(st.lists(st.integers(4, 10), min_size=n, max_size=n))
+    return R, gens + [R.monomial(tuple(b if j == i else 0 for j in range(n)))
+                      for i, b in enumerate(bounds)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cut_ideals())
+def test_the_loewy_cut_leaves_the_tangent_cone_unchanged(case):
+    # the same cone and m_power_in with the cut turned off: a bound that
+    # never knows D drops no pair
+    R, gens = case
+
+    def read():
+        cone = charplab_groebner._tangent_cone(IdealHandle(R, gens))
+        return (cone.corners, cone.count(), cone.max_degree(),
+                m_power_in(IdealHandle(R, gens)))
+    got = read()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charplab_groebner, "_loewy_bound", lambda exps: None)
+        assert read() == got
+
+
+def test_the_loewy_cut_drops_pairs_past_the_cone(monkeypatch):
+    # the stability threshold ideal of x^2 + y^3 + t^3 over F5 at e = 2:
+    # the homogenized run reduces 73 S-polynomials, and 140 with no cut
+    R = ring(5, "x", "y", "t")
+    I = ideal(R, "x^2 + y^3 + t^3", "x^25", "y^25", "t^25")
+    calls = []
+    spoly = engine._Buchberger._spoly
+
+    def spy(self, *args):
+        if self.spec.order.kind == "block":
+            calls.append(args)
+        return spoly(self, *args)
+    monkeypatch.setattr(engine._Buchberger, "_spoly", spy)
+    assert m_power_in(I) == 44
+    assert len(calls) == 73
 
 
 PIN_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]

@@ -214,6 +214,23 @@ def test_hs_multiplicity_is_the_local_multiplicity(p, names, texts, value):
     assert hs_multiplicity(present(ring(p, *names), *texts)) == value
 
 
+def test_a_positive_dimensional_cone_run_drops_no_pair(monkeypatch):
+    # a curve in four variables: the x-parts never span an m-primary ideal,
+    # so the Loewy cut stays off and the homogenized run reduces all 26
+    R = ring(5, "x", "y", "z", "t")
+    calls = []
+    spoly = engine._Buchberger._spoly
+
+    def spy(self, *args):
+        if self.spec.order.kind == "block":
+            calls.append(args)
+        return spoly(self, *args)
+    monkeypatch.setattr(engine._Buchberger, "_spoly", spy)
+    assert hs_multiplicity(present(
+        R, "x*y - t^3", "x*z - y^3", "y*z - x^2 - t^4")) == 10
+    assert len(calls) == 26
+
+
 def test_hs_multiplicity_regular():
     R = ring(3, "x", "y")
     P = QuotientPresentation(R, IdealHandle(R, []))
