@@ -24,7 +24,7 @@ current width, the whole computation is restarted with wider fields
 (KeyOverflow is the internal signal, asking for a degree above C); the
 new fields hold twice the degree asked for, and only the degree limit
 (Limits.max_degree, the default one for normal forms and quotients) turns
-a restart into an error.  A queued pair that criterion B or a Loewy bound
+a restart into an error.  A queued pair that criterion B or a degree cut
 drops unreduced never restarts a run, however high its lcm's degree (see
 _Buchberger).
 Keys are arbitrary-precision ints.  The divisor search over a large
@@ -461,23 +461,31 @@ class _Buchberger:
     the reduced basis does not depend on the width; a pair B drops before
     it is popped costs no restart.
 
-    Under block_order(k), a `loewy_bound` maps the leading exponents of the
-    active elements to a degree D, or to None, and the run drops every
-    popped pair whose lcm has degree D or more in the last n - k variables
-    (the groebner module docstring says why the tangent cone read off the
-    minimal basis it then ends at is still exact).  D is read lazily, at a
-    pop that the last D does not cut, and only once a quarter of the basis
-    is new since the last read.  The cut comes before the restart an
-    unpacked pair asks for, so a dropped pair costs none."""
+    A `degree_cut` maps the leading exponents of the active elements to a
+    degree D, or to None, and the run drops every popped pair whose lcm
+    has degree D or more past the first block: in the last n - k variables
+    under block_order(k), in all of them under grevlex.  The minimal
+    basis the run then ends at need not be one of the ideal.  Under
+    block_order(1), with D read off the x-parts of the homogenized run,
+    the tangent cone read off it is exact (the groebner module docstring
+    says why).  Under grevlex, with a constant D and homogeneous
+    generators, it is a (D - 1)-truncated basis, whose leading terms give
+    the Hilbert function exactly up to degree D - 1: pairs pop by degree,
+    so every pair below D is reduced, and criteria B, M and F drop a pair
+    only for pairs whose lcms divide its own, of no higher degree.  D is
+    read lazily, at a pop that the last D does not cut, and only once a
+    quarter of the basis is new since the last read.  The cut comes
+    before the restart an unpacked pair asks for, so a dropped pair costs
+    none."""
 
     def __init__(self, ring: Ring, spec: PackSpec, limits: Limits,
-                 deadline: float | None, loewy_bound=None):
+                 deadline: float | None, degree_cut=None):
         self.ring = ring
         self.spec = spec
         self.field = ring.field
         self.limits = limits
         self.deadline = deadline
-        self.bound = loewy_bound
+        self.bound = degree_cut
         # the last D the bound gave (None before one), and the basis size
         # when it was last read
         self.cut: int | None = None
@@ -664,7 +672,7 @@ class _Buchberger:
         """Whether the lcm of degree d and exponent key e has degree at
         least D past the first block (see the class docstring)."""
         spec = self.spec
-        for sh in spec.var_shifts[:spec.order.block]:
+        for sh in spec.var_shifts[:spec.order.block or 0]:   # none: grevlex
             d -= (e >> sh) & spec.C
         if self.cut is None or d < self.cut:
             n = len(self.basis)
@@ -719,13 +727,13 @@ class _Buchberger:
 
 def _minimal_run(gens: list[Polynomial], ring: Ring, order: MonomialOrder,
                  limits: Limits, gb_prefix: int, finish, cofactors=False,
-                 loewy_bound=None):
+                 degree_cut=None):
     """finish(engine, minimal basis) of a run on (gens), which are all
     nonzero; a KeyOverflow, in finish too, restarts on wider keys."""
     deadline = limits.deadline()
 
     def attempt(spec: PackSpec):
-        eng = _Buchberger(ring, spec, limits, deadline, loewy_bound)
+        eng = _Buchberger(ring, spec, limits, deadline, degree_cut)
         return finish(eng, eng.run([_to_dict(f, spec) for f in gens],
                                    gb_prefix, cofactors))
 
@@ -763,16 +771,18 @@ def colon_basis(gb: list[Polynomial], f: Polynomial, ring: Ring,
 def initial_exponents(gens: list[Polynomial], ring: Ring,
                       order: MonomialOrder, limits: Limits = DEFAULT_LIMITS,
                       gb_prefix: int = 0,
-                      loewy_bound=None) -> list[tuple[int, ...]]:
+                      degree_cut=None) -> list[tuple[int, ...]]:
     """Sorted leading exponents of the minimal basis of (gens), none of
     them zero: the corners of groebner()'s basis, with no tail pass.  A
-    `loewy_bound`, under a block order only, drops the pairs past it (see
-    _Buchberger), and the basis it ends at then need not be one of (gens)."""
-    if loewy_bound is not None and order.kind != "block":
-        raise InputError("a Loewy bound needs a block order")
+    `degree_cut`, under grevlex or a block order, drops the pairs past it
+    (see _Buchberger), and the basis it ends at then need not be one of
+    (gens); on homogeneous gens under grevlex, a cut at a constant D
+    leaves one that is exact below degree D."""
+    if degree_cut is not None and order.kind == "lex":
+        raise InputError("a degree cut needs grevlex or a block order")
     return _minimal_run(gens, ring, order, limits, gb_prefix,
                         lambda eng, kept: [g.lt_exps for g in kept],
-                        loewy_bound=loewy_bound)
+                        degree_cut=degree_cut)
 
 
 def normal_forms(gb: list[Polynomial], fs: list[Polynomial], ring: Ring,

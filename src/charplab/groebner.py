@@ -12,7 +12,10 @@ squarefreeness test for hypersurfaces.
 A staircase is counted by slicing along the last variable (Bruns-Herzog,
 Sec. 4.6) in one sweep over its corners sorted by last exponent, which
 carries the plain list of the corners below the cut: never a minimal set,
-since a divisible corner removes no standard monomial.
+since a divisible corner removes no standard monomial.  Its Hilbert
+function comes out of the same slicing as n-th differences, kept sparse:
+a run lo <= x_n < hi of equal slices adds the slice's (n-1)-th
+differences shifted to lo, and subtracts them shifted to hi.
 
 Elimination is one engine run under a block order: its final pass keeps
 the reduced basis elements free of the first block, which by the
@@ -52,6 +55,8 @@ higher x-degree, and D never rises, so an earlier D is a safe cut too.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import accumulate
 from operator import itemgetter
 
 from .engine import (DEFAULT_LIMITS, Limits, colon_basis, exact_quotient,
@@ -252,6 +257,31 @@ def colon_by_basis(gb_elements: list[Polynomial], ring: Ring, f: Polynomial,
         colon_basis(list(gb.elements), f, ring, limits)
 
 
+def _gorenstein_colon_length(gb: GroebnerBasis, r: Polynomial,
+                             limits: Limits) -> int:
+    """l(S/(I : r)) for gb a homogeneous grevlex basis of an I with S/I
+    Gorenstein artinian and r homogeneous of degree delta outside I, from
+    half the Hilbert function H of the Gorenstein S/(I : r), whose socle
+    degree is s = top(S/I) - delta (see the invariants module docstring).
+    H(d) = HF_S/I(d + delta) - HF_S/(I + (r))(d + delta) is read up to
+    one degree past s/2, the second term off a run of I + (r) that drops
+    every pair above that degree, and symmetry H(d) = H(s - d) gives the
+    rest; the one degree past s/2 checks it."""
+    st, delta = staircase_of(gb), r.total_degree()
+    s = st.max_degree() - delta
+    top = delta + s // 2 + 1
+    cut = Staircase(initial_exponents(
+        [*gb.elements, r], gb.ring, GREVLEX, limits, gb_prefix=len(gb),
+        degree_cut=lambda exps: top + 1), gb.ring.n)
+    h = [a - b for a, b in zip(st._hilbert(top)[delta:],
+                               cut._hilbert(top)[delta:])]
+    mirror = s - len(h) + 1     # s - (s // 2 + 1), -1 for s = 0
+    if h[-1] != (h[mirror] if mirror >= 0 else 0):
+        raise InternalError("the Hilbert function of a Gorenstein colon "
+                            "is not symmetric")
+    return sum(h[min(d, s - d)] for d in range(s + 1))
+
+
 def colon(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """I : J = {g : gJ inside I}, via intersections of single colons."""
     ring = _common_ring(I, J)
@@ -298,9 +328,10 @@ class Staircase:
     their minimal set, is found when read.  `dimension` is the Krull
     dimension of the quotient.  `count` and `max_degree` share one cached
     sweep, which raises InputError on an infinite staircase and gives
-    (0, -1) for the unit ideal."""
+    (0, -1) for the unit ideal.  `count_degree` and `_hilbert` read the
+    Hilbert function off another, of any staircase."""
 
-    __slots__ = ("n", "_given", "_sums")
+    __slots__ = ("n", "_given", "_sums", "_diffs")
 
     def __init__(self, corners, n: int):
         corners = _as_list(corners, "corners")
@@ -310,6 +341,7 @@ class Staircase:
             raise InputError(f"corners must be {n}-tuples of nonnegative ints")
         self.n, self._given = n, sorted(set(corners), key=itemgetter(-1))
         self._sums: tuple[int, int] | None = None   # (count, max_degree)
+        self._diffs: dict[int, int] | None = None
 
     @property
     def corners(self) -> frozenset:
@@ -361,7 +393,23 @@ class Staircase:
         0 for a negative k."""
         if not _is_int(k):
             raise InputError(f"degree must be an integer, got {k!r}")
-        return Staircase._count_degree(self._given, self.n, k)
+        return self._hilbert(k)[-1] if k >= 0 else 0
+
+    def _hilbert(self, top: int) -> list[int]:
+        """The standard monomials of each total degree 0..top (any
+        dimension): the n-th differences summed up n times."""
+        h = [0] * (top + 1)
+        for j, v in self._differences().items():
+            if j <= top:
+                h[j] += v
+        for _ in range(self.n):
+            h = list(accumulate(h))
+        return h
+
+    def _differences(self) -> dict[int, int]:
+        if self._diffs is None:
+            self._diffs = Staircase._diff(self._given, self.n)
+        return self._diffs
 
     @staticmethod
     def _runs(corners: list, n: int):
@@ -413,14 +461,43 @@ class Staircase:
         return count, top
 
     @staticmethod
-    def _count_degree(corners: list, n: int, k: int) -> int:
-        if n == 1:
-            return int(0 <= k and (not corners or k < corners[0][0]))
-        got = 0
+    def _diff(corners: list, n: int) -> dict[int, int]:
+        """The n-th differences of the Hilbert function, {degree: value}.
+        Slices along x_n as in _fold; an unbounded run or row adds no term
+        at its end."""
+        out: dict[int, int] = defaultdict(int)
+        if n == 1:      # x_1^a is standard for a below the least c[0]
+            out[0] += 1
+            if corners:
+                out[corners[0][0]] -= 1
+            return out
+        if n == 2:      # rows lo <= b < hi hold x_1^a, a below `least`
+            def rows(lo, hi, least):
+                out[lo] += 1
+                if hi is not None:
+                    out[hi] -= 1
+                if least is not None:
+                    out[lo + least] -= 1
+                    if hi is not None:
+                        out[hi + least] += 1
+
+            lo, least = 0, None
+            for a, b in corners:
+                if b > lo:
+                    rows(lo, b, least)
+                    lo = b
+                if least is None or a < least:
+                    least = a
+                if not least:
+                    return out
+            rows(lo, None, least)
+            return out
         for lo, hi, below in Staircase._runs(corners, n):
-            for e in range(lo, k + 1 if hi is None else min(hi, k + 1)):
-                got += Staircase._count_degree(below, n - 1, k - e)
-        return got
+            for j, v in Staircase._diff(below, n - 1).items():
+                out[lo + j] += v
+                if hi is not None:
+                    out[hi + j] -= v
+        return out
 
 
 def staircase_of(gb: GroebnerBasis) -> Staircase:
@@ -471,7 +548,7 @@ def _tangent_cone(I: IdealHandle) -> Staircase:
         homs.append(Polynomial(ext, {(d - sum(e),) + e: c
                                      for e, c in f.terms.items()}))
     return Staircase([e[1:] for e in initial_exponents(
-        homs, ext, block_order(1), I.limits, loewy_bound=_loewy_bound)],
+        homs, ext, block_order(1), I.limits, degree_cut=_loewy_bound)],
         ring.n)
 
 

@@ -24,6 +24,35 @@ l(S/C^[p]) = p^n l(S/C) by Kunz's flatness theorem (Amer. J. Math. 91,
 1969).  So for I = C_{e-1}^[p] a_e = p^n a_{e-1} - l(S/(I + (r))),
 r = g^(p-1) mod I: the leading exponents of one grevlex run, stopped at
 the minimal basis.
+
+For a homogeneous g and r != 0 half of that run is enough, since every
+quotient in the chain is Gorenstein (Stanley, Adv. Math. 28, 1978, for
+the symmetry used below).
+- Let B = S/m^[q], so that S/C_e = B/(0 :_B g^(q-1)).  B is Gorenstein
+  artinian, so B/(0 : b) is Gorenstein for every b: its canonical module
+  (0 :_B (0 :_B b)) = bB is isomorphic to B/(0 : b).
+- So S/C_{e-1} is Gorenstein, and A = S/I with I = C_{e-1}^[p] too: by
+  Kunz's flatness the Frobenius image of a minimal free resolution of
+  S/C_{e-1} resolves S/I, with the same last Betti number 1.  Everything
+  is graded: g is homogeneous, so are the C_e, r (of degree delta) and I.
+- 0 -> S/(I : r)(-delta) -> S/I -> S/(I + (r)) -> 0 gives
+  H(d) = HF_S/I(d + delta) - HF_S/(I+(r))(d + delta) for the Hilbert
+  function H of S/C_e = S/(I : r).
+- S/C_e is isomorphic to rA(delta), and the socle degree s of A is the
+  top degree of I's staircase.  rA holds the socle of A, as every
+  nonzero ideal of A does, so S/C_e has socle degree s' = s - delta, and
+  Gorenstein makes H symmetric: H(d) = H(s' - d), and a_e is the sum of
+  H(min(d, s' - d)) over d = 0..s'.
+- Under grevlex, homogeneous pairs pop by degree, and a run that drops
+  every pair of degree above D ends at a D-truncated basis, whose leading
+  terms give HF_S/(I+(r)) exactly up to degree D.  Criteria B, M and F
+  drop a pair only for pairs whose lcms divide its lcm, of no higher
+  degree, so they stay sound under the cut.
+- The run takes D = delta + floor(s'/2) + 1, one degree past the
+  midpoint, and H(floor(s'/2) + 1) = H(s' - floor(s'/2) - 1) is checked
+  (groebner._gorenstein_colon_length).
+An inhomogeneous g keeps the full run.
+
 When g has a term of degree 1, S/(g) is regular at the origin, so F_*^e is
 free of rank q^(n-1) there (Kunz, loc. cit.): a_e = q^(n-1), no basis needed.
 """
@@ -36,8 +65,9 @@ from fractions import Fraction
 from .errors import InputError, InternalError
 from .field import _as_list, _at_least, _of_type
 from .groebner import (GroebnerBasis, IdealHandle, Limits, Staircase,
-                       _tangent_cone, colon, colon_by_basis, frobenius_power,
-                       krull_dim, staircase_of)
+                       _gorenstein_colon_length, _tangent_cone, colon,
+                       colon_by_basis, frobenius_power, krull_dim,
+                       staircase_of)
 from .orders import GREVLEX
 from .poly import Polynomial, Ring
 
@@ -233,8 +263,10 @@ def _count_or_zero(st: Staircase) -> int:
 def _principal_splitting_chain(R: QuotientPresentation,
                                e_max: int) -> list:
     """a_1..a_emax for J = (g): a colon at every level but the last,
-    which reads a_e = p^n a_{e-1} - l(S/(I + (r))) with a_0 = 1 (Kunz; see
-    the module docstring).  A zero r leaves l(S/I), so a_e = 0."""
+    which reads a_e = l(S/(I : r)) off half its Hilbert function for a
+    homogeneous g, and else a_e = p^n a_{e-1} - l(S/(I + (r))) with
+    a_0 = 1 (Kunz; see the module docstring).  A zero r leaves l(S/I), so
+    a_e = 0."""
     ring = R.ring
     p = ring.field.p
     g = R.defining.generators[0]
@@ -249,9 +281,12 @@ def _principal_splitting_chain(R: QuotientPresentation,
             GroebnerBasis(ring, GREVLEX, elems))))
         current = [h.frobenius_pow(1) for h in elems]
     base = GroebnerBasis(ring, GREVLEX, current)
-    st = base.extend_staircase(
-        [base.normal_form(_mod_bracket(mult, p ** e_max))], R.limits)
-    out.append(p ** ring.n * out[-1] - _count_or_zero(st))
+    r = base.normal_form(_mod_bracket(mult, p ** e_max))
+    if len({sum(k) for k in g.terms}) == 1 and not r.is_zero():
+        out.append(_gorenstein_colon_length(base, r, R.limits))
+    else:
+        st = base.extend_staircase([r], R.limits)
+        out.append(p ** ring.n * out[-1] - _count_or_zero(st))
     return out[1:]
 
 

@@ -38,6 +38,20 @@ def box_monomials(n: int, q: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(q), repeat=n))
 
 
+def standard_of_degree(corners, n: int, d: int) -> int:
+    """The monomials of total degree d in n variables that no corner
+    divides, each one listed as a multiset of d variables; 0 for d < 0."""
+    if d < 0:
+        return 0
+    count = 0
+    for pick in itertools.combinations_with_replacement(range(n), d):
+        m = tuple(pick.count(i) for i in range(n))
+        if not any(all(a >= c for a, c in zip(m, corner))
+                   for corner in corners):
+            count += 1
+    return count
+
+
 # -- dense linear algebra over F_p (prime fields, numpy) ----------------------
 
 class ModpSpan:

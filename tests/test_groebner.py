@@ -30,7 +30,7 @@ from charplab.groebner import Staircase, colon_by_basis, divide_exact
 from oracles import block_greater, box_monomial_member, box_monomials, \
     dense_colength_box, dense_membership, gebauer_moller_update, \
     grevlex_greater, lex_greater, local_hilbert_function, monomials_up_to, \
-    naive_remainder
+    naive_remainder, standard_of_degree
 
 
 def ring(p, *names, m=1):
@@ -962,6 +962,54 @@ def test_staircase_calls_in_any_order_match_enumeration(case):
 
 
 @st.composite
+def hilbert_staircases(draw):
+    """(n, corners, top): up to five corners in 1-4 variables with
+    exponents up to 4, none at all included, closed off by pure powers or
+    left infinite, and a top degree from -2 to 12."""
+    n = draw(st.integers(1, 4))
+    corners = set(draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                                max_size=5)))
+    if draw(st.booleans()):
+        bounds = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        corners |= {tuple(b if j == i else 0 for j in range(n))
+                    for i, b in enumerate(bounds)}
+    return n, corners, draw(st.integers(-2, 12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(hilbert_staircases())
+@example((1, set(), 5))
+@example((3, set(), 6))
+@example((4, set(), -1))
+@example((2, {(0, 0)}, 4))
+@example((3, {(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)}, -2))
+@example((3, {(0, 4, 0), (1, 0, 3), (3, 1, 1)}, 12))
+def test_the_hilbert_sweep_matches_brute_force(case):
+    # _hilbert(top) and count_degree read one sweep; the oracle lists the
+    # standard monomials of each degree
+    n, corners, top = case
+    stair = Staircase(corners, n)
+    want = [standard_of_degree(corners, n, d) for d in range(-2, top + 1)]
+    assert stair._hilbert(top) == want[2:]
+    assert [stair.count_degree(d) for d in range(-2, top + 1)] == want
+
+
+def test_count_degree_reads_one_cached_sweep(monkeypatch):
+    diff, tops = Staircase._diff, []
+
+    def spy(corners, n):
+        tops.append(n == 3)
+        return diff(corners, n)
+
+    monkeypatch.setattr(Staircase, "_diff", staticmethod(spy))
+    # the box 2 x 3 x 2 less x*y*t and x*y^2*t, by degree 1, 3, 4, 2
+    stair = Staircase([(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)], 3)
+    assert [stair.count_degree(k) for k in range(5)] == [1, 3, 4, 2, 0]
+    assert stair._hilbert(4) == [1, 3, 4, 2, 0]
+    assert tops.count(True) == 1
+
+
+@st.composite
 def many_corners(draw):
     """(n, side, corners): 20-40 drawn corners in 2-4 variables with
     exponents up to side (12 in two and three variables, 6 in four), plus
@@ -1582,6 +1630,56 @@ def test_the_loewy_cut_drops_pairs_past_the_cone(monkeypatch):
     monkeypatch.setattr(engine._Buchberger, "_spoly", spy)
     assert m_power_in(I) == 44
     assert len(calls) == 73
+
+
+@st.composite
+def form_ideals(draw):
+    """(ring, forms, D): 1-3 forms of degree 1-4 with 1-3 terms in 2-3
+    variables over F2, F3 or F5, and a degree cut D from 1 to 8."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    R = ring(p, *("x", "y", "t")[:n])
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 4))
+        exps = st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(
+            lambda picks: tuple(picks.count(i) for i in range(n)))
+        forms.append(Polynomial(R, draw(st.dictionaries(
+            exps, st.integers(1, p - 1), min_size=1, max_size=3))))
+    return R, forms, draw(st.integers(1, 8))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(form_ideals())
+def test_a_grevlex_degree_cut_keeps_the_corners_below_it(case):
+    # homogeneous pairs pop by degree, so a run that drops the pairs of
+    # degree D and more ends at a basis exact below D: the same minimal
+    # corners there as the full run's
+    R, forms, D = case
+    full = engine.initial_exponents(forms, R, GREVLEX)
+    cut = engine.initial_exponents(forms, R, GREVLEX,
+                                   degree_cut=lambda exps: D)
+    assert [c for c in cut if sum(c) < D] == [c for c in full if sum(c) < D]
+
+
+def test_a_degree_cut_needs_grevlex_or_a_block_order():
+    R = ring(5, "x", "y")
+    with pytest.raises(InputError, match="degree cut"):
+        engine.initial_exponents([parse_poly("x^2 + y^2", R)], R, LEX,
+                                 degree_cut=lambda exps: 3)
+
+
+def test_the_gorenstein_colon_length_checks_its_symmetry():
+    # (x^3, y^3) : x*y = (x^2, y^2) has length 4; S/(x^2, x*y, y^2) has
+    # Hilbert function 1, 2, which no Gorenstein quotient has
+    R = ring(3, "x", "y")
+    x, y = R.variable(0), R.variable(1)
+    bracket = GroebnerBasis(R, GREVLEX, [x ** 3, y ** 3])
+    assert charplab_groebner._gorenstein_colon_length(
+        bracket, x * y, Limits()) == 4
+    square = GroebnerBasis(R, GREVLEX, [x * x, x * y, y * y])
+    with pytest.raises(InternalError, match="not symmetric"):
+        charplab_groebner._gorenstein_colon_length(square, R.one, Limits())
 
 
 PIN_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]

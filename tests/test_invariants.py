@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charplab import (
@@ -350,6 +350,17 @@ def test_a2_at_level_five_meets_its_closed_form(levels, closed_form):
     assert got == [closed_form(5 ** e) for e in range(6 - len(got), 6)]
 
 
+def test_a1_at_level_five_meets_its_closed_form():
+    """x^2 + y^2 + t^2 over F5 up to e = 5, q = 3125: a_e = (q^2 + 1)/2,
+    the last level read off half a Hilbert function, within 10 s of CPU."""
+    R = ring(5, "x", "y", "t")
+    start = time.process_time()
+    got = [r.a for r in splitting_series(present(R, "x^2 + y^2 + t^2"),
+                                          5).rows]
+    assert time.process_time() - start < 10
+    assert got == [(5 ** (2 * e) + 1) // 2 for e in range(1, 6)]
+
+
 def maximal_polys(R):
     """Polynomials with no constant term and 2-4 terms of degree 1-3."""
     exps = st.tuples(*[st.integers(0, 3) for _ in range(R.n)]).filter(
@@ -447,9 +458,9 @@ def test_the_chain_colons_by_its_multiplier_mod_the_bracket(monkeypatch):
         assert f.terms and all(max(k) < 5 ** level for k in f.terms)
 
 
-def test_the_a1_chain_to_level_three_reduces_405_s_polynomials(monkeypatch):
-    # the pair update decides which S-polynomials are reduced; this pins
-    # the count of the x^2 + y^2 + t^2 chain over F5 to e = 3
+def chain_spolys(monkeypatch, text):
+    """The series of (text) over F5 to e = 3 and the count of the
+    S-polynomials that its engine runs reduce."""
     R = ring(5, "x", "y", "t")
     calls = []
     spoly = engine._Buchberger._spoly
@@ -458,9 +469,89 @@ def test_the_a1_chain_to_level_three_reduces_405_s_polynomials(monkeypatch):
         calls.append(args)
         return spoly(self, *args)
     monkeypatch.setattr(engine._Buchberger, "_spoly", spy)
+    return [r.a for r in splitting_series(present(R, text), 3).rows], \
+        len(calls)
+
+
+def test_the_a1_chain_to_level_three_reduces_164_s_polynomials(monkeypatch):
+    # the pair update and the midpoint cut of the last level decide which
+    # S-polynomials are reduced; the full last run made it 405
+    assert chain_spolys(monkeypatch, "x^2 + y^2 + t^2") == \
+        ([13, 313, 7813], 164)
+
+
+def test_the_a2_chain_to_level_three_reduces_149_s_polynomials(monkeypatch):
+    # x^2 + y^2 + t^3 is not homogeneous, so its last level keeps the
+    # full run of I + (r)
+    assert chain_spolys(monkeypatch, "x^2 + y^2 + t^3") == \
+        ([9, 209, 5209], 149)
+
+
+def kunz_at_every_level(g, e_max):
+    """a_1..a_emax of (g), each read as p^n a_(e-1) - l(S/(I + (r))) for
+    I = C_(e-1)^[p] and r = g^(p-1) mod I, off the full run of I + (r)."""
+    R = g.ring
+    p = R.field.p
+    current = [R.monomial(tuple(p if j == i else 0 for j in range(R.n)))
+               for i in range(R.n)]
+    out = [1]
+    for _ in range(e_max):
+        base = GroebnerBasis(R, GREVLEX, current)
+        r = base.normal_form(g ** (p - 1))
+        out.append(p ** R.n * out[-1]
+                   - _count_or_zero(base.extend_staircase([r])))
+        elems = colon_by_basis(current, R, g ** (p - 1))
+        current = [h.frobenius_pow(1) for h in elems]
+    return out[1:]
+
+
+@st.composite
+def form_cases(draw, box=6561):
+    """(g, e_max): a form g of degree 1-4 with 2-4 terms in 2-4 variables
+    over F2, F3 or F5, and e_max <= 3 with p^(e_max n) <= box."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
+    R = ring(p, *("x", "y", "z", "t")[:n])
+    exps = st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(
+        lambda picks: tuple(picks.count(i) for i in range(n)))
+    g = Polynomial(R, draw(st.dictionaries(
+        exps, st.integers(1, p - 1), min_size=2, max_size=4)))
+    top = max(e for e in range(1, 4) if p ** (e * n) <= box)
+    return g, draw(st.integers(1, top))
+
+
+@settings(max_examples=160, deadline=None, derandomize=True, database=None)
+@given(form_cases())
+@example((parse_poly("x^2*y", ring(2, "x", "y")), 2))        # r = 0
+@example((parse_poly("x^2*y + y^3", ring(3, "x", "y")), 2))   # r = 0
+@example((parse_poly("x^2 + y^2 + t^2", ring(5, "x", "y", "t")), 2))
+@example((parse_poly("x*y - z*t", ring(2, "x", "y", "z", "t")), 3))
+def test_the_midpoint_cut_keeps_every_level_of_a_form(case):
+    # the last level of each series, read off half the Hilbert function
+    # of S/(I : r), against p^n a_(e-1) - l(S/(I + (r)))
+    g, e_max = case
+    P = QuotientPresentation(g.ring, [g])
+    assert [splitting_number(P, e) for e in range(1, e_max + 1)] == \
+        kunz_at_every_level(g, e_max)
+
+
+def test_only_a_homogeneous_chain_takes_a_cut_run(monkeypatch):
+    cuts = []
+    init = engine._Buchberger.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        cuts.append(self.bound is not None)
+    monkeypatch.setattr(engine._Buchberger, "__init__", spy)
+    R = ring(5, "x", "y", "t")
+    assert [r.a for r in splitting_series(
+        present(R, "x^2 + y^2 + t^3"), 3).rows] == [9, 209, 5209]
+    assert cuts and not any(cuts)
+    cuts.clear()
     assert [r.a for r in splitting_series(
         present(R, "x^2 + y^2 + t^2"), 3).rows] == [13, 313, 7813]
-    assert len(calls) == 405
+    assert cuts[-1] and not any(cuts[:-1])
 
 
 def test_lengths_never_grow_a_reduced_basis(monkeypatch):
