@@ -397,19 +397,16 @@ class Staircase:
 
     def _hilbert(self, top: int) -> list[int]:
         """The standard monomials of each total degree 0..top (any
-        dimension): the n-th differences summed up n times."""
+        dimension): the n-th differences, swept once, summed up n times."""
+        if self._diffs is None:
+            self._diffs = Staircase._diff(self._given, self.n)
         h = [0] * (top + 1)
-        for j, v in self._differences().items():
+        for j, v in self._diffs.items():
             if j <= top:
                 h[j] += v
         for _ in range(self.n):
             h = list(accumulate(h))
         return h
-
-    def _differences(self) -> dict[int, int]:
-        if self._diffs is None:
-            self._diffs = Staircase._diff(self._given, self.n)
-        return self._diffs
 
     @staticmethod
     def _runs(corners: list, n: int):
